@@ -36,7 +36,7 @@ from .fields import (
 )
 from .grid import TorusGrid
 from .littlewood_paley import build_partition, hybrid_norm
-from .operators import advect, g_alpha, leray_project
+from .operators import leray_project, quadratic_terms
 
 
 class ConfigError(ValueError):
@@ -62,10 +62,10 @@ class FluidParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.re <= 0:
-            raise ConfigError(f"re must be positive, got {self.re}")
-        if self.we <= 0:
-            raise ConfigError(f"we must be positive, got {self.we}")
+        if not 0.0 < self.re < np.inf:
+            raise ConfigError(f"re must be positive and finite, got {self.re}")
+        if not 0.0 < self.we < np.inf:
+            raise ConfigError(f"we must be positive and finite, got {self.we}")
         if not 0.0 < self.omega < 1.0:
             raise ConfigError(f"omega must lie in (0, 1), got {self.omega}")
         if not -1.0 <= self.alpha <= 1.0:
@@ -93,8 +93,15 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in ("random_band", "zero"):
             raise ConfigError(f"unknown initial-data kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ConfigError("amplitude must be nonnegative")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise ConfigError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
+        try:
+            lo, hi = (float(x) for x in self.band)
+        except (TypeError, ValueError):
+            raise ConfigError(f"band must be two numbers, got {self.band!r}") from None
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
+            raise ConfigError(f"band must satisfy 0 <= lo < hi (finite), got {self.band!r}")
+        object.__setattr__(self, "band", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -113,14 +120,18 @@ class SolverConfig:
     nonlinear: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
+        if not 0.0 < self.period < np.inf:
+            raise ConfigError(f"period must be positive and finite, got {self.period}")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if self.output_stride < 1:
             raise ConfigError("output_stride must be at least 1")
-        if self.friedrichs_n is not None and self.friedrichs_n > self.n // 2:
-            raise ConfigError("friedrichs_n must not exceed the Nyquist radius")
+        if self.friedrichs_n is not None and not 0.0 <= self.friedrichs_n <= self.n // 2:
+            raise ConfigError("friedrichs_n must lie between 0 and the Nyquist radius")
+        if self.s is not None and not np.isfinite(self.s):
+            raise ConfigError(f"s must be finite, got {self.s}")
 
     @property
     def s_value(self) -> float:
@@ -147,6 +158,15 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverConfig":
+        _reject_unknown(doc, _SCHEMA, "")
+        init_doc = _section(doc, "init")
+        out = _section(doc, "output")
+        out_dir = out.get("dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"output.dir must be a string or null, got {out_dir!r}")
+        nonlinear = doc.get("nonlinear", True)
+        if not isinstance(nonlinear, bool):
+            raise ConfigError(f"nonlinear must be true or false, got {nonlinear!r}")
         try:
             params = FluidParams(
                 re=float(doc.get("re", 1.0)),
@@ -154,19 +174,17 @@ class SolverConfig:
                 omega=float(doc.get("omega", 0.5)),
                 alpha=float(doc.get("alpha", 1.0)),
             )
-            init_doc = doc.get("init", {})
             init = InitSpec(
                 kind=init_doc.get("kind", "random_band"),
                 amplitude=float(init_doc.get("amplitude", 1e-3)),
                 band=tuple(init_doc.get("band", (1.0, 8.0))),
-                seed=int(init_doc.get("seed", 0)),
+                seed=_as_int("init.seed", init_doc.get("seed", 0)),
             )
-            out = doc.get("output", {})
             fr = doc.get("friedrichs_n")
             s = doc.get("s")
             return cls(
-                d=int(doc.get("d", 2)),
-                n=int(doc.get("n", 128)),
+                d=_as_int("d", doc.get("d", 2)),
+                n=_as_int("n", doc.get("n", 128)),
                 period=float(doc.get("period", 2.0 * np.pi)),
                 dt=float(doc.get("dt", 0.05)),
                 t_end=float(doc.get("t_end", 1.0)),
@@ -174,9 +192,9 @@ class SolverConfig:
                 friedrichs_n=None if fr is None else float(fr),
                 s=None if s is None else float(s),
                 init=init,
-                output_stride=int(out.get("stride", 1)),
-                out_dir=out.get("dir"),
-                nonlinear=bool(doc.get("nonlinear", True)),
+                output_stride=_as_int("output.stride", out.get("stride", 1)),
+                out_dir=out_dir,
+                nonlinear=nonlinear,
             )
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -192,6 +210,34 @@ class SolverConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         return cls.from_dict(doc)
+
+
+#: every key ``from_dict`` accepts, at each level: those ``to_dict`` writes
+_SCHEMA = SolverConfig().to_dict()
+
+
+def _reject_unknown(doc: dict, allowed: dict, prefix: str) -> None:
+    unknown = sorted(set(doc) - set(allowed), key=str)
+    if unknown:
+        names = ", ".join(prefix + str(key) for key in unknown)
+        raise ConfigError(f"unknown config key(s): {names}")
+
+
+def _section(doc: dict, key: str) -> dict:
+    """A nested config object (``init``, ``output``), empty if absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    _reject_unknown(value, _SCHEMA[key], key + ".")
+    return value
+
+
+def _as_int(name: str, value) -> int:
+    """An integer-valued JSON number; 2.0 is accepted, 2.7 and "2" are not."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---- Friedrichs cutoff -------------------------------------------------------
@@ -337,10 +383,9 @@ def rhs_nonlinear(
 ) -> tuple[VectorField, SymTensorField]:
     """Quadratic tendencies: (-P[(u.grad)u], -(u.grad)tau - g_alpha)."""
     grid = u.grid
-    u_phys = u.to_physical()
-    nu = leray_project(advect(u, u, u_phys)) * (-1.0)
-    ntau_field = advect(u, tau, u_phys) + g_alpha(tau, u, params.alpha)
-    ntau = ntau_field * (-1.0)
+    transport_u, transport_tau = quadratic_terms(u, tau, params.alpha)
+    nu = leray_project(transport_u) * (-1.0)
+    ntau = transport_tau * (-1.0)
     zero_idx = (slice(None),) + (0,) * grid.d
     nu.coeffs[zero_idx] = 0.0
     ntau.coeffs[zero_idx] = 0.0

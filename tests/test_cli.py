@@ -73,6 +73,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert rec["event"] == "error"
 
 
+@pytest.mark.parametrize("overrides", [
+    {"init": 5},
+    {"output": []},
+    {"init": {"kind": "random_band", "band": "ab"}},
+    {"init": {"kind": "random_band", "band": [4, 1]}},
+    {"tend": 1.0},
+    {"d": 2.7},
+    {"dt": float("nan")},
+], ids=["init-not-object", "output-not-object", "band-not-numbers",
+        "band-reversed", "unknown-key", "fractional-d", "nan-dt"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, overrides):
+    cfg = _config(tmp_path, **overrides)
+    assert main(["simulate", str(cfg)]) == 2
+    rec = _last_record(capsys)
+    assert rec["event"] == "error"
+    assert not (tmp_path / "out").exists()
+
+
 def test_norms_zero_field(tmp_path, capsys):
     grid = TorusGrid(2, 16)
     path = tmp_path / "zero.field"

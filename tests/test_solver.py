@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.linalg
 
 from oldroydb.fields import random_scalar, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
-from oldroydb.operators import inner_product, l2_norm, leray_project
+from oldroydb.operators import advect, g_alpha, inner_product, l2_norm, leray_project
 from oldroydb.solver import (
     ConfigError,
     DivergenceError,
@@ -25,6 +26,7 @@ from oldroydb.solver import (
     rhs_nonlinear,
     simulate,
 )
+from oldroydb.verification import small_data_config
 
 PARAMS = FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0)
 
@@ -60,6 +62,35 @@ class TestParamsAndConfig:
             SolverConfig.from_json("{not json")
         with pytest.raises(ConfigError):
             SolverConfig.from_json('{"dt": "fast"}')
+
+    @pytest.mark.parametrize("band", [
+        (2.0, 1.0), (3.0, 3.0), (-1.0, 4.0), (1.0, np.inf), (np.nan, 4.0),
+        (1.0,), (1.0, 2.0, 3.0), ("a", "b"),
+    ])
+    def test_band_validation(self, band):
+        with pytest.raises(ConfigError):
+            InitSpec(band=band)
+
+    def test_band_normalized_to_floats(self):
+        assert InitSpec(band=(0, 4)).band == (0.0, 4.0)
+
+    @pytest.mark.parametrize("doc", [
+        {"init": 5}, {"output": []}, {"init": {"band": "ab"}},
+        {"tend": 5.0}, {"init": {"sed": 1}}, {"output": {"strid": 2}},
+        {"d": 2.7}, {"n": 64.5}, {"d": "2"}, {"d": True},
+        {"init": {"seed": 1.5}}, {"output": {"stride": 1.5}},
+        {"output": {"dir": 5}}, {"nonlinear": "false"},
+        {"dt": np.nan}, {"t_end": np.inf}, {"period": np.nan}, {"re": np.nan},
+        {"we": np.inf}, {"s": np.nan}, {"friedrichs_n": np.nan},
+        {"friedrichs_n": -1.0}, {"init": {"amplitude": np.nan}},
+    ])
+    def test_from_dict_rejects(self, doc):
+        with pytest.raises(ConfigError):
+            SolverConfig.from_dict(doc)
+
+    def test_from_dict_accepts_integral_floats(self):
+        cfg = SolverConfig.from_dict({"d": 3.0, "n": 16.0, "init": {"seed": 2.0}})
+        assert (cfg.d, cfg.n, cfg.init.seed) == (3, 16, 2)
 
 
 class TestFriedrichs:
@@ -183,6 +214,59 @@ class TestRhs:
         outside = grid2.kmag / grid2.k_scale > 3.0
         assert np.max(np.abs(nu.coeffs[:, outside])) == 0.0
         assert np.max(np.abs(ntau.coeffs[:, outside])) == 0.0
+
+
+def _per_term_rhs(u, tau, params, friedrichs_n):
+    """The nonlinear tendencies composed from the per-term operators."""
+    nu = leray_project(advect(u, u)) * (-1.0)
+    ntau = (advect(u, tau) + g_alpha(tau, u, params.alpha)) * (-1.0)
+    zero_idx = (slice(None),) + (0,) * u.grid.d
+    nu.coeffs[zero_idx] = 0.0
+    ntau.coeffs[zero_idx] = 0.0
+    if friedrichs_n is not None:
+        mask = friedrichs_mask(u.grid, friedrichs_n)
+        nu, ntau = nu.apply_multiplier(mask), ntau.apply_multiplier(mask)
+    return nu, ntau
+
+
+class TestFusedKernel:
+    """rhs_nonlinear against -P[advect(u, u)], -(advect(u, tau) + g_alpha)."""
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("alpha", [-0.3, 0.0, 1.0])
+    @pytest.mark.parametrize("friedrichs", [False, True])
+    def test_matches_per_term_composition(self, d, n, alpha, friedrichs):
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(100 * d + n)
+        u = leray_project(random_vector(grid, rng, band=(1.0, n // 3)))
+        tau = random_sym_tensor(grid, rng, band=(1.0, n // 3))
+        params = FluidParams(alpha=alpha)
+        fr = n / 4 if friedrichs else None
+        fused = rhs_nonlinear(u, tau, params, fr)
+        oracle = _per_term_rhs(u, tau, params, fr)
+        for got, want in zip(fused, oracle):
+            scale = np.max(np.abs(want.coeffs))
+            assert scale > 0.0
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
+            assert got.hermitian_residual() == 0.0
+            assert got.mean_residual() == 0.0
+
+
+REFERENCE_LEDGER = Path(__file__).parent / "data" / "reference_ledger_seed0_n64.json"
+#: Rounding-only kernel changes move E by about 1e-16..1e-13; dropping the
+#: D-part of g_alpha moves it by about 6e-8 (seed 0, n=64, 100 steps).
+REFERENCE_E_RTOL = 1e-10
+
+
+class TestReferenceTrajectory:
+    def test_ledger_matches_frozen_reference(self):
+        ref = json.loads(REFERENCE_LEDGER.read_text(encoding="utf-8"))
+        cfg = small_data_config(0, t_end=5.0, n=64)
+        assert cfg.to_dict() == ref["config"]
+        ledger = simulate(cfg).ledger
+        np.testing.assert_array_equal(ledger.column("t"), ref["t"])
+        np.testing.assert_allclose(ledger.column("E"), ref["E"],
+                                   rtol=REFERENCE_E_RTOL, atol=0.0)
 
 
 class TestStepping:
