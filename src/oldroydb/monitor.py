@@ -273,11 +273,16 @@ def _gronwall_weight(u1, u2, tau2, d: int, params: FluidParams, part) -> float:
     return gu1 + params.omega * params.re * bu2**2 + params.we * btau2**2
 
 
+def gronwall_integral(times: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """int_0^t weight at every sampled t, by the cumulative trapezoid rule."""
+    return np.concatenate([[0.0], np.cumsum(
+        0.5 * (weight[1:] + weight[:-1]) * np.diff(times))])
+
+
 def _fit_envelope(times: np.ndarray, dist: np.ndarray, weight: np.ndarray) -> dict:
     """Tightest constant with dist(t) <= dist(0) exp(C int_0^t weight)."""
     d0 = dist[0]
-    cumw = np.concatenate([[0.0], np.cumsum(
-        0.5 * (weight[1:] + weight[:-1]) * np.diff(times))])
+    cumw = gronwall_integral(times, weight)
     usable = (cumw > 0.0) & (dist > 0.0)
     if d0 <= 0.0 or not np.any(usable):
         return {"C_hat": None, "d0": float(d0), "weight_integral": float(cumw[-1])}
@@ -304,7 +309,7 @@ def _run_pair(config, delta: float, direction, s: float):
                              sim2.state.tau, s, config.params, part))
     weight.append(_gronwall_weight(sim1.state.u, sim2.state.u, sim2.state.tau,
                                    config.d, config.params, part))
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = config.n_steps
     for step in range(1, n_steps + 1):
         sim1.advance()
         sim2.advance()

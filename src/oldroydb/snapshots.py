@@ -13,11 +13,12 @@ array of shape (n, ..., n).
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
 from .fields import FIELD_KINDS, FieldError, SpectralField
-from .grid import TorusGrid
+from .grid import GridError, TorusGrid
 
 SCHEMA = "field-v1"
 
@@ -46,6 +47,15 @@ def write_field(path, field: SpectralField) -> None:
             fh.write(np.ascontiguousarray(phys[c], dtype="<f8").tobytes())
 
 
+def _header_int(header: dict, key: str) -> int:
+    """An integer-valued header entry; 2.0 is accepted, 2.7, "2" and a gap are not."""
+    value = header.get(key)
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise SnapshotError(f"header entry {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def read_field(path) -> SpectralField:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -53,24 +63,36 @@ def read_field(path) -> SpectralField:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SnapshotError(f"bad snapshot header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise SnapshotError(f"snapshot header must be a JSON object, got {header!r}")
         if header.get("schema") != SCHEMA:
             raise SnapshotError(f"unknown schema {header.get('schema')!r}")
         kind = header.get("kind")
         cls = FIELD_KINDS.get(kind)
         if cls is None:
             raise SnapshotError(f"unknown field kind {kind!r}")
-        grid = TorusGrid(int(header["d"]), int(header["n"]),
-                         float(header.get("period", 2.0 * np.pi)))
-        ncomp = cls.ncomp_for(grid.d)
-        if int(header.get("components", -1)) != ncomp:
+        d, n = _header_int(header, "d"), _header_int(header, "n")
+        period = header.get("period", 2.0 * np.pi)
+        if type(period) not in (int, float) or not -np.inf < period < np.inf:
+            raise SnapshotError(f"period must be a finite number, got {period!r}")
+        if d not in (2, 3):
+            raise SnapshotError(f"dimension must be 2 or 3, got {d}")
+        ncomp = cls.ncomp_for(d)
+        components = _header_int(header, "components")
+        if components != ncomp:
             raise SnapshotError(
-                f"component count {header.get('components')} does not match "
-                f"kind {kind!r} in dimension {grid.d} (expected {ncomp})"
+                f"component count {components} does not match "
+                f"kind {kind!r} in dimension {d} (expected {ncomp})"
             )
-        count = ncomp * grid.n**grid.d
-        raw = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if raw.size != count:
+        # the payload must be there before the grid allocates n**d points
+        count = ncomp * n**d
+        if 8 * count > os.fstat(fh.fileno()).st_size - fh.tell():
             raise SnapshotError("truncated snapshot payload")
+        try:
+            grid = TorusGrid(d, n, period)
+        except (GridError, OverflowError) as exc:
+            raise SnapshotError(f"bad snapshot grid: {exc}") from exc
+        raw = np.frombuffer(fh.read(8 * count), dtype="<f8")
     phys = raw.reshape((ncomp,) + grid.shape)
     try:
         return cls.from_physical(grid, phys)

@@ -9,7 +9,9 @@ extra stress tau of
 
 with the pressure eliminated by projection and the k = 0 mode pinned to
 zero.  The linear part (viscosity, relaxation, and the div tau / 2 omega D(u)
-coupling) is advanced exactly through per-mode matrix exponentials; the
+coupling) is advanced exactly: per mode it reduces to a 2x2 block on
+(u, P(tau k)/|k|) plus relaxation of tau, whose coefficients come from one
+3x3 matrix exponential per distinct |k|^2 (``LinearPropagator``); the
 quadratic terms go through a second-order Adams-Bashforth rule in the
 integrating-factor frame (forward Euler on the first step).  Keeping the
 coupling inside the exact part preserves the linear energy balance
@@ -97,7 +99,7 @@ class InitSpec:
             raise ConfigError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
         try:
             lo, hi = (float(x) for x in self.band)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"band must be two numbers, got {self.band!r}") from None
         if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
             raise ConfigError(f"band must satisfy 0 <= lo < hi (finite), got {self.band!r}")
@@ -126,12 +128,21 @@ class SolverConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.t_end < np.inf:
             raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ConfigError(f"t_end = {self.t_end} is not a whole number of "
+                              f"steps dt = {self.dt}")
         if self.output_stride < 1:
             raise ConfigError("output_stride must be at least 1")
         if self.friedrichs_n is not None and not 0.0 <= self.friedrichs_n <= self.n // 2:
             raise ConfigError("friedrichs_n must lie between 0 and the Nyquist radius")
         if self.s is not None and not np.isfinite(self.s):
             raise ConfigError(f"s must be finite, got {self.s}")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of steps of dt that reach t_end."""
+        return int(round(self.t_end / self.dt))
 
     @property
     def s_value(self) -> float:
@@ -196,7 +207,7 @@ class SolverConfig:
                 out_dir=out_dir,
                 nonlinear=nonlinear,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed config: {exc}") from exc
@@ -255,111 +266,69 @@ def friedrichs_truncate(f, radius: float):
     return f.apply_multiplier(friedrichs_mask(f.grid, radius))
 
 
-# ---- per-mode linear algebra ---------------------------------------------------
+# ---- linear propagator ---------------------------------------------------------
 
 
-def _sym_pairs(d: int):
-    return SymTensorField.pairs(d)
-
-
-def mode_matrix(kvec, params: FluidParams, include_coupling: bool = True) -> np.ndarray:
-    """Generator of the per-mode linear system, acting on [u, tau] stacked.
-
-    Rows: d velocity components then the upper-triangle stress components.
-    ``include_coupling=False`` drops the div tau and 2 omega D(u) exchange
-    terms, leaving pure viscous/relaxational decay.
-    """
-    k = np.asarray(kvec, dtype=np.float64)
-    d = k.size
-    k2 = float(k @ k)
-    if k2 == 0.0:
-        raise ValueError("the k = 0 mode is pinned to zero and has no propagator")
-    pairs = _sym_pairs(d)
-    m = d + len(pairs)
-    proj = np.eye(d) - np.outer(k, k) / k2
-    a = np.zeros((m, m), dtype=np.complex128)
-    for i in range(d):
-        a[i, i] = -(1.0 - params.omega) * k2 / params.re
-    for c in range(len(pairs)):
-        a[d + c, d + c] = -1.0 / params.we
-    if include_coupling:
-        for c, (i, j) in enumerate(pairs):
-            # contribution of tau_ij to (tau k)_l, then Leray-projected
-            v = np.zeros(d)
-            v[i] += k[j]
-            if i != j:
-                v[j] += k[i]
-            a[:d, d + c] += (1j / params.re) * (proj @ v)
-            # 2 omega D(u) drive of tau_ij
-            a[d + c, j] += 1j * params.omega / params.we * k[i]
-            a[d + c, i] += 1j * params.omega / params.we * k[j]
-    return a
-
-
-def propagator_matrix(kvec, params: FluidParams, dt: float) -> np.ndarray:
-    """Exact linear update over dt for a single mode (cached per (k, dt))."""
-    key = (tuple(float(x) for x in np.ravel(kvec)), params, float(dt))
-    cached = _MODE_PROPAGATORS.get(key)
-    if cached is None:
-        cached = scipy.linalg.expm(mode_matrix(kvec, params) * dt)
-        _MODE_PROPAGATORS[key] = cached
-    return cached
-
-
-_MODE_PROPAGATORS: dict = {}
 _BATCH_PROPAGATORS: dict = {}
 
 
 class LinearPropagator:
-    """Batched exact linear update for every resolved mode of a grid."""
+    """Exact linear update over dt for every resolved mode of a grid.
+
+    The velocity sees the stress only through zeta = P(tau k)/|k|, so per
+    mode (u, zeta) evolve by [[-a, i|k|/Re], [i omega |k|/We, -b]], with
+    a = (1-omega)|k|^2/Re and b = 1/We, and tau relaxes at rate b under the
+    drive (i omega/We) sym(k (x) u).  A third row w' = u - b w carries the
+    Duhamel integral of the drive, so one 3x3 exponential per distinct |k|^2
+    gives every coefficient (double root and a == b included).
+    """
 
     def __init__(self, grid: TorusGrid, params: FluidParams, dt: float):
         self.grid = grid
         self.params = params
         self.dt = float(dt)
-        d = grid.d
-        pairs = _sym_pairs(d)
-        m = d + len(pairs)
-        self.m = m
-
         active = grid.mode_mask & (grid.k2 > 0.0)
-        self._active = active
-        kk = grid.k[:, active]  # (d, M)
-        nmodes = kk.shape[1]
-        k2 = np.sum(kk * kk, axis=0)
-
-        mats = np.zeros((nmodes, m, m), dtype=np.complex128)
-        for i in range(d):
-            mats[:, i, i] = -(1.0 - params.omega) * k2 / params.re
-        for c in range(len(pairs)):
-            mats[:, d + c, d + c] = -1.0 / params.we
-        # Leray projector per mode
-        proj = -kk[:, None, :] * kk[None, :, :] / k2
-        idx = np.arange(d)
-        proj[idx, idx, :] += 1.0
-        for c, (i, j) in enumerate(pairs):
-            v = np.zeros((d, nmodes))
-            v[i] += kk[j]
-            if i != j:
-                v[j] += kk[i]
-            mats[:, :d, d + c] += (1j / params.re) * np.einsum("ilm,lm->mi", proj, v)
-            mats[:, d + c, j] += 1j * params.omega / params.we * kk[i]
-            mats[:, d + c, i] += 1j * params.omega / params.we * kk[j]
-
-        if self.dt == 0.0:
-            self.mats = np.broadcast_to(np.eye(m, dtype=np.complex128), mats.shape).copy()
-        else:
-            self.mats = scipy.linalg.expm(mats * self.dt)
+        k2, inverse = np.unique(grid.k2[active], return_inverse=True)
+        kn = np.sqrt(k2)
+        b = 1.0 / params.we
+        gen = np.zeros((k2.size, 3, 3), dtype=np.complex128)
+        gen[:, 0, 0] = -(1.0 - params.omega) * k2 / params.re
+        gen[:, 0, 1] = 1j * kn / params.re
+        gen[:, 1, 0] = 1j * params.omega * kn * b
+        gen[:, 1, 1] = -b
+        gen[:, 2, 0] = 1.0
+        gen[:, 2, 2] = -b
+        ex = scipy.linalg.expm(gen * self.dt)
+        drive = 1j * params.omega * b * kn
+        # per-mode coefficients on the grid, zero at inactive modes
+        coeffs = np.zeros((5,) + grid.shape, dtype=np.complex128)
+        coeffs[:, active] = np.stack([ex[:, 0, 0], ex[:, 0, 1], drive * ex[:, 2, 0],
+                                      drive * ex[:, 2, 1], ex[:, 2, 2]])[:, inverse]
+        self._e_uu, self._e_uz, self._g_u, self._g_z, self._decay = coeffs
+        self._khat = np.divide(grid.k, grid.kmag, out=np.zeros_like(grid.k),
+                               where=active)
 
     def apply(self, u_coeffs: np.ndarray, tau_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance stacked coefficient arrays by one linear step."""
-        d = self.grid.d
-        stacked = np.concatenate([u_coeffs, tau_coeffs], axis=0)
-        vec = stacked[:, self._active]  # (m, M)
-        out = np.einsum("kij,jk->ik", self.mats, vec)
-        res = np.zeros_like(stacked)
-        res[:, self._active] = out
-        return res[:d], res[d:]
+        """Advance stacked coefficient arrays by one linear step.
+
+        ``u_coeffs`` must be divergence-free at every mode: the update
+        treats u as transverse to k.  Every state and every projected
+        tendency that ``Simulation.advance`` passes is.
+        """
+        khat = self._khat
+        pairs = SymTensorField.pairs(self.grid.d)
+        tk = np.zeros_like(u_coeffs)
+        for c, (i, j) in enumerate(pairs):
+            tk[i] += tau_coeffs[c] * khat[j]
+            if i != j:
+                tk[j] += tau_coeffs[c] * khat[i]
+        zeta = tk - khat * np.sum(khat * tk, axis=0)
+        u_new = self._e_uu * u_coeffs + self._e_uz * zeta
+        w = self._g_u * u_coeffs + self._g_z * zeta
+        tau_new = self._decay * tau_coeffs
+        for c, (i, j) in enumerate(pairs):
+            tau_new[c] += khat[i] * w[j] + khat[j] * w[i]
+        return u_new, tau_new
 
 
 def build_propagator(grid: TorusGrid, params: FluidParams, dt: float) -> LinearPropagator:
@@ -502,7 +471,7 @@ def simulate(config: SolverConfig, observer=None) -> SimulationResult:
     if observer is not None:
         observer(sim.state)
 
-    n_steps = int(round(config.t_end / config.dt))
+    n_steps = config.n_steps
     times = [sim.state.t]
     try:
         for step in range(1, n_steps + 1):

@@ -381,7 +381,7 @@ def linear_solver_suite(seed: int = SUITE_SEED_DEFAULT) -> dict:
                        nonlinear=False)
     state0 = make_initial_state(cfg, grid)
     sim = Simulation(cfg, state0)
-    for _ in range(20):
+    for _ in range(cfg.n_steps):
         sim.advance()
 
     pairs = SymTensorField.pairs(grid.d)
@@ -409,7 +409,7 @@ def linear_solver_suite(seed: int = SUITE_SEED_DEFAULT) -> dict:
                          init=InitSpec(amplitude=0.5, band=(1.0, 6.0), seed=seed + 1),
                          output_stride=10**9, nonlinear=True)
         s = Simulation(c)
-        for _ in range(int(round(1.0 / dt))):
+        for _ in range(c.n_steps):
             s.advance()
         return s.state
 
@@ -497,7 +497,7 @@ def stability_suite(delta: float = 1e-6, t_end: float = 20.0, n: int = 128,
                     seed: int = 0) -> dict:
     """Twin-run experiment: exact-zero distance at delta=0, and a Gronwall
     envelope constant stable under delta -> delta/10."""
-    from .monitor import stability_experiment
+    from .monitor import gronwall_integral, stability_experiment
 
     t0 = time.time()
     cfg = small_data_config(seed, t_end=t_end, n=n)
@@ -505,9 +505,7 @@ def stability_suite(delta: float = 1e-6, t_end: float = 20.0, n: int = 128,
     rep = stability_experiment(cfg, delta)
     dist = np.asarray(rep["distance_sq"])
     times = np.asarray(rep["times"])
-    weight = np.asarray(rep["gronwall_weight"])
-    cumw = np.concatenate([[0.0], np.cumsum(
-        0.5 * (weight[1:] + weight[:-1]) * np.diff(times))])
+    cumw = gronwall_integral(times, np.asarray(rep["gronwall_weight"]))
     c_hat = rep["fit"]["C_hat"]
     envelope_ok = bool(np.all(
         dist <= dist[0] * np.exp(c_hat * cumw) * (1.0 + 1e-9)))

@@ -81,8 +81,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
     {"tend": 1.0},
     {"d": 2.7},
     {"dt": float("nan")},
+    {"t_end": 0.12},
+    {"dt": 10**400},
 ], ids=["init-not-object", "output-not-object", "band-not-numbers",
-        "band-reversed", "unknown-key", "fractional-d", "nan-dt"])
+        "band-reversed", "unknown-key", "fractional-d", "nan-dt",
+        "t_end-not-whole-steps", "dt-too-large-for-float"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = _config(tmp_path, **overrides)
     assert main(["simulate", str(cfg)]) == 2
@@ -99,6 +102,17 @@ def test_norms_zero_field(tmp_path, capsys):
     rec = _last_record(capsys)
     assert rec["value"] == 0.0
     assert rec["norm_kind"] == "hybrid"
+
+
+def test_norms_malformed_header_exits_2(tmp_path, capsys):
+    headers = ([1], {"schema": "field-v1", "kind": "scalar", "n": 16, "components": 1},
+               {"schema": "field-v1", "kind": "scalar", "d": "two", "n": 16,
+                "components": 1})
+    for header in headers:
+        path = tmp_path / "bad.field"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * (256 * 8))
+        assert main(["norms", str(path), "--s", "0"]) == 2
+        assert _last_record(capsys)["event"] == "error"
 
 
 def test_norms_besov_inf(tmp_path, capsys, rng):

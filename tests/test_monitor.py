@@ -11,6 +11,7 @@ from oldroydb.monitor import (
     check_global_bound,
     compute_kappas,
     functionals_from_history,
+    gronwall_integral,
     read_ledger_csv,
     stability_experiment,
 )
@@ -274,9 +275,7 @@ class TestStability:
         rep = stability_experiment(self._tiny_config(), 1e-4)
         times = np.asarray(rep["times"])
         dist = np.asarray(rep["distance_sq"])
-        weight = np.asarray(rep["gronwall_weight"])
-        cumw = np.concatenate([[0.0], np.cumsum(
-            0.5 * (weight[1:] + weight[:-1]) * np.diff(times))])
+        cumw = gronwall_integral(times, np.asarray(rep["gronwall_weight"]))
         c = rep["fit"]["C_hat"]
         assert np.all(dist <= dist[0] * np.exp(c * cumw) * (1.0 + 1e-9))
 

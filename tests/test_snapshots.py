@@ -77,3 +77,36 @@ def test_component_count_mismatch(tmp_path):
     path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * (3 * 256 * 8))
     with pytest.raises(SnapshotError):
         read_field(path)
+
+
+GOOD_HEADER = {"schema": "field-v1", "d": 2, "n": 16, "period": 6.283185307179586,
+               "kind": "velocity", "components": 2}
+
+
+def _without(key):
+    return {k: v for k, v in GOOD_HEADER.items() if k != key}
+
+
+@pytest.mark.parametrize("header", [
+    [1],
+    _without("d"),
+    {**GOOD_HEADER, "d": "two"},
+    {**GOOD_HEADER, "d": 4},
+    _without("n"),
+    {**GOOD_HEADER, "n": 16.5},
+    {**GOOD_HEADER, "n": 12},
+    {**GOOD_HEADER, "n": 2**40},
+    _without("components"),
+    {**GOOD_HEADER, "components": 2.5},
+    {**GOOD_HEADER, "period": float("inf")},
+    {**GOOD_HEADER, "period": float("nan")},
+    {**GOOD_HEADER, "period": "2pi"},
+    {**GOOD_HEADER, "period": 10**400},
+], ids=["not-object", "missing-d", "string-d", "d-4", "missing-n", "fractional-n",
+        "n-not-power-of-two", "huge-n", "missing-components", "fractional-components",
+        "inf-period", "nan-period", "string-period", "huge-period"])
+def test_malformed_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.field"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * (2 * 256 * 8))
+    with pytest.raises(SnapshotError):
+        read_field(path)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oldroydb.fields import random_scalar, random_sym_tensor, random_vector
+from oldroydb.fields import (
+    SymTensorField,
+    VectorField,
+    random_scalar,
+    random_sym_tensor,
+    random_vector,
+)
 from oldroydb.grid import TorusGrid
 from oldroydb.operators import advect, g_alpha, inner_product, l2_norm, leray_project
 from oldroydb.solver import (
@@ -21,12 +27,10 @@ from oldroydb.solver import (
     friedrichs_mask,
     friedrichs_truncate,
     make_initial_state,
-    mode_matrix,
-    propagator_matrix,
     rhs_nonlinear,
     simulate,
 )
-from oldroydb.verification import small_data_config
+from oldroydb.verification import linear_mode_oracle, small_data_config
 
 PARAMS = FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0)
 
@@ -83,6 +87,7 @@ class TestParamsAndConfig:
         {"dt": np.nan}, {"t_end": np.inf}, {"period": np.nan}, {"re": np.nan},
         {"we": np.inf}, {"s": np.nan}, {"friedrichs_n": np.nan},
         {"friedrichs_n": -1.0}, {"init": {"amplitude": np.nan}},
+        {"t_end": 0.12}, {"dt": 10**400}, {"init": {"band": [1, 10**400]}},
     ])
     def test_from_dict_rejects(self, doc):
         with pytest.raises(ConfigError):
@@ -126,6 +131,73 @@ class TestFriedrichs:
         np.testing.assert_array_equal(before[1], after[1] * m)
 
 
+def mode_matrix(kvec, params: FluidParams, include_coupling: bool = True) -> np.ndarray:
+    """Generator of one mode's linear system, acting on [u, tau] stacked.
+
+    Rows: d velocity components then the upper-triangle stress components.
+    ``include_coupling=False`` drops the div tau and 2 omega D(u) exchange
+    terms, leaving pure viscous/relaxational decay.
+    """
+    k = np.asarray(kvec, dtype=np.float64)
+    d = k.size
+    k2 = float(k @ k)
+    if k2 == 0.0:
+        raise ValueError("the k = 0 mode is pinned to zero and has no propagator")
+    pairs = SymTensorField.pairs(d)
+    m = d + len(pairs)
+    proj = np.eye(d) - np.outer(k, k) / k2
+    a = np.zeros((m, m), dtype=np.complex128)
+    for i in range(d):
+        a[i, i] = -(1.0 - params.omega) * k2 / params.re
+    for c in range(len(pairs)):
+        a[d + c, d + c] = -1.0 / params.we
+    if include_coupling:
+        for c, (i, j) in enumerate(pairs):
+            # contribution of tau_ij to (tau k)_l, then Leray-projected
+            v = np.zeros(d)
+            v[i] += k[j]
+            if i != j:
+                v[j] += k[i]
+            a[:d, d + c] += (1j / params.re) * (proj @ v)
+            # 2 omega D(u) drive of tau_ij
+            a[d + c, j] += 1j * params.omega / params.we * k[i]
+            a[d + c, i] += 1j * params.omega / params.we * k[j]
+    return a
+
+
+def _random_state(grid, rng):
+    """Complex Gaussian coefficients at every mode: divergence-free u and
+    arbitrary tau (not Hermitian; the propagator acts mode by mode)."""
+    def draw(ncomp):
+        shape = (ncomp,) + grid.shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u = leray_project(VectorField(grid, draw(grid.d))).coeffs
+    return u, draw(len(SymTensorField.pairs(grid.d)))
+
+
+def _max_oracle_error(grid, params, dt, u, tau):
+    """Worst per-mode error of ``apply`` against expm(mode_matrix * dt),
+    relative to the larger of the mode's input and output."""
+    got = np.concatenate(build_propagator(grid, params, dt).apply(u, tau))
+    stacked = np.concatenate([u, tau])
+    active = np.nonzero(grid.mode_mask & (grid.k2 > 0.0))
+    gens = np.stack([mode_matrix(grid.k[(slice(None),) + mode], params)
+                     for mode in zip(*active)])
+    vec = stacked[(slice(None),) + active].T
+    want = np.einsum("kij,kj->ki", scipy.linalg.expm(gens * dt), vec)
+    err = np.max(np.abs(got[(slice(None),) + active].T - want), axis=1)
+    scale = np.maximum(np.max(np.abs(want), axis=1), np.max(np.abs(vec), axis=1))
+    return float(np.max(err / scale))
+
+
+#: a == b: (1 - omega)|k|^2/Re = 1/We at |k| = 1
+EQUAL_RATES = FluidParams(re=1.0, we=2.0, omega=0.5)
+#: double root of the (u, zeta) block at |k| = 1: (a - b)^2 = 4 omega/(Re We)
+#: with a = 1/2 gives b = (3 - 2 sqrt 2)/2
+DOUBLE_ROOT = FluidParams(re=1.0, we=float(2.0 / (3.0 - 2.0 * np.sqrt(2.0))), omega=0.5)
+
+
 class TestPropagator:
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -143,36 +215,81 @@ class TestPropagator:
         off = prop - np.diag(np.diag(prop))
         assert np.max(np.abs(off)) == 0.0
 
-    def test_reduced_block_against_eigensolver(self):
-        # d=2, k=(1,0): the (u_y, tau_xy) pair closes on itself
-        dt = 0.4
-        full = propagator_matrix(np.array([1.0, 0.0]), PARAMS, dt)
-        block = np.array([
-            [-(1 - PARAMS.omega) / PARAMS.re, 1j / PARAMS.re],
-            [1j * PARAMS.omega / PARAMS.we, -1.0 / PARAMS.we],
-        ])
-        lam, v = np.linalg.eig(block)
-        oracle = v @ np.diag(np.exp(lam * dt)) @ np.linalg.inv(v)
-        sub = full[np.ix_([1, 3], [1, 3])]
-        assert np.max(np.abs(sub - oracle)) <= 1e-12
+    @pytest.mark.parametrize("dt", [0.05, 0.25])
+    @pytest.mark.parametrize("params", [
+        PARAMS, FluidParams(re=3.0, we=0.4, omega=0.8, alpha=0.2),
+    ], ids=["unit", "skewed"])
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_apply_matches_full_generator(self, d, n, params, dt):
+        grid = TorusGrid(d, n)
+        u, tau = _random_state(grid, np.random.default_rng(10 * d + n))
+        assert _max_oracle_error(grid, params, dt, u, tau) <= 1e-13
 
-    def test_zero_dt_is_identity(self, grid2):
-        prop = LinearPropagator(grid2, PARAMS, 0.0)
-        eye = np.eye(prop.m)
-        assert np.max(np.abs(prop.mats - eye)) == 0.0
+    @pytest.mark.parametrize("params", [EQUAL_RATES, DOUBLE_ROOT],
+                             ids=["a-equals-b", "double-root"])
+    def test_degenerate_block(self, params):
+        grid = TorusGrid(2, 16)
+        k2 = grid.k2[grid.mode_mask & (grid.k2 > 0.0)]
+        a = (1.0 - params.omega) * np.min(k2) / params.re
+        b = 1.0 / params.we
+        disc = (a - b) ** 2 - 4.0 * params.omega / (params.re * params.we)
+        assert a == b if params is EQUAL_RATES else abs(disc) <= 1e-15
+        u, tau = _random_state(grid, np.random.default_rng(5))
+        for dt in (0.05, 0.25, 2.0):
+            assert _max_oracle_error(grid, params, dt, u, tau) <= 1e-13
+
+    def test_reduced_block_against_eigensolver(self):
+        # the eigensolver oracle that A-6 uses, on every mode of a small grid
+        grid = TorusGrid(2, 8)
+        params = FluidParams(re=2.0, we=0.7, omega=0.3)
+        u, tau = _random_state(grid, np.random.default_rng(2))
+        dt = 0.4
+        got_u, got_tau = LinearPropagator(grid, params, dt).apply(u, tau)
+        pairs = SymTensorField.pairs(2)
+        for mode in zip(*np.nonzero(grid.mode_mask & (grid.k2 > 0.0))):
+            at = (slice(None),) + mode
+            tau0 = np.zeros((2, 2), complex)
+            for c, (i, j) in enumerate(pairs):
+                tau0[i, j] = tau0[j, i] = tau[at][c]
+            want_u, want_tau = linear_mode_oracle(grid.k[at], params, u[at], tau0, dt)
+            want_tau = np.array([want_tau[i, j] for i, j in pairs])
+            np.testing.assert_allclose(got_u[at], want_u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_tau[at], want_tau, rtol=0, atol=1e-12)
+
+    def test_zero_dt_is_identity(self, grid3):
+        u, tau = _random_state(grid3, np.random.default_rng(3))
+        out_u, out_tau = LinearPropagator(grid3, PARAMS, 0.0).apply(u, tau)
+        active = grid3.mode_mask & (grid3.k2 > 0.0)
+        np.testing.assert_array_equal(out_u[:, active], u[:, active])
+        np.testing.assert_array_equal(out_tau[:, active], tau[:, active])
+
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    def test_inactive_modes_exactly_zero(self, grid2, dt):
+        u, tau = _random_state(grid2, np.random.default_rng(4))
+        u[:, ~grid2.mode_mask] = 1.0
+        tau[:, ~grid2.mode_mask] = 1.0
+        tau[(slice(None),) + (0,) * grid2.d] = 1.0
+        inactive = ~grid2.mode_mask | (grid2.k2 == 0.0)
+        for out in LinearPropagator(grid2, PARAMS, dt).apply(u, tau):
+            assert np.max(np.abs(out[:, inactive])) == 0.0
 
     def test_batch_matches_single_mode(self, grid2):
+        # one mode at a time through apply agrees bitwise with the full batch
+        u, tau = _random_state(grid2, np.random.default_rng(6))
         prop = build_propagator(grid2, PARAMS, 0.05)
-        active = grid2.mode_mask & (grid2.k2 > 0)
-        kvecs = grid2.k[:, active]
-        for idx in (0, 17, 101):
-            single = propagator_matrix(kvecs[:, idx], PARAMS, 0.05)
-            np.testing.assert_allclose(prop.mats[idx], single, rtol=0, atol=1e-14)
+        batch_u, batch_tau = prop.apply(u, tau)
+        for mode in ((1, 0), (3, -5), (-7, 2)):
+            at = (slice(None),) + mode
+            one_u, one_tau = np.zeros_like(u), np.zeros_like(tau)
+            one_u[at], one_tau[at] = u[at], tau[at]
+            single_u, single_tau = prop.apply(one_u, one_tau)
+            np.testing.assert_array_equal(single_u[at], batch_u[at])
+            np.testing.assert_array_equal(single_tau[at], batch_tau[at])
 
-    def test_mode_propagator_cached(self):
-        a = propagator_matrix(np.array([2.0, 1.0]), PARAMS, 0.03)
-        b = propagator_matrix(np.array([2.0, 1.0]), PARAMS, 0.03)
-        assert a is b
+    def test_build_propagator_cached(self, grid2):
+        a = build_propagator(grid2, PARAMS, 0.03)
+        assert build_propagator(TorusGrid(2, 32), PARAMS, 0.03) is a
+        assert build_propagator(grid2, PARAMS, 0.06) is not a
 
 
 class TestRhs:
