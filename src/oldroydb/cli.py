@@ -54,6 +54,14 @@ def _out_dir(configured: str | None) -> Path:
     return path
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject a bad command-line value as a configuration error (exit 2)."""
+    from .solver import ConfigError
+
+    if not ok:
+        raise ConfigError(message)
+
+
 def _load_config(path: str):
     from .solver import ConfigError, SolverConfig
 
@@ -98,12 +106,17 @@ def cmd_simulate(args) -> int:
 def cmd_norms(args) -> int:
     from .littlewood_paley import norm_report
     from .snapshots import read_field
+    from .solver import ConfigError
 
+    _require(np.isfinite(args.s), f"--s must be finite, got {args.s}")
+    try:
+        r = np.inf if args.r in ("inf", "oo") else float(args.r)
+    except ValueError:
+        raise ConfigError(f"--r must be 1, 2 or inf, got {args.r!r}") from None
     field = read_field(args.field)
     if args.hybrid:
         rec = norm_report(field, "hybrid", s=args.s)
     else:
-        r = np.inf if args.r in ("inf", "oo") else float(args.r)
         rec = norm_report(field, "besov", s=args.s, p=args.p, r=r)
     _emit(rec)
     return EXIT_OK
@@ -112,6 +125,7 @@ def cmd_norms(args) -> int:
 def cmd_verify(args) -> int:
     from .verification import run_suite
 
+    _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     report = run_suite(args.suite, seed=args.seed)
     _emit(report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
@@ -120,6 +134,8 @@ def cmd_verify(args) -> int:
 def cmd_bench_estimates(args) -> int:
     from .verification import ESTIMATE_NAMES, estimate_bench
 
+    _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
+    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
     names = ESTIMATE_NAMES if args.estimate == "all" else (args.estimate,)
     report = estimate_bench(names=names, n_list=tuple(args.n),
                             samples=args.samples, seed=args.seed)

@@ -1,16 +1,21 @@
 """Spectral fields on a torus: scalars, vectors, symmetric and skew tensors.
 
 A field stores complex Fourier coefficients ``c_k`` normalized so that the
-physical values are ``f(x) = sum_k c_k exp(i k.x)``.  Coefficients always
-carry a leading component axis, shape ``(ncomp, n, ..., n)``; a scalar has
+physical values are ``f(x) = sum_k c_k exp(i k.x)``.  Every field is real,
+so its coefficients are Hermitian, ``c(-k) == conj(c(k))``, and only the
+half spectrum ``k_last >= 0`` is stored: coefficients carry a leading
+component axis, shape ``(ncomp,) + grid.spec_shape``; a scalar has
 ``ncomp == 1``.  Symmetric tensors store only the upper triangle, so their
 symmetry is structural; the squared Frobenius magnitude doubles off-diagonal
 components through the ``component_weights`` vector.
 
-Real-valued physical fields correspond to Hermitian coefficient arrays,
-``c(-k) == conj(c(k))``.  Every constructor path that starts from physical
-data preserves that exactly; ``validate`` checks it (and the mean-zero
-convention) when asked to.
+Physical samples and coefficients convert through the grid's one transform
+pair: ``to_physical`` is one real inverse transform (``irfftn``) of all
+components, ``from_physical`` one real forward transform (``rfftn``).  No
+full-grid complex transform is taken.  Hermitian symmetry off the
+``k_last = 0`` plane is structural; on that plane the forward transform
+makes it exact, and ``validate`` checks it (and the mean-zero convention)
+when asked to.
 """
 
 from __future__ import annotations
@@ -42,10 +47,10 @@ class SpectralField:
     def __init__(self, grid: TorusGrid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         ncomp = self.ncomp_for(grid.d)
-        if coeffs.shape != (ncomp,) + grid.shape:
+        if coeffs.shape != (ncomp,) + grid.spec_shape:
             raise FieldError(
                 f"{type(self).__name__} on d={grid.d} expects coeffs of shape "
-                f"{(ncomp,) + grid.shape}, got {coeffs.shape}"
+                f"{(ncomp,) + grid.spec_shape}, got {coeffs.shape}"
             )
         self.grid = grid
         self.coeffs = coeffs
@@ -68,7 +73,8 @@ class SpectralField:
 
     @classmethod
     def zero(cls, grid: TorusGrid) -> "SpectralField":
-        return cls(grid, np.zeros((cls.ncomp_for(grid.d),) + grid.shape, np.complex128))
+        return cls(grid, np.zeros((cls.ncomp_for(grid.d),) + grid.spec_shape,
+                                  np.complex128))
 
     @classmethod
     def from_physical(cls, grid: TorusGrid, values: np.ndarray) -> "SpectralField":
@@ -81,9 +87,7 @@ class SpectralField:
             raise FieldError(
                 f"physical data must have shape {(ncomp,) + grid.shape}, got {values.shape}"
             )
-        axes = tuple(range(1, grid.d + 1))
-        coeffs = np.fft.fftn(values, axes=axes) / grid.n**grid.d
-        coeffs *= grid.mode_mask
+        coeffs = grid.to_spectral(values, grid.mode_mask)
         coeffs[(slice(None),) + (0,) * grid.d] = 0.0
         return cls(grid, coeffs)
 
@@ -91,9 +95,7 @@ class SpectralField:
 
     def to_physical(self) -> np.ndarray:
         """Real physical samples, shape (ncomp, n, ..., n)."""
-        axes = tuple(range(1, self.grid.d + 1))
-        phys = np.fft.ifftn(self.coeffs, axes=axes) * self.grid.n**self.grid.d
-        return np.ascontiguousarray(phys.real)
+        return self.grid.to_physical(self.coeffs)
 
     def copy(self) -> "SpectralField":
         return type(self)(self.grid, self.coeffs.copy())
@@ -105,12 +107,15 @@ class SpectralField:
     # ---- diagnostics ------------------------------------------------------
 
     def hermitian_residual(self) -> float:
-        """Relative deviation from c(-k) == conj(c(k))."""
+        """Relative deviation from c(-k) == conj(c(k)) on the k_last = 0 plane.
+
+        Everywhere else the half-spectrum layout makes the symmetry structural.
+        """
         scale = float(np.max(np.abs(self.coeffs)))
         if scale == 0.0:
             return 0.0
         mirror = self.grid.reflect(self.coeffs)
-        return float(np.max(np.abs(mirror - np.conj(self.coeffs))) / scale)
+        return float(np.max(np.abs(mirror - np.conj(self.coeffs[..., 0]))) / scale)
 
     def mean_residual(self) -> float:
         scale = float(np.max(np.abs(self.coeffs)))
@@ -260,8 +265,8 @@ def restrict_spectrum(field: SpectralField, coarse: TorusGrid,
     if coarse.n > fine.n:
         raise FieldError("target grid must be coarser")
     idx = np.r_[0:coarse.n // 2, fine.n - coarse.n // 2:fine.n]
-    c = field.coeffs
-    for ax in range(1, fine.d + 1):
+    c = field.coeffs[..., :coarse.n // 2 + 1]
+    for ax in range(1, fine.d):
         c = np.take(c, idx, axis=ax)
     c = c * (coarse.dealias_mask if dealias else coarse.mode_mask)
     return type(field)(coarse, c)

@@ -1,16 +1,23 @@
-"""Periodic torus discretization with FFT wavevector bookkeeping.
+"""Periodic torus discretization with real-FFT wavevector bookkeeping.
 
 The grid lives on ``[0, period)^d`` with ``n`` points per axis.  Wavevectors
-are ``k = (2*pi/period) * m`` for integer ``m`` in standard FFT ordering.
-All spectral machinery downstream indexes coefficients by these integer
-tuples, so the grid also carries the masks everybody needs: the set of
-usable modes (the unpaired Nyquist line ``m_i = -n/2`` is excluded), and
-the sharp 2/3-rule mask used to dealias quadratic products.
+are ``k = (2*pi/period) * m`` for integer ``m``.  Every field is real, so its
+coefficients are Hermitian, ``c(-k) == conj(c(k))``, and only the half
+spectrum ``m_last >= 0`` is stored: ``spec_shape = (n, ..., n, n//2 + 1)``,
+the layout of ``scipy.fft.rfftn``, with standard FFT ordering on the other
+axes.  Outside the ``m_last = 0`` plane each stored mode stands for itself
+and its mirror, so sums over modes weight by ``multiplicity`` (1 on that
+plane and on the Nyquist column, 2 elsewhere) to obey Parseval.
+
+The grid also carries the masks everybody needs, on the half spectrum: the
+set of usable modes (the unpaired Nyquist lines ``|m_i| = n/2`` are
+excluded), and the sharp 2/3-rule mask used to dealias quadratic products.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 
 class GridError(ValueError):
@@ -41,9 +48,12 @@ class TorusGrid:
         self.volume = self.period**self.d
         self.cell_volume = (self.period / self.n) ** self.d
 
+        #: shape of a stored coefficient array: the half spectrum m_last >= 0
+        self.spec_shape = self.shape[:-1] + (self.n // 2 + 1,)
+
         m = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)
-        mesh = np.meshgrid(*([m] * d), indexing="ij")
-        #: integer wavevectors, shape (d, n, ..., n)
+        mesh = np.meshgrid(*([m] * (d - 1) + [np.arange(n // 2 + 1)]), indexing="ij")
+        #: integer wavevectors on the half spectrum, shape (d,) + spec_shape
         self.k_int = np.stack(mesh)
         self.k_scale = 2.0 * np.pi / self.period
         #: physical wavevectors k = k_scale * k_int
@@ -52,12 +62,15 @@ class TorusGrid:
         self.kmag = np.sqrt(self.k2)
 
         nyq = n // 2
-        #: modes with a resolvable -k partner (drops the m_i = -n/2 lines)
+        #: modes with a resolvable -k partner (drops the |m_i| = n/2 lines)
         self.mode_mask = np.all(np.abs(self.k_int) != nyq, axis=0)
         #: sharp 2/3-rule mask for quadratic products
         self.dealias_mask = (
             np.all(np.abs(self.k_int) <= n // 3, axis=0) & self.mode_mask
         )
+        #: Parseval weight of each stored mode: 2 where it also stands for -k
+        self.multiplicity = np.where((self.k_int[-1] > 0) & (self.k_int[-1] < nyq),
+                                     2.0, 1.0)
         # index map realizing m -> -m per axis
         self._neg = (n - np.arange(n)) % n
 
@@ -67,11 +80,32 @@ class TorusGrid:
         return tuple(np.meshgrid(*([x] * self.d), indexing="ij"))
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
-        """Reindex a coefficient array from k to -k (spatial axes last)."""
-        out = coeffs
-        for ax in range(-self.d, 0):
+        """The m_last = 0 plane of a half-spectrum array, reindexed from k to -k.
+
+        Spatial axes come last; the result drops the last one.  This plane
+        is the only place where both k and -k are stored.
+        """
+        out = coeffs[..., 0]
+        for ax in range(1 - self.d, 0):
             out = np.take(out, self._neg, axis=ax)
         return out
+
+    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real samples of half-spectrum coefficients (spatial axes last)."""
+        axes = tuple(range(coeffs.ndim - self.d, coeffs.ndim))
+        return scipy.fft.irfftn(coeffs, s=self.shape, axes=axes, norm="forward")
+
+    def to_spectral(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients of real samples, times ``mask``.
+
+        ``rfftn`` leaves the m_last = 0 plane Hermitian only to rounding;
+        averaging it with its conjugate mirror makes it exact.
+        """
+        axes = tuple(range(values.ndim - self.d, values.ndim))
+        coeffs = scipy.fft.rfftn(values, axes=axes, norm="forward")
+        coeffs[..., 0] = 0.5 * (coeffs[..., 0] + np.conj(self.reflect(coeffs)))
+        coeffs *= mask
+        return coeffs
 
     @property
     def k_nyquist(self) -> float:

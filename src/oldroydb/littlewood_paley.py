@@ -21,6 +21,7 @@ decomposition, transport commutators, and Bernstein ratio reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 
 from .fields import ScalarField, SpectralField, VectorField
 from .grid import TorusGrid
-from .operators import _phys, _spec, advect, gradient, lp_norm
+from .operators import advect, gradient, lp_norm
 
 CHI_SUPPORT = (0.75, 4.0 / 3.0)
 PHI_SUPPORT = (0.75, 8.0 / 3.0)
@@ -101,9 +102,10 @@ class DyadicPartition:
         self.q_max = math.ceil(math.log2(8.0 / 3.0 * grid.k_scale * grid.k_nyquist))
         self.q_values = np.arange(self.q_min, self.q_max + 1)
         scaled = grid.kmag[None] / (2.0 ** self.q_values.reshape((-1,) + (1,) * grid.d))
-        #: phi multipliers stacked over q, shape (nq, n, ..., n)
+        #: phi multipliers stacked over q, shape (nq,) + grid.spec_shape
         self.phi_mults = phi_profile(scaled)
-        self._phi_sq = self.phi_mults**2
+        # squared multipliers with the Parseval weight of each stored mode
+        self._phi_sq = self.phi_mults**2 * grid.multiplicity
         self._chi_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -140,16 +142,10 @@ class DyadicPartition:
         return res_chi, res_full
 
 
-_PARTITIONS: dict[TorusGrid, DyadicPartition] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def build_partition(grid: TorusGrid) -> DyadicPartition:
-    """Partition for ``grid``, cached per grid."""
-    part = _PARTITIONS.get(grid)
-    if part is None:
-        part = DyadicPartition(grid)
-        _PARTITIONS[grid] = part
-    return part
+    """Partition for ``grid``, cached for the few most recent grids."""
+    return DyadicPartition(grid)
 
 
 # ---- blocks ------------------------------------------------------------------
@@ -326,12 +322,12 @@ def paraproduct(f: ScalarField, g: ScalarField,
     f.grid.require_same(g.grid)
     part = partition or build_partition(f.grid)
     grid = f.grid
-    acc = np.zeros(grid.shape)
+    acc = np.zeros((1,) + grid.shape)
     for q in part.q_values:
-        sf = _phys(f.coeffs[0] * part.chi_weights(int(q) - 1), grid)
-        dg = _phys(g.coeffs[0] * part.phi_weights(int(q)), grid)
+        sf = grid.to_physical(f.coeffs * part.chi_weights(int(q) - 1))
+        dg = grid.to_physical(g.coeffs * part.phi_weights(int(q)))
         acc += sf * dg
-    return ScalarField(grid, _spec(acc, grid)[None])
+    return ScalarField(grid, grid.to_spectral(acc, grid.dealias_mask))
 
 
 def remainder(f: ScalarField, g: ScalarField,
@@ -342,16 +338,16 @@ def remainder(f: ScalarField, g: ScalarField,
     f.grid.require_same(g.grid)
     part = partition or build_partition(f.grid)
     grid = f.grid
-    acc = np.zeros(grid.shape)
+    acc = np.zeros((1,) + grid.shape)
     for q in part.q_values:
-        near = np.zeros(grid.shape)
+        near = np.zeros(grid.spec_shape)
         for p in (int(q) - 1, int(q), int(q) + 1):
             if part.contains(p):
                 near += part.phi_weights(p)
-        df = _phys(f.coeffs[0] * part.phi_weights(int(q)), grid)
-        ng = _phys(g.coeffs[0] * near, grid)
+        df = grid.to_physical(f.coeffs * part.phi_weights(int(q)))
+        ng = grid.to_physical(g.coeffs * near)
         acc += df * ng
-    return ScalarField(grid, _spec(acc, grid)[None])
+    return ScalarField(grid, grid.to_spectral(acc, grid.dealias_mask))
 
 
 # ---- commutator ----------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 from .grid import TorusGrid
 from .littlewood_paley import DyadicPartition, block_l2_norms, build_partition
 from .operators import cancellation_residual
-from .solver import FluidParams, default_s
+from .solver import ConfigError, FluidParams, default_s
 
 LEDGER_COLUMNS = (
     "t", "E1", "E2", "E",
@@ -339,8 +339,8 @@ def stability_experiment(config, delta: float, perturb_seed: int | None = None) 
     from .littlewood_paley import hybrid_norm
     from .operators import leray_project
 
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ConfigError(f"delta must be nonnegative and finite, got {delta}")
     grid = TorusGrid(config.d, config.n, config.period)
     s = config.s_value
     seed = (config.init.seed + 7919) if perturb_seed is None else perturb_seed

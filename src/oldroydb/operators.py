@@ -1,26 +1,27 @@
 """Differential and bilinear operators for torus fields.
 
 Linear operators (derivatives, Leray projection, tensor divergence) act as
-exact Fourier multipliers.  Quadratic expressions (advection, the objective
-stress term) are evaluated pseudo-spectrally: transform to physical space,
-multiply pointwise, transform back, apply the sharp 2/3-rule mask.  All
-inner products use Parseval's identity on the coefficient arrays, so no
-quadrature error enters them.
+exact Fourier multipliers on the stored half spectrum.  Quadratic
+expressions (advection, the objective stress term) are evaluated
+pseudo-spectrally through the grid's one transform pair: a real inverse
+transform (``irfftn``) to physical space, pointwise products, a real forward
+transform (``rfftn``) back and the sharp 2/3-rule mask.  No full-grid
+complex transform is taken.  All inner products use Parseval's identity on
+the coefficient arrays, each stored mode weighted by the grid's
+``multiplicity``, so no quadrature error enters them.
 
 The solver's quadratic terms go through ``quadratic_terms``: one batched
-real inverse transform of ``[u, grad u, tau, grad tau]`` from the half
-spectrum (15 real fields in 2-d, 36 in 3-d), componentwise algebra on the
-stored upper triangle, and one batched forward transform of the
-``d + d(d+1)/2`` real products (5 in 2-d, 9 in 3-d).  Composed from
-``advect`` and ``g_alpha``, the same terms take 19 complex inverse and 8
-complex forward transforms in 2-d; those two stay as the per-term API and
-as the test oracle.
+real inverse transform of ``[u, grad u, tau, grad tau]`` (15 real fields in
+2-d, 36 in 3-d), componentwise algebra on the stored upper triangle, and one
+batched real forward transform of the ``d + d(d+1)/2`` products (5 in 2-d,
+9 in 3-d).  Composed from ``advect`` and ``g_alpha``, the same terms take 19
+real inverse and 8 real forward transforms in 2-d; those two stay as the
+per-term API and as the test oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .fields import (
     FieldError,
@@ -30,7 +31,6 @@ from .fields import (
     SymTensorField,
     VectorField,
 )
-from .grid import TorusGrid
 
 
 # ---- linear operators -------------------------------------------------------
@@ -75,7 +75,7 @@ def div_tensor(tau: SymTensorField) -> VectorField:
     """(div tau)_i = sum_j d_j tau_ij, exact in Fourier form."""
     grid = tau.grid
     d = grid.d
-    out = np.zeros((d,) + grid.shape, dtype=np.complex128)
+    out = np.zeros((d,) + grid.spec_shape, dtype=np.complex128)
     for c, (i, j) in enumerate(SymTensorField.pairs(d)):
         out[i] += 1j * grid.k[j] * tau.coeffs[c]
         if i != j:
@@ -86,23 +86,13 @@ def div_tensor(tau: SymTensorField) -> VectorField:
 # ---- pseudo-spectral products ----------------------------------------------
 
 
-def _phys(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    axes = tuple(range(coeffs.ndim - grid.d, coeffs.ndim))
-    return np.fft.ifftn(coeffs, axes=axes).real * grid.n**grid.d
-
-
-def _spec(values: np.ndarray, grid: TorusGrid, dealias: bool = True) -> np.ndarray:
-    axes = tuple(range(values.ndim - grid.d, values.ndim))
-    coeffs = np.fft.fftn(values, axes=axes) / grid.n**grid.d
-    coeffs *= grid.dealias_mask if dealias else grid.mode_mask
-    return coeffs
-
-
 def multiply(f: ScalarField, g: ScalarField, dealias: bool = True) -> ScalarField:
     """Pointwise product of two scalar fields, dealiased by default."""
-    f.grid.require_same(g.grid)
-    prod = _phys(f.coeffs[0], f.grid) * _phys(g.coeffs[0], g.grid)
-    return ScalarField(f.grid, _spec(prod, f.grid, dealias)[None])
+    grid = f.grid
+    grid.require_same(g.grid)
+    prod = grid.to_physical(f.coeffs) * grid.to_physical(g.coeffs)
+    return ScalarField(grid, grid.to_spectral(
+        prod, grid.dealias_mask if dealias else grid.mode_mask))
 
 
 def advect(u: VectorField, f: SpectralField, u_phys: np.ndarray | None = None) -> SpectralField:
@@ -115,14 +105,10 @@ def advect(u: VectorField, f: SpectralField, u_phys: np.ndarray | None = None) -
     grid.require_same(f.grid)
     if u_phys is None:
         u_phys = u.to_physical()
-    out = np.empty_like(f.coeffs)
-    for c in range(f.ncomp):
-        acc = None
-        for j in range(grid.d):
-            dj = _phys(1j * grid.k[j] * f.coeffs[c], grid)
-            acc = u_phys[j] * dj if acc is None else acc + u_phys[j] * dj
-        out[c] = _spec(acc, grid)
-    return type(f)(grid, out)
+    # d_j f_c for every component c and direction j, shape (ncomp, d, n, ..., n)
+    grad_f = grid.to_physical(1j * grid.k * f.coeffs[:, None])
+    transport = sum(u_phys[j] * grad_f[:, j] for j in range(grid.d))
+    return type(f)(grid, grid.to_spectral(transport, grid.dealias_mask))
 
 
 def g_alpha_pointwise(
@@ -152,7 +138,7 @@ def g_alpha(tau: SymTensorField, u: VectorField, alpha: float) -> SymTensorField
     w_m = vorticity(u).full_matrix_physical()
     g_m = g_alpha_pointwise(tau_m, d_m, w_m, alpha)
     comps = np.stack([g_m[..., i, j] for i, j in SymTensorField.pairs(grid.d)])
-    return SymTensorField(grid, _spec(comps, grid))
+    return SymTensorField(grid, grid.to_spectral(comps, grid.dealias_mask))
 
 
 def quadratic_terms(
@@ -164,27 +150,23 @@ def quadratic_terms(
     up to rounding.  With A_ij = d_j u_i, D = (A + A^T)/2 and W = (A - A^T)/2,
     symmetry of tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so
     each stored component is g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
-    Only the half spectrum k_last >= 0 is read, so u and tau must be real
-    fields (Hermitian coefficients), as every evolved state is.
     """
     grid = u.grid
     grid.require_same(tau.grid)
     d = grid.d
     pairs = SymTensorField.pairs(d)
     nt = len(pairs)
-    axes = tuple(range(1, d + 1))
-    half = (Ellipsis, slice(0, grid.n // 2 + 1))
-    ik = 1j * grid.k[half]
-    hshape = ik.shape[1:]
+    ik = 1j * grid.k
+    hshape = grid.spec_shape
     # stacked rows: u_i | d_j u_i (i-major) | tau_c | d_m tau_c (c-major)
     bounds = (d, d + d * d, d + d * d + nt)
     spec = np.empty(((d + 1) * (d + nt),) + hshape, np.complex128)
     u_h, grad_u_h, tau_h, grad_tau_h = np.split(spec, bounds)
-    u_h[...] = u.coeffs[half]
-    tau_h[...] = tau.coeffs[half]
-    np.multiply(ik, u_h[:, None], out=grad_u_h.reshape((d, d) + hshape))
-    np.multiply(ik, tau_h[:, None], out=grad_tau_h.reshape((nt, d) + hshape))
-    phys = scipy.fft.irfftn(spec, s=grid.shape, axes=axes, norm="forward")
+    u_h[...] = u.coeffs
+    tau_h[...] = tau.coeffs
+    np.multiply(ik, u.coeffs[:, None], out=grad_u_h.reshape((d, d) + hshape))
+    np.multiply(ik, tau.coeffs[:, None], out=grad_tau_h.reshape((nt, d) + hshape))
+    phys = grid.to_physical(spec)
     vel, grad_u, stress, grad_tau = np.split(phys, bounds)
     grad_u = grad_u.reshape((d, d) + grid.shape)
     grad_tau = grad_tau.reshape((nt, d) + grid.shape)
@@ -200,8 +182,7 @@ def quadratic_terms(
     for c, (i, j) in enumerate(pairs):
         out[d + c] = sum(vel[m] * grad_tau[c, m] for m in range(d)) + sum(
             tau_at(i, k) * b[k][j] + tau_at(j, k) * b[k][i] for k in range(d))
-    coeffs = scipy.fft.fftn(out, axes=axes, norm="forward")
-    coeffs *= grid.dealias_mask
+    coeffs = grid.to_spectral(out, grid.dealias_mask)
     return VectorField(grid, coeffs[:d]), SymTensorField(grid, coeffs[d:])
 
 
@@ -212,23 +193,27 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product over the box; Frobenius pairing for tensors."""
     if type(f) is not type(g):
         raise FieldError(f"kind mismatch: {f.kind} vs {g.kind}")
-    f.grid.require_same(g.grid)
-    w = f.component_weights()
-    per_comp = np.sum((f.coeffs * np.conj(g.coeffs)).reshape(f.ncomp, -1), axis=1)
-    return float(np.dot(w, per_comp).real) * f.grid.volume
+    grid = f.grid
+    grid.require_same(g.grid)
+    per_mode = np.tensordot(f.component_weights(), (f.coeffs * np.conj(g.coeffs)).real,
+                            axes=(0, 0))
+    return float(np.vdot(grid.multiplicity, per_mode)) * grid.volume
+
+
+def _weighted_sq_sum(f: SpectralField, mode_weight: np.ndarray) -> float:
+    """sum over stored modes of mode_weight * |f(k)|^2, components weighted."""
+    per_mode = np.tensordot(f.component_weights(), np.abs(f.coeffs) ** 2, axes=(0, 0))
+    return float(np.vdot(mode_weight, per_mode))
 
 
 def l2_norm(f: SpectralField) -> float:
-    w = f.component_weights()
-    per_comp = np.sum(np.abs(f.coeffs.reshape(f.ncomp, -1)) ** 2, axis=1)
-    return float(np.sqrt(np.dot(w, per_comp) * f.grid.volume))
+    return float(np.sqrt(_weighted_sq_sum(f, f.grid.multiplicity) * f.grid.volume))
 
 
 def grad_l2_norm(f: SpectralField) -> float:
     """Frobenius L2 norm of the full gradient of f."""
-    w = f.component_weights()
-    sq = (f.grid.k2 * np.abs(f.coeffs) ** 2).reshape(f.ncomp, -1)
-    return float(np.sqrt(np.dot(w, np.sum(sq, axis=1)) * f.grid.volume))
+    grid = f.grid
+    return float(np.sqrt(_weighted_sq_sum(f, grid.multiplicity * grid.k2) * grid.volume))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

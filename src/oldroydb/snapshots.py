@@ -61,14 +61,15 @@ def read_field(path) -> SpectralField:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and over-long integers
             raise SnapshotError(f"bad snapshot header: {exc}") from exc
         if not isinstance(header, dict):
             raise SnapshotError(f"snapshot header must be a JSON object, got {header!r}")
         if header.get("schema") != SCHEMA:
             raise SnapshotError(f"unknown schema {header.get('schema')!r}")
         kind = header.get("kind")
-        cls = FIELD_KINDS.get(kind)
+        cls = FIELD_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise SnapshotError(f"unknown field kind {kind!r}")
         d, n = _header_int(header, "d"), _header_int(header, "n")
@@ -93,6 +94,8 @@ def read_field(path) -> SpectralField:
         except (GridError, OverflowError) as exc:
             raise SnapshotError(f"bad snapshot grid: {exc}") from exc
         raw = np.frombuffer(fh.read(8 * count), dtype="<f8")
+    if not np.all(np.isfinite(raw)):
+        raise SnapshotError("non-finite sample in snapshot payload")
     phys = raw.reshape((ncomp,) + grid.shape)
     try:
         return cls.from_physical(grid, phys)

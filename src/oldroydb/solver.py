@@ -24,6 +24,7 @@ to machine precision.  An optional sharp frequency cutoff of radius
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -104,6 +105,8 @@ class InitSpec:
         if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
             raise ConfigError(f"band must satisfy 0 <= lo < hi (finite), got {self.band!r}")
         object.__setattr__(self, "band", (lo, hi))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,8 @@ class SolverConfig:
     def from_json(cls, text: str) -> "SolverConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON and integers too long to convert
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
@@ -269,9 +273,6 @@ def friedrichs_truncate(f, radius: float):
 # ---- linear propagator ---------------------------------------------------------
 
 
-_BATCH_PROPAGATORS: dict = {}
-
-
 class LinearPropagator:
     """Exact linear update over dt for every resolved mode of a grid.
 
@@ -300,8 +301,8 @@ class LinearPropagator:
         gen[:, 2, 2] = -b
         ex = scipy.linalg.expm(gen * self.dt)
         drive = 1j * params.omega * b * kn
-        # per-mode coefficients on the grid, zero at inactive modes
-        coeffs = np.zeros((5,) + grid.shape, dtype=np.complex128)
+        # per-mode coefficients on the half grid, zero at inactive modes
+        coeffs = np.zeros((5,) + grid.spec_shape, dtype=np.complex128)
         coeffs[:, active] = np.stack([ex[:, 0, 0], ex[:, 0, 1], drive * ex[:, 2, 0],
                                       drive * ex[:, 2, 1], ex[:, 2, 2]])[:, inverse]
         self._e_uu, self._e_uz, self._g_u, self._g_z, self._decay = coeffs
@@ -331,14 +332,11 @@ class LinearPropagator:
         return u_new, tau_new
 
 
+@functools.lru_cache(maxsize=8)
 def build_propagator(grid: TorusGrid, params: FluidParams, dt: float) -> LinearPropagator:
-    """Propagator for (grid, params, dt), cached so repeat runs reuse it."""
-    key = (grid, params, float(dt))
-    prop = _BATCH_PROPAGATORS.get(key)
-    if prop is None:
-        prop = LinearPropagator(grid, params, dt)
-        _BATCH_PROPAGATORS[key] = prop
-    return prop
+    """Propagator for (grid, params, dt), cached for the few most recent
+    keys so repeat runs reuse it and parameter sweeps stay bounded."""
+    return LinearPropagator(grid, params, dt)
 
 
 # ---- right-hand side -----------------------------------------------------------

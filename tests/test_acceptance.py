@@ -82,6 +82,7 @@ def test_a6_linear_exactness_and_order():
     assert rep["passed"]
 
 
+@pytest.mark.slow
 def test_sd1_small_data_global_bound():
     rep = V.small_data_suite(seeds=(0, 1, 2, 3, 4), t_end=50.0, n=128)
     worst = max(c["max_ratio"] for c in rep["per_seed"].values())
@@ -96,6 +97,7 @@ def test_sd1_small_data_global_bound():
     assert rep["passed"]
 
 
+@pytest.mark.slow
 def test_sd2_twin_run_stability():
     rep = V.stability_suite(delta=1e-6, t_end=20.0, n=128, seed=0)
     _report("SD-2 stability", rep,

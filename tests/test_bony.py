@@ -22,9 +22,11 @@ from oldroydb.operators import l2_norm, leray_project, multiply
 
 
 def _single_mode(grid, kvec, a=1.0):
-    coeffs = np.zeros((1,) + grid.shape, complex)
-    coeffs[(0,) + tuple(k % grid.n for k in kvec)] = a
-    coeffs[(0,) + tuple((-k) % grid.n for k in kvec)] = np.conj(a)
+    """a at kvec plus conj(a) at -kvec, each stored if on the half spectrum."""
+    coeffs = np.zeros((1,) + grid.spec_shape, complex)
+    for k, c in ((kvec, a), (tuple(-x for x in kvec), np.conj(a))):
+        if k[-1] >= 0:
+            coeffs[(0,) + tuple(x % grid.n for x in k)] = c
     return ScalarField(grid, coeffs)
 
 

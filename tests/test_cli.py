@@ -83,14 +83,37 @@ def test_bad_config_exits_2(tmp_path, capsys):
     {"dt": float("nan")},
     {"t_end": 0.12},
     {"dt": 10**400},
+    {"init": {"kind": "random_band", "seed": -1}},
 ], ids=["init-not-object", "output-not-object", "band-not-numbers",
         "band-reversed", "unknown-key", "fractional-d", "nan-dt",
-        "t_end-not-whole-steps", "dt-too-large-for-float"])
+        "t_end-not-whole-steps", "dt-too-large-for-float", "negative-seed"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = _config(tmp_path, **overrides)
     assert main(["simulate", str(cfg)]) == 2
     rec = _last_record(capsys)
     assert rec["event"] == "error"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "{field}", "--s", "0", "--r", "abc"],
+    ["norms", "{field}", "--s", "nan"],
+    ["stability", "{config}", "--delta", "-1"],
+    ["stability", "{config}", "--delta", "nan"],
+    ["stability", "{config}", "--delta", "inf"],
+    ["verify", "linear", "--seed", "-1"],
+    ["bench-estimates", "all", "--samples", "0"],
+    ["bench-estimates", "all", "--samples", "-3"],
+    ["bench-estimates", "product_besov", "--seed", "-1"],
+], ids=["r-not-a-number", "nan-s", "negative-delta", "nan-delta", "inf-delta",
+        "negative-seed", "zero-samples", "negative-samples", "negative-bench-seed"])
+def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("OLDROYD_OUT_DIR", str(tmp_path / "out"))
+    field = tmp_path / "zero.field"
+    write_field(field, SymTensorField.zero(TorusGrid(2, 16)))
+    paths = {"field": str(field), "config": str(_config(tmp_path, t_end=0.1))}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert _last_record(capsys)["event"] == "error"
     assert not (tmp_path / "out").exists()
 
 

@@ -44,11 +44,11 @@ def phi_oracle(r: float) -> float:
 
 
 def _single_mode(grid, kvec, a=1.0):
-    coeffs = np.zeros((1,) + grid.shape, complex)
-    idx = tuple(k % grid.n for k in kvec)
-    neg = tuple((-k) % grid.n for k in kvec)
-    coeffs[(0,) + idx] = a
-    coeffs[(0,) + neg] = np.conj(a)
+    """a at kvec plus conj(a) at -kvec, each stored if on the half spectrum."""
+    coeffs = np.zeros((1,) + grid.spec_shape, complex)
+    for k, c in ((kvec, a), (tuple(-x for x in kvec), np.conj(a))):
+        if k[-1] >= 0:
+            coeffs[(0,) + tuple(x % grid.n for x in k)] = c
     return ScalarField(grid, coeffs)
 
 

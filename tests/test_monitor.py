@@ -69,8 +69,8 @@ class TestLedger:
         rho = -lam0.real
         assert rho > 0.0
 
-        u_coeffs = np.zeros((2,) + grid.shape, complex)
-        tau_coeffs = np.zeros((3,) + grid.shape, complex)
+        u_coeffs = np.zeros((2,) + grid.spec_shape, complex)
+        tau_coeffs = np.zeros((3,) + grid.spec_shape, complex)
         u_coeffs[1, 1, 0] = a_u
         u_coeffs[1, -1, 0] = np.conj(a_u)
         tau_coeffs[1, 1, 0] = b_tau

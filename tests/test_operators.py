@@ -29,13 +29,13 @@ from oldroydb.operators import (
 
 def _single_mode_vector(grid, kvec, amplitudes):
     """Vector field with coefficients `amplitudes` at kvec and the conjugate
-    at -kvec (a real plane wave)."""
-    coeffs = np.zeros((grid.d,) + grid.shape, complex)
-    idx = tuple(k % grid.n for k in kvec)
-    neg = tuple((-k) % grid.n for k in kvec)
-    for c, a in enumerate(amplitudes):
-        coeffs[(c,) + idx] = a
-        coeffs[(c,) + neg] = np.conj(a)
+    at -kvec (a real plane wave), each stored if on the half spectrum."""
+    coeffs = np.zeros((grid.d,) + grid.spec_shape, complex)
+    for sign in (1, -1):
+        k = tuple(sign * x for x in kvec)
+        if k[-1] >= 0:
+            for c, a in enumerate(amplitudes):
+                coeffs[(c,) + tuple(x % grid.n for x in k)] = a if sign > 0 else np.conj(a)
     return VectorField(grid, coeffs)
 
 
@@ -113,7 +113,7 @@ class TestGAlpha:
         out = g_alpha(tau, u, alpha)
         dmat = deformation(u).to_physical()
         # oracle: dealiased transform of the pointwise product, by plain FFT
-        want = (np.fft.fft2(-2.0 * alpha * hphys * dmat) / grid.n**2
+        want = (np.fft.rfft2(-2.0 * alpha * hphys * dmat) / grid.n**2
                 * grid.dealias_mask)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(out.coeffs - want)) <= 1e-12 * scale
@@ -193,10 +193,9 @@ class TestInnerProduct:
 
     def test_single_mode_against_quadrature(self):
         grid = TorusGrid(2, 32)
-        coeffs = np.zeros((1,) + grid.shape, complex)
+        coeffs = np.zeros((1,) + grid.spec_shape, complex)
         a = 0.3 + 0.4j
-        coeffs[0, 2, 1] = a
-        coeffs[0, -2, -1] = np.conj(a)
+        coeffs[0, 2, 1] = a  # its mirror -k is implied by the half spectrum
         f = ScalarField(grid, coeffs)
         # physical-space quadrature oracle (exact for trig polynomials)
         phys = f.to_physical()[0]
@@ -216,11 +215,13 @@ class TestInnerProduct:
             assert inner_product(f, g) == pytest.approx(quad, rel=1e-12, abs=1e-15)
 
     def test_imaginary_part_is_roundoff(self, grid2, rng):
+        # the full-spectrum Parseval sum, whose real part inner_product keeps
         for _ in range(20):
             f = random_scalar(grid2, rng)
             g = random_scalar(grid2, rng)
             w = f.component_weights()
-            per = np.sum((f.coeffs * np.conj(g.coeffs)).reshape(f.ncomp, -1), axis=1)
+            fc, gc = (np.fft.fft2(h.to_physical()) / grid2.n**2 for h in (f, g))
+            per = np.sum((fc * np.conj(gc)).reshape(f.ncomp, -1), axis=1)
             val = complex(np.dot(w, per)) * grid2.volume
             assert abs(val.imag) <= 1e-12 * max(abs(val.real), 1e-300)
 
@@ -230,6 +231,46 @@ class TestInnerProduct:
                 u = leray_project(random_vector(grid, rng))
                 tau = random_sym_tensor(grid, rng)
                 assert cancellation_residual(u, tau) <= 1e-12
+
+
+class TestParsevalOracle:
+    """Half-spectrum norms against the same sums over the full spectrum
+    ``np.fft.fftn(f.to_physical())``, every mode counted once."""
+
+    @staticmethod
+    def _full(f):
+        grid = f.grid
+        axes = tuple(range(1, grid.d + 1))
+        coeffs = np.fft.fftn(f.to_physical(), axes=axes) / grid.n**grid.d
+        m = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+        k = grid.k_scale * np.stack(np.meshgrid(*([m] * grid.d), indexing="ij"))
+        return coeffs, np.sum(k * k, axis=0)
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("maker", [random_scalar, random_vector, random_sym_tensor])
+    def test_norms_match_full_spectrum_sums(self, d, n, maker):
+        from oldroydb.littlewood_paley import block_l2_norms, build_partition, phi_profile
+        from oldroydb.operators import grad_l2_norm
+
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(d * n)
+        f, g = maker(grid, rng, band=(1.0, n / 2)), maker(grid, rng, band=(1.0, n / 2))
+        (fc, k2), (gc, _) = self._full(f), self._full(g)
+        w = f.component_weights()
+
+        def total(per_mode):
+            return float(np.sum(np.tensordot(w, per_mode, axes=(0, 0)).real)) * grid.volume
+
+        assert inner_product(f, g) == pytest.approx(total(fc * np.conj(gc)), rel=1e-13)
+        assert l2_norm(f) == pytest.approx(np.sqrt(total(np.abs(fc) ** 2)), rel=1e-13)
+        assert grad_l2_norm(f) == pytest.approx(
+            np.sqrt(total(k2 * np.abs(fc) ** 2)), rel=1e-13)
+        part = build_partition(grid)
+        want = [np.sqrt(total(phi_profile(np.sqrt(k2) / 2.0**q) ** 2 * np.abs(fc) ** 2))
+                for q in part.q_values]
+        # blocks outside the band are 0 here and rounding noise in the oracle
+        np.testing.assert_allclose(block_l2_norms(f, part), want, rtol=1e-13,
+                                   atol=1e-13 * max(want))
 
 
 class TestLpNorms:
@@ -250,5 +291,5 @@ def test_multiply_matches_physical_product(grid2, rng):
     prod = multiply(f, g)
     direct = f.to_physical()[0] * g.to_physical()[0]
     # band 5 products alias nowhere on n=32 with the 2/3 mask applied
-    spec = np.fft.fft2(direct) / grid2.n**2 * grid2.dealias_mask
+    spec = np.fft.rfft2(direct) / grid2.n**2 * grid2.dealias_mask
     np.testing.assert_allclose(prod.coeffs[0], spec, atol=1e-14)

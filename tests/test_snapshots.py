@@ -70,6 +70,18 @@ def test_truncated_payload_rejected(tmp_path, rng):
         read_field(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_payload_rejected(tmp_path, bad):
+    path = tmp_path / "bad.field"
+    header = {"schema": "field-v1", "d": 2, "n": 16, "period": 6.283185307179586,
+              "kind": "scalar", "components": 1}
+    payload = np.zeros(256)
+    payload[17] = bad
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload.tobytes())
+    with pytest.raises(SnapshotError):
+        read_field(path)
+
+
 def test_component_count_mismatch(tmp_path):
     path = tmp_path / "bad.field"
     header = {"schema": "field-v1", "d": 2, "n": 16, "period": 6.283185307179586,

@@ -88,6 +88,7 @@ class TestParamsAndConfig:
         {"we": np.inf}, {"s": np.nan}, {"friedrichs_n": np.nan},
         {"friedrichs_n": -1.0}, {"init": {"amplitude": np.nan}},
         {"t_end": 0.12}, {"dt": 10**400}, {"init": {"band": [1, 10**400]}},
+        {"init": {"seed": -1}},
     ])
     def test_from_dict_rejects(self, doc):
         with pytest.raises(ConfigError):
@@ -105,7 +106,7 @@ class TestFriedrichs:
         np.testing.assert_array_equal(out.coeffs, f.coeffs)
 
     def test_kills_modes_outside_radius(self, grid2):
-        coeffs = np.zeros((1,) + grid2.shape, complex)
+        coeffs = np.zeros((1,) + grid2.spec_shape, complex)
         coeffs[0, 5, 0] = 1.0
         coeffs[0, -5, 0] = 1.0
         from oldroydb.fields import ScalarField
@@ -169,7 +170,7 @@ def _random_state(grid, rng):
     """Complex Gaussian coefficients at every mode: divergence-free u and
     arbitrary tau (not Hermitian; the propagator acts mode by mode)."""
     def draw(ncomp):
-        shape = (ncomp,) + grid.shape
+        shape = (ncomp,) + grid.spec_shape
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     u = leray_project(VectorField(grid, draw(grid.d))).coeffs
@@ -278,7 +279,7 @@ class TestPropagator:
         u, tau = _random_state(grid2, np.random.default_rng(6))
         prop = build_propagator(grid2, PARAMS, 0.05)
         batch_u, batch_tau = prop.apply(u, tau)
-        for mode in ((1, 0), (3, -5), (-7, 2)):
+        for mode in ((1, 0), (-3, 5), (-7, 2)):
             at = (slice(None),) + mode
             one_u, one_tau = np.zeros_like(u), np.zeros_like(tau)
             one_u[at], one_tau[at] = u[at], tau[at]
@@ -290,6 +291,25 @@ class TestPropagator:
         a = build_propagator(grid2, PARAMS, 0.03)
         assert build_propagator(TorusGrid(2, 32), PARAMS, 0.03) is a
         assert build_propagator(grid2, PARAMS, 0.06) is not a
+
+    def test_caches_stay_bounded_over_a_sweep(self):
+        from oldroydb.littlewood_paley import build_partition
+
+        grid = TorusGrid(2, 8)
+        bound = build_propagator.cache_info().maxsize
+        for i in range(20):
+            build_propagator(grid, PARAMS, 0.01 * (i + 1))
+            assert build_propagator.cache_info().currsize <= bound
+        assert build_propagator.cache_info().currsize == bound
+        hits = build_propagator.cache_info().hits
+        last = build_propagator(grid, PARAMS, 0.2)
+        assert build_propagator(grid, PARAMS, 0.2) is last
+        assert build_propagator.cache_info().hits == hits + 2
+        for i in range(20):
+            build_partition(TorusGrid(2, 8, period=1.0 + i))
+        info = build_partition.cache_info()
+        assert info.currsize == info.maxsize
+        assert build_partition(grid) is build_partition(TorusGrid(2, 8))
 
 
 class TestRhs:
@@ -303,7 +323,7 @@ class TestRhs:
 
     def test_plane_wave_self_advection_vanishes(self):
         grid = TorusGrid(2, 32)
-        coeffs = np.zeros((2,) + grid.shape, complex)
+        coeffs = np.zeros((2,) + grid.spec_shape, complex)
         # transverse plane wave at k = (2, 0): u = (0, cos 2x)
         coeffs[1, 2, 0] = 0.5
         coeffs[1, -2, 0] = 0.5
@@ -439,9 +459,44 @@ class TestStepping:
         for _ in range(5):
             st = sim.advance()
             for field in (st.u, st.tau):
-                raw = np.fft.ifftn(field.coeffs, axes=(1, 2)) * cfg.n**2
+                raw = np.fft.ifftn(_full_spectrum(field), axes=(1, 2)) * cfg.n**2
                 scale = np.max(np.abs(raw.real))
                 assert np.max(np.abs(raw.imag)) <= 1e-12 * scale
+
+
+def _full_spectrum(field):
+    """The full (n, ..., n) coefficient array a half-spectrum field stands for:
+    the stored k_last >= 0 modes, and c(-k) = conj(c(k)) for k_last < 0."""
+    grid = field.grid
+    n, d = grid.n, grid.d
+    full = np.zeros((field.ncomp,) + grid.shape, complex)
+    full[..., :n // 2 + 1] = field.coeffs
+    mirror = np.conj(field.coeffs[..., 1:n // 2][..., ::-1])
+    neg = (n - np.arange(n)) % n
+    for ax in range(1, d):
+        mirror = np.take(mirror, neg, axis=ax)
+    full[..., n // 2 + 1:] = mirror
+    return full
+
+
+@pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+def test_step_takes_no_complex_full_grid_transform(monkeypatch, d, n):
+    import numpy.fft
+    import scipy.fft
+
+    cfg = SolverConfig(d=d, n=n, dt=0.05, t_end=0.1, params=PARAMS,
+                       init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=1))
+    sim = Simulation(cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("complex full-grid transform on the step path")
+
+    for mod in (scipy.fft, numpy.fft):
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(mod, name, forbidden)
+    sim.advance()
+    sim.advance()
+    assert sim.state.step_index == 2
 
 
 class TestSimulate:
