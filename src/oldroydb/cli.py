@@ -84,7 +84,8 @@ def cmd_simulate(args) -> int:
         ledger = getattr(exc, "ledger", None)
         if ledger is not None:
             ledger.write_csv(out / "ledger.csv")
-        _emit({"event": "diverged", "step": exc.step_index, "t": exc.t})
+        _emit({"event": "diverged", "step": exc.step_index, "t": exc.t,
+               "field": exc.field})
         return EXIT_DIVERGED
     ledger_path = out / "ledger.csv"
     result.ledger.write_csv(ledger_path)
@@ -155,7 +156,8 @@ def cmd_stability(args) -> int:
     try:
         report = stability_experiment(config, args.delta)
     except DivergenceError as exc:
-        _emit({"event": "diverged", "step": exc.step_index, "t": exc.t})
+        _emit({"event": "diverged", "step": exc.step_index, "t": exc.t,
+               "field": exc.field})
         return EXIT_DIVERGED
     out = _out_dir(config.out_dir)
     (out / "stability.json").write_text(

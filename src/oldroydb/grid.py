@@ -12,6 +12,12 @@ plane and on the Nyquist column, 2 elsewhere) to obey Parseval.
 The grid also carries the masks everybody needs, on the half spectrum: the
 set of usable modes (the unpaired Nyquist lines ``|m_i| = n/2`` are
 excluded), and the sharp 2/3-rule mask used to dealias quadratic products.
+
+``to_physical`` and ``to_spectral`` are the one transform pair.  The inverse
+runs as separate passes, ``scipy.fft.ifft`` over each leading spatial axis
+and ``numpy.fft.irfft`` over the last, so that a caller can hand over its
+coefficients as scratch (``overwrite_x``) and receive the samples into a
+buffer it owns (``out``): a call then allocates nothing of the field's size.
 """
 
 from __future__ import annotations
@@ -90,10 +96,24 @@ class TorusGrid:
             out = np.take(out, self._neg, axis=ax)
         return out
 
-    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real samples of half-spectrum coefficients (spatial axes last)."""
-        axes = tuple(range(coeffs.ndim - self.d, coeffs.ndim))
-        return scipy.fft.irfftn(coeffs, s=self.shape, axes=axes, norm="forward")
+    def to_physical(self, coeffs: np.ndarray, *, overwrite_x: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Real samples of half-spectrum coefficients (spatial axes last).
+
+        Runs the passes of ``irfftn`` one axis at a time, with the same
+        result to the bit: complex inverse transforms over the leading
+        spatial axes, then the real inverse transform over the last one
+        into ``out`` (a fresh array if None).  The first complex pass copies
+        ``coeffs`` and the others run in place on that copy, as ``irfftn``
+        does on its internal temporary.  With ``overwrite_x=True`` a
+        C-contiguous complex128 ``coeffs`` is that scratch instead: every
+        pass runs in place on it and leaves it holding partial transforms.
+        """
+        tmp = coeffs
+        for ax in range(coeffs.ndim - self.d, coeffs.ndim - 1):
+            tmp = scipy.fft.ifft(tmp, axis=ax, norm="forward",
+                                 overwrite_x=overwrite_x or tmp is not coeffs)
+        return np.fft.irfft(tmp, n=self.n, axis=-1, norm="forward", out=out)
 
     def to_spectral(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of real samples, times ``mask``.

@@ -4,11 +4,12 @@ Linear operators (derivatives, Leray projection, tensor divergence) act as
 exact Fourier multipliers on the stored half spectrum.  Quadratic
 expressions (advection, the objective stress term) are evaluated
 pseudo-spectrally through the grid's one transform pair: a real inverse
-transform (``irfftn``) to physical space, pointwise products, a real forward
-transform (``rfftn``) back and the sharp 2/3-rule mask.  No full-grid
-complex transform is taken.  All inner products use Parseval's identity on
-the coefficient arrays, each stored mode weighted by the grid's
-``multiplicity``, so no quadrature error enters them.
+transform (``TorusGrid.to_physical``, the passes of ``irfftn``) to physical
+space, pointwise products, a real forward transform (``rfftn``) back and
+the sharp 2/3-rule mask.  No full-grid complex transform is taken.  All
+inner products use Parseval's identity on the coefficient arrays, each
+stored mode weighted by the grid's ``multiplicity``, so no quadrature
+error enters them.
 
 The solver's quadratic terms go through ``quadratic_terms``: one batched
 real inverse transform of ``[u, grad u, tau, grad tau]`` (15 real fields in
@@ -17,9 +18,17 @@ batched real forward transform of the ``d + d(d+1)/2`` products (5 in 2-d,
 9 in 3-d).  Composed from ``advect`` and ``g_alpha``, the same terms take 19
 real inverse and 8 real forward transforms in 2-d; those two stay as the
 per-term API and as the test oracle.
+
+``quadratic_terms`` fills the stacked half spectrum in a buffer kept for the
+most recent grid, runs the inverse passes in place on it and receives the
+samples into a second such buffer, so a step allocates and faults in none
+of them.  Its results never alias the buffers.  Two threads that call it on
+equal grids share the buffers, so it is not safe to call concurrently.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from .fields import (
     SymTensorField,
     VectorField,
 )
+from .grid import TorusGrid
 
 
 # ---- linear operators -------------------------------------------------------
@@ -141,6 +151,18 @@ def g_alpha(tau: SymTensorField, u: VectorField, alpha: float) -> SymTensorField
     return SymTensorField(grid, grid.to_spectral(comps, grid.dealias_mask))
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked half spectrum of ``quadratic_terms`` and its real samples.
+
+    Kept for the most recent grid only, so runs on equal grids share them
+    and a sweep over grids holds one set.
+    """
+    rows = (grid.d + 1) * (grid.d + grid.d * (grid.d + 1) // 2)
+    return (np.empty((rows,) + grid.spec_shape, np.complex128),
+            np.empty((rows,) + grid.shape))
+
+
 def quadratic_terms(
     u: VectorField, tau: SymTensorField, alpha: float
 ) -> tuple[VectorField, SymTensorField]:
@@ -160,13 +182,13 @@ def quadratic_terms(
     hshape = grid.spec_shape
     # stacked rows: u_i | d_j u_i (i-major) | tau_c | d_m tau_c (c-major)
     bounds = (d, d + d * d, d + d * d + nt)
-    spec = np.empty(((d + 1) * (d + nt),) + hshape, np.complex128)
+    spec, phys = _kernel_buffers(grid)
     u_h, grad_u_h, tau_h, grad_tau_h = np.split(spec, bounds)
     u_h[...] = u.coeffs
     tau_h[...] = tau.coeffs
     np.multiply(ik, u.coeffs[:, None], out=grad_u_h.reshape((d, d) + hshape))
     np.multiply(ik, tau.coeffs[:, None], out=grad_tau_h.reshape((nt, d) + hshape))
-    phys = grid.to_physical(spec)
+    grid.to_physical(spec, overwrite_x=True, out=phys)
     vel, grad_u, stress, grad_tau = np.split(phys, bounds)
     grad_u = grad_u.reshape((d, d) + grid.shape)
     grad_tau = grad_tau.reshape((nt, d) + grid.shape)

@@ -47,12 +47,25 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """The time integration produced non-finite values."""
+    """The time integration produced non-finite values.
 
-    def __init__(self, step_index: int, t: float):
-        super().__init__(f"solution diverged at step {step_index}, t = {t:.6g}")
+    ``field`` names the first non-finite array in the order they are
+    checked: the nonlinear tendencies ``nu`` and ``ntau``, then the updated
+    state ``u`` and ``tau``.
+    """
+
+    def __init__(self, step_index: int, t: float, field: str):
+        super().__init__(f"solution diverged at step {step_index}, t = {t:.6g}: "
+                         f"{field} is not finite")
         self.step_index = step_index
         self.t = t
+        self.field = field
+
+
+def _first_nonfinite(**arrays: np.ndarray) -> str | None:
+    """Name of the first array holding a non-finite value, else None."""
+    return next((name for name, a in arrays.items() if not np.all(np.isfinite(a))),
+                None)
 
 
 @dataclass(frozen=True)
@@ -273,39 +286,54 @@ def friedrichs_truncate(f, radius: float):
 # ---- linear propagator ---------------------------------------------------------
 
 
+def block_coefficients(grid: TorusGrid, params: FluidParams, dt: float) -> np.ndarray:
+    """Per-mode coefficients (e_uu, e_uz, g_u, g_z, decay) of the linear step.
+
+    Shape ``(5,) + grid.spec_shape``, complex, zero at inactive modes (see
+    ``LinearPropagator``).  A third row w' = u - b w carries the Duhamel
+    integral of the drive, so one 3x3 exponential per distinct |k|^2 gives
+    every coefficient (double root and a == b included).
+    """
+    active = grid.mode_mask & (grid.k2 > 0.0)
+    k2, inverse = np.unique(grid.k2[active], return_inverse=True)
+    kn = np.sqrt(k2)
+    b = 1.0 / params.we
+    gen = np.zeros((k2.size, 3, 3), dtype=np.complex128)
+    gen[:, 0, 0] = -(1.0 - params.omega) * k2 / params.re
+    gen[:, 0, 1] = 1j * kn / params.re
+    gen[:, 1, 0] = 1j * params.omega * kn * b
+    gen[:, 1, 1] = -b
+    gen[:, 2, 0] = 1.0
+    gen[:, 2, 2] = -b
+    ex = scipy.linalg.expm(gen * float(dt))
+    drive = 1j * params.omega * b * kn
+    coeffs = np.zeros((5,) + grid.spec_shape, dtype=np.complex128)
+    coeffs[:, active] = np.stack([ex[:, 0, 0], ex[:, 0, 1], drive * ex[:, 2, 0],
+                                  drive * ex[:, 2, 1], ex[:, 2, 2]])[:, inverse]
+    return coeffs
+
+
 class LinearPropagator:
     """Exact linear update over dt for every resolved mode of a grid.
 
     The velocity sees the stress only through zeta = P(tau k)/|k|, so per
     mode (u, zeta) evolve by [[-a, i|k|/Re], [i omega |k|/We, -b]], with
     a = (1-omega)|k|^2/Re and b = 1/We, and tau relaxes at rate b under the
-    drive (i omega/We) sym(k (x) u).  A third row w' = u - b w carries the
-    Duhamel integral of the drive, so one 3x3 exponential per distinct |k|^2
-    gives every coefficient (double root and a == b included).
+    drive (i omega/We) sym(k (x) u).  The coefficients come from
+    ``block_coefficients``; they are stored as float64, the imaginary ones
+    by their imaginary part, which ``apply`` multiplies by 1j.
     """
 
     def __init__(self, grid: TorusGrid, params: FluidParams, dt: float):
         self.grid = grid
         self.params = params
         self.dt = float(dt)
+        coeffs = block_coefficients(grid, params, dt)
+        # e_uu, g_z and decay come out exactly real, e_uz and g_u exactly
+        # imaginary; only the part that is not identically zero is stored
+        self._e_uu, self._g_z, self._decay = coeffs[[0, 3, 4]].real.copy()
+        self._e_uz, self._g_u = coeffs[[1, 2]].imag.copy()
         active = grid.mode_mask & (grid.k2 > 0.0)
-        k2, inverse = np.unique(grid.k2[active], return_inverse=True)
-        kn = np.sqrt(k2)
-        b = 1.0 / params.we
-        gen = np.zeros((k2.size, 3, 3), dtype=np.complex128)
-        gen[:, 0, 0] = -(1.0 - params.omega) * k2 / params.re
-        gen[:, 0, 1] = 1j * kn / params.re
-        gen[:, 1, 0] = 1j * params.omega * kn * b
-        gen[:, 1, 1] = -b
-        gen[:, 2, 0] = 1.0
-        gen[:, 2, 2] = -b
-        ex = scipy.linalg.expm(gen * self.dt)
-        drive = 1j * params.omega * b * kn
-        # per-mode coefficients on the half grid, zero at inactive modes
-        coeffs = np.zeros((5,) + grid.spec_shape, dtype=np.complex128)
-        coeffs[:, active] = np.stack([ex[:, 0, 0], ex[:, 0, 1], drive * ex[:, 2, 0],
-                                      drive * ex[:, 2, 1], ex[:, 2, 2]])[:, inverse]
-        self._e_uu, self._e_uz, self._g_u, self._g_z, self._decay = coeffs
         self._khat = np.divide(grid.k, grid.kmag, out=np.zeros_like(grid.k),
                                where=active)
 
@@ -324,8 +352,8 @@ class LinearPropagator:
             if i != j:
                 tk[j] += tau_coeffs[c] * khat[i]
         zeta = tk - khat * np.sum(khat * tk, axis=0)
-        u_new = self._e_uu * u_coeffs + self._e_uz * zeta
-        w = self._g_u * u_coeffs + self._g_z * zeta
+        u_new = self._e_uu * u_coeffs + (1j * self._e_uz) * zeta
+        w = (1j * self._g_u) * u_coeffs + self._g_z * zeta
         tau_new = self._decay * tau_coeffs
         for c, (i, j) in enumerate(pairs):
             tau_new[c] += khat[i] * w[j] + khat[j] * w[i]
@@ -360,8 +388,9 @@ def rhs_nonlinear(
         mask = friedrichs_mask(grid, friedrichs_n)
         nu = nu.apply_multiplier(mask)
         ntau = ntau.apply_multiplier(mask)
-    if not (np.all(np.isfinite(nu.coeffs)) and np.all(np.isfinite(ntau.coeffs))):
-        raise DivergenceError(-1, float("nan"))
+    bad = _first_nonfinite(nu=nu.coeffs, ntau=ntau.coeffs)
+    if bad is not None:
+        raise DivergenceError(-1, float("nan"), bad)
     return nu, ntau
 
 
@@ -420,8 +449,8 @@ class Simulation:
         if self.config.nonlinear:
             try:
                 nu, ntau = self._rhs()
-            except DivergenceError:
-                raise DivergenceError(st.step_index + 1, st.t + dt) from None
+            except DivergenceError as exc:
+                raise DivergenceError(st.step_index + 1, st.t + dt, exc.field) from None
             if self._prev_rhs is None:
                 u_mid = u_in + dt * nu.coeffs
                 tau_mid = tau_in + dt * ntau.coeffs
@@ -434,8 +463,9 @@ class Simulation:
         else:
             u_new, tau_new = prop.apply(u_in, tau_in)
 
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(tau_new))):
-            raise DivergenceError(st.step_index + 1, st.t + dt)
+        bad = _first_nonfinite(u=u_new, tau=tau_new)
+        if bad is not None:
+            raise DivergenceError(st.step_index + 1, st.t + dt, bad)
         u_field = leray_project(VectorField(self.grid, u_new))
         tau_field = SymTensorField(self.grid, tau_new)
         self.state = SolverState(st.t + dt, u_field, tau_field, st.params,

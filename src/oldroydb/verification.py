@@ -458,13 +458,17 @@ def small_data_config(seed: int, t_end: float = 50.0, n: int = 128,
     )
 
 
-def small_data_suite(seeds=SMALL_DATA_SEEDS, t_end: float = 50.0,
+def small_data_suite(seed: int = SUITE_SEED_DEFAULT, t_end: float = 50.0,
                      n: int = 128) -> dict:
-    """Small-data global bound: E(t) <= 2 kappa2 E(0) across seeds."""
+    """Small-data global bound: E(t) <= 2 kappa2 E(0) across seeds.
+
+    Runs ``len(SMALL_DATA_SEEDS)`` consecutive seeds from ``seed`` on.
+    """
     from .monitor import check_global_bound
     from .solver import simulate
 
     t0 = time.time()
+    seeds = range(seed, seed + len(SMALL_DATA_SEEDS))
     per_seed = {}
     ok = True
     for seed in seeds:
@@ -546,7 +550,4 @@ SUITES = {
 def run_suite(name: str, seed: int = SUITE_SEED_DEFAULT) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    fn = SUITES[name]
-    if name in ("small-data", "stability"):
-        return fn() if name == "small-data" else fn(seed=seed)
-    return fn(seed=seed)
+    return SUITES[name](seed=seed)

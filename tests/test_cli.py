@@ -191,3 +191,32 @@ def test_bench_estimates_small(tmp_path, capsys, monkeypatch):
     assert code in (0, 1)  # tiny sample count is not held to the growth bar
     assert rec["resolutions"] == [16, 32]
     assert (tmp_path / "estimates.json").exists()
+
+
+def test_verify_small_data_runs_the_given_seeds(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from oldroydb import solver
+
+    simulate = solver.simulate
+    seeds = []
+
+    def short_simulate(config):
+        seeds.append(config.init.seed)
+        return simulate(replace(config, n=16, t_end=0.0))
+
+    monkeypatch.setattr(solver, "simulate", short_simulate)
+    main(["verify", "small-data", "--seed", "5"])
+    assert seeds == [5, 6, 7, 8, 9]
+    assert _last_record(capsys)["seeds"] == seeds
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["stability", "--delta", "1e-6"]])
+def test_divergence_event_names_the_field(tmp_path, capsys, command):
+    cfg = _config(tmp_path, dt=0.1, t_end=2.0,
+                  init={"amplitude": 1e4, "band": [1, 5], "seed": 1})
+    with np.errstate(all="ignore"):
+        assert main([command[0], str(cfg)] + command[1:]) == 3
+    rec = _last_record(capsys)
+    assert rec["event"] == "diverged"
+    assert (rec["step"], rec["field"]) == (8, "nu")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from oldroydb.grid import GridError, TorusGrid
 
@@ -52,3 +53,19 @@ def test_grid_equality_and_mismatch(grid2):
     other = TorusGrid(2, 64)
     with pytest.raises(GridError):
         grid2.require_same(other)
+
+
+@pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+def test_to_physical_is_irfftn_to_the_bit(d, n, rng):
+    grid = TorusGrid(d, n)
+    shape = (3,) + grid.spec_shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = coeffs.copy()
+    want = scipy.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(1, d + 1)),
+                            norm="forward")
+    np.testing.assert_array_equal(grid.to_physical(coeffs), want)
+    np.testing.assert_array_equal(coeffs, kept)
+    # handed-over scratch and a caller-owned output give the same bits
+    out = np.empty(want.shape)
+    assert grid.to_physical(coeffs, overwrite_x=True, out=out) is out
+    np.testing.assert_array_equal(out, want)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from oldroydb.operators import (
     leray_project,
     lp_norm,
     multiply,
+    quadratic_terms,
     vorticity,
 )
 
@@ -293,3 +296,46 @@ def test_multiply_matches_physical_product(grid2, rng):
     # band 5 products alias nowhere on n=32 with the 2/3 mask applied
     spec = np.fft.rfft2(direct) / grid2.n**2 * grid2.dealias_mask
     np.testing.assert_allclose(prod.coeffs[0], spec, atol=1e-14)
+
+
+class TestKernelBuffers:
+    """``quadratic_terms`` reuses one grid's stacked-spectrum buffers."""
+
+    @staticmethod
+    def _state(grid, seed):
+        rng = np.random.default_rng(seed)
+        u = leray_project(random_vector(grid, rng, band=(1.0, grid.n // 3)))
+        return u, random_sym_tensor(grid, rng, band=(1.0, grid.n // 3))
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_results_survive_the_next_call(self, d, n):
+        grid = TorusGrid(d, n)
+        first = quadratic_terms(*self._state(grid, 1), 0.5)
+        kept = [f.coeffs.copy() for f in first]
+        second = quadratic_terms(*self._state(grid, 2), 0.5)
+        for f, k, s in zip(first, kept, second):
+            np.testing.assert_array_equal(f.coeffs, k)
+            assert not np.array_equal(f.coeffs, s.coeffs)
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_warm_call_peak_below_stacked_spectrum_and_samples(self, d, n):
+        grid = TorusGrid(d, n)
+        u, tau = self._state(grid, 3)
+        quadratic_terms(u, tau, 1.0)
+        rows = (d + 1) * (d + d * (d + 1) // 2)
+        bound = rows * (16 * np.prod(grid.spec_shape) + 8 * np.prod(grid.shape))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            quadratic_terms(u, tau, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_buffers_held_for_one_grid_over_a_sweep(self):
+        from oldroydb.operators import _kernel_buffers
+
+        for d, n in [(2, 8), (2, 16), (3, 8), (2, 8)]:
+            quadratic_terms(*self._state(TorusGrid(d, n), 4), 1.0)
+            assert _kernel_buffers.cache_info().currsize <= 1

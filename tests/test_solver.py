@@ -23,6 +23,7 @@ from oldroydb.solver import (
     Simulation,
     SolverConfig,
     SolverState,
+    block_coefficients,
     build_propagator,
     friedrichs_mask,
     friedrichs_truncate,
@@ -192,6 +193,28 @@ def _max_oracle_error(grid, params, dt, u, tau):
     return float(np.max(err / scale))
 
 
+def _complex_form_apply(grid, params, dt, u, tau):
+    """``LinearPropagator.apply`` with the five coefficients kept complex."""
+    e_uu, e_uz, g_u, g_z, decay = block_coefficients(grid, params, dt)
+    active = grid.mode_mask & (grid.k2 > 0.0)
+    khat = np.divide(grid.k, grid.kmag, out=np.zeros_like(grid.k), where=active)
+    pairs = SymTensorField.pairs(grid.d)
+    tk = np.zeros_like(u)
+    for c, (i, j) in enumerate(pairs):
+        tk[i] += tau[c] * khat[j]
+        if i != j:
+            tk[j] += tau[c] * khat[i]
+    zeta = tk - khat * np.sum(khat * tk, axis=0)
+    u_new = e_uu * u + e_uz * zeta
+    w = g_u * u + g_z * zeta
+    tau_new = decay * tau
+    for c, (i, j) in enumerate(pairs):
+        tau_new[c] += khat[i] * w[j] + khat[j] * w[i]
+    return u_new, tau_new
+
+
+#: unequal rates and a strong coupling
+SKEWED = FluidParams(re=3.0, we=0.4, omega=0.8, alpha=0.2)
 #: a == b: (1 - omega)|k|^2/Re = 1/We at |k| = 1
 EQUAL_RATES = FluidParams(re=1.0, we=2.0, omega=0.5)
 #: double root of the (u, zeta) block at |k| = 1: (a - b)^2 = 4 omega/(Re We)
@@ -217,9 +240,7 @@ class TestPropagator:
         assert np.max(np.abs(off)) == 0.0
 
     @pytest.mark.parametrize("dt", [0.05, 0.25])
-    @pytest.mark.parametrize("params", [
-        PARAMS, FluidParams(re=3.0, we=0.4, omega=0.8, alpha=0.2),
-    ], ids=["unit", "skewed"])
+    @pytest.mark.parametrize("params", [PARAMS, SKEWED], ids=["unit", "skewed"])
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
     def test_apply_matches_full_generator(self, d, n, params, dt):
         grid = TorusGrid(d, n)
@@ -256,6 +277,22 @@ class TestPropagator:
             want_tau = np.array([want_tau[i, j] for i, j in pairs])
             np.testing.assert_allclose(got_u[at], want_u, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got_tau[at], want_tau, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_stored_parts_drop_only_zeros(self, d, n):
+        coeffs = block_coefficients(TorusGrid(d, n), SKEWED, 0.05)
+        # e_uu, g_z, decay real; e_uz, g_u imaginary
+        assert np.all(coeffs[[0, 3, 4]].imag == 0.0)
+        assert np.all(coeffs[[1, 2]].real == 0.0)
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_apply_matches_complex_coefficient_form(self, d, n):
+        grid = TorusGrid(d, n)
+        u, tau = _random_state(grid, np.random.default_rng(d + n))
+        got_u, got_tau = LinearPropagator(grid, SKEWED, 0.05).apply(u, tau)
+        want_u, want_tau = _complex_form_apply(grid, SKEWED, 0.05, u, tau)
+        np.testing.assert_array_equal(got_u, want_u)
+        np.testing.assert_array_equal(got_tau, want_tau)
 
     def test_zero_dt_is_identity(self, grid3):
         u, tau = _random_state(grid3, np.random.default_rng(3))
@@ -451,6 +488,20 @@ class TestStepping:
             with pytest.raises(DivergenceError) as err:
                 sim.advance()
         assert err.value.step_index == 2
+        assert err.value.field == "nu"
+
+    def test_divergence_error_names_the_field(self):
+        cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=1.0, params=PARAMS,
+                           init=InitSpec(amplitude=0.1, band=(1.0, 4.0), seed=2))
+        sim = Simulation(cfg)
+        sim.advance()
+        sim.state.tau.coeffs[1, 2, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                sim.advance()
+        # the velocity tendency never reads tau: the stress tendency goes first
+        assert err.value.field == "ntau"
+        assert "ntau" in str(err.value)
 
     def test_reality_preserved_along_trajectory(self):
         cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=0.25, params=PARAMS,
