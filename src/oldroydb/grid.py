@@ -22,6 +22,8 @@ buffer it owns (``out``): a call then allocates nothing of the field's size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.fft
 
@@ -138,10 +140,10 @@ class TorusGrid:
         return float(np.sqrt(self.d) * (self.n // 2 - 1))
 
     def same_as(self, other: "TorusGrid") -> bool:
-        return (
+        return other is self or (
             self.d == other.d
             and self.n == other.n
-            and np.isclose(self.period, other.period, rtol=0, atol=1e-15)
+            and math.isclose(self.period, other.period, rel_tol=0.0, abs_tol=1e-15)
         )
 
     def require_same(self, other: "TorusGrid") -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import ScalarField, SpectralField, VectorField
 from .grid import TorusGrid
-from .operators import advect, gradient, lp_norm
+from .operators import advect, gradient, lp_norm, mode_sq
 
 CHI_SUPPORT = (0.75, 4.0 / 3.0)
 PHI_SUPPORT = (0.75, 8.0 / 3.0)
@@ -189,20 +189,44 @@ class DyadicDecomposition:
         return total
 
 
-def block_l2_norms(f: SpectralField, partition: DyadicPartition | None = None,
+def block_l2_norms(f: SpectralField | np.ndarray,
+                   partition: DyadicPartition | None = None,
                    gradient_weight: bool = False) -> np.ndarray:
     """L2 norms of every dyadic block, shape (nq,).
 
     With ``gradient_weight`` the blocks of the full gradient are measured
-    instead (an exact |k| multiplier under Parseval).
+    instead (an exact |k|^2 factor on the squared magnitudes under Parseval).
+    ``f`` may also be per-mode squared magnitudes (``operators.mode_sq``),
+    shape ``spec_shape``, or a stack of them, shape ``(m,) + spec_shape``,
+    giving shape ``(m, nq)``; the partition is then required.  A caller that
+    measures several series of one field so forms its magnitudes once.
     """
-    part = partition or build_partition(f.grid)
-    w = f.component_weights()
-    sq = np.tensordot(w, np.abs(f.coeffs) ** 2, axes=(0, 0))
+    if isinstance(f, SpectralField):
+        part = partition or build_partition(f.grid)
+        sq = mode_sq(f)
+    elif partition is None:
+        raise ValueError("block_l2_norms of squared magnitudes needs a partition")
+    else:
+        part, sq = partition, np.asarray(f)
+    grid = part.grid
     if gradient_weight:
-        sq = sq * f.grid.k2
-    vals = part._phi_sq.reshape(part.nq, -1) @ sq.ravel()
-    return np.sqrt(vals * f.grid.volume)
+        sq = sq * grid.k2
+    phi_sq = part._phi_sq.reshape(part.nq, -1)
+    vals = sq.reshape(-1, phi_sq.shape[1]) @ phi_sq.T
+    norms = np.sqrt(vals * grid.volume)
+    return norms if sq.ndim > grid.d else norms[0]
+
+
+def hybrid_weights(q_values: np.ndarray, s: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block weights of the hybrid norm and of the ledger's energy.
+
+    Returns ``(w_hs, w_high)``, each shaped like ``q_values``: ``w_hs =
+    2^{2qs}`` weighs squared block norms into the Sobolev-type part, and
+    ``w_high = 2^{qd/2}`` on ``q >= 0`` (0 below) weighs block norms into
+    the l1 Besov high part.
+    """
+    q = np.asarray(q_values)
+    return 2.0 ** (2.0 * s * q), np.where(q >= 0, 2.0 ** (q * d / 2.0), 0.0)
 
 
 # ---- spatial norms -----------------------------------------------------------
@@ -259,11 +283,10 @@ def hybrid_norm(f: SpectralField, s: float,
     """
     part = partition or build_partition(f.grid)
     norms = block_l2_norms(f, part)
-    qs = part.q_values
-    low_sel = qs < 0
-    high_sel = ~low_sel
-    low = float(np.sqrt(np.sum((2.0 ** (2.0 * qs[low_sel] * s)) * norms[low_sel] ** 2)))
-    high = float(np.sum((2.0 ** (qs[high_sel] * f.grid.d / 2.0)) * norms[high_sel]))
+    w_hs, w_high = hybrid_weights(part.q_values, s, f.grid.d)
+    low_sel = part.q_values < 0
+    low = float(np.sqrt(np.sum(w_hs[low_sel] * norms[low_sel] ** 2)))
+    high = float(np.sum(w_high * norms))
     return low + high, low, high
 
 

@@ -10,7 +10,15 @@ l1 Besov norm at regularity d/2, with the time-L2 integrals replaced by
 time-L1 ones.  All time norms are taken per dyadic block first (so the
 sup-in-time norms are of Chemin-Lerner type) and accumulate by trapezoid
 quadrature on the sampled grid.  E = E1 + E2 and both pieces are
-non-decreasing in time by construction.
+non-decreasing in time by construction.  The block weights, 2^{2qs} and
+2^{qd/2} on q >= 0, are ``littlewood_paley.hybrid_weights``, shared with
+``hybrid_norm``.
+
+``EnergyLedger.update`` keeps each block's running sup and trapezoid sums,
+so a row costs the same at any row count; it forms each field's per-mode
+squared magnitudes once, for the block norms of u, grad u and tau and for
+the scale of the cancellation check.  ``functionals_from_history``
+recomputes any row offline from the stored (nt, nq) block histories.
 
 The kappa constants are the parameter-dependent prefactors entering the
 closed energy inequality; ``check_global_bound`` compares max_t E(t)
@@ -30,8 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TorusGrid
-from .littlewood_paley import DyadicPartition, block_l2_norms, build_partition
-from .operators import cancellation_residual
+from .littlewood_paley import (
+    DyadicPartition,
+    block_l2_norms,
+    build_partition,
+    hybrid_weights,
+)
+from .operators import cancellation_residual, mode_sq
 from .solver import ConfigError, FluidParams, default_s
 
 LEDGER_COLUMNS = (
@@ -73,7 +86,37 @@ def compute_kappas(params: FluidParams) -> KappaConstants:
     return KappaConstants(kappa1, kappa2, kappa3)
 
 
-# ---- functionals from sampled block histories ---------------------------------
+# ---- functionals from per-block time norms -----------------------------------
+
+#: rows of a per-block time-norm table, shape (6, nq): the Chemin-Lerner inputs
+#: sup_t b for u and tau, int b^2 dt for grad u and tau, int b dt for grad u
+#: and tau, where b is a block L2 norm and the integrals are trapezoid sums
+SUP_U, SUP_TAU, L2SQ_GRADU, L2SQ_TAU, L1_GRADU, L1_TAU = range(6)
+
+
+def _functionals_from_table(table: np.ndarray, w_hs: np.ndarray, w_high: np.ndarray,
+                            params: FluidParams) -> dict:
+    """E1/E2 and their eight ingredients from a per-block time-norm table.
+
+    ``w_hs`` and ``w_high`` come from ``littlewood_paley.hybrid_weights``.
+    """
+    sobolev = np.concatenate((table[SUP_U:SUP_TAU + 1] ** 2, table[L2SQ_GRADU:L2SQ_TAU + 1]))
+    high = table[[SUP_U, SUP_TAU, L1_GRADU, L1_TAU]]
+    hs_u_sup, hs_tau_sup, grad_u_l2, tau_l2 = np.sqrt(sobolev @ w_hs).tolist()
+    high_u_sup, high_tau_sup, high_u_l1, high_tau_l1 = (high @ w_high).tolist()
+
+    om, re, we = params.omega, params.re, params.we
+    e1 = (math.sqrt(om * re) * hs_u_sup + math.sqrt(we) * hs_tau_sup
+          + math.sqrt(om * (1.0 - om)) * grad_u_l2 + tau_l2)
+    e2 = (math.sqrt(om * re) * high_u_sup + math.sqrt(we) * high_tau_sup
+          + math.sqrt(om * (1.0 - om)) * high_u_l1 + high_tau_l1)
+    return {
+        "E1": e1, "E2": e2, "E": e1 + e2,
+        "Hs_u_sup": hs_u_sup, "Hs_tau_sup": hs_tau_sup,
+        "grad_u_L2Hs": grad_u_l2, "tau_L2Hs": tau_l2,
+        "high_B_u_sup": high_u_sup, "high_B_tau_sup": high_tau_sup,
+        "high_B_u_L1": high_u_l1, "high_B_tau_L1": high_tau_l1,
+    }
 
 
 def functionals_from_history(
@@ -90,57 +133,33 @@ def functionals_from_history(
     """E1/E2 ingredients over samples [0..upto] of per-block norm series.
 
     The inputs are (nt, nq) matrices of block L2 norms for u, grad u, tau.
-    Only q >= 0 columns enter the high-frequency quantities.
+    Only q >= 0 columns enter the high-frequency quantities.  This is the
+    offline recompute of a ledger row from its stored histories.
     """
     end = len(times) if upto is None else upto + 1
     t = np.asarray(times[:end])
     bu = np.asarray(u_blocks[:end])
     bgu = np.asarray(gradu_blocks[:end])
     btau = np.asarray(tau_blocks[:end])
-    q = np.asarray(q_values)
-    high = q >= 0
-    w_hs = 2.0 ** (2.0 * s * q)
-    w_high = 2.0 ** (q[high] * d / 2.0)
-
-    sup_u = np.max(bu, axis=0)
-    sup_tau = np.max(btau, axis=0)
-    hs_u_sup = math.sqrt(float(np.sum(w_hs * sup_u**2)))
-    hs_tau_sup = math.sqrt(float(np.sum(w_hs * sup_tau**2)))
-    high_u_sup = float(np.sum(w_high * sup_u[high]))
-    high_tau_sup = float(np.sum(w_high * sup_tau[high]))
-
+    table = np.zeros((6, len(q_values)))
+    table[SUP_U] = np.max(bu, axis=0)
+    table[SUP_TAU] = np.max(btau, axis=0)
     if end > 1:
-        int2_gu = np.trapezoid(bgu**2, t, axis=0)
-        int2_tau = np.trapezoid(btau**2, t, axis=0)
-        int1_gu = np.trapezoid(bgu, t, axis=0)
-        int1_tau = np.trapezoid(btau, t, axis=0)
-    else:
-        int2_gu = int2_tau = int1_gu = int1_tau = np.zeros(len(q))
-    grad_u_l2 = math.sqrt(float(np.sum(w_hs * int2_gu)))
-    tau_l2 = math.sqrt(float(np.sum(w_hs * int2_tau)))
-    high_u_l1 = float(np.sum(w_high * int1_gu[high]))
-    high_tau_l1 = float(np.sum(w_high * int1_tau[high]))
-
-    om, re, we = params.omega, params.re, params.we
-    e1 = (math.sqrt(om * re) * hs_u_sup + math.sqrt(we) * hs_tau_sup
-          + math.sqrt(om * (1.0 - om)) * grad_u_l2 + tau_l2)
-    e2 = (math.sqrt(om * re) * high_u_sup + math.sqrt(we) * high_tau_sup
-          + math.sqrt(om * (1.0 - om)) * high_u_l1 + high_tau_l1)
-    return {
-        "E1": e1, "E2": e2, "E": e1 + e2,
-        "Hs_u_sup": hs_u_sup, "Hs_tau_sup": hs_tau_sup,
-        "grad_u_L2Hs": grad_u_l2, "tau_L2Hs": tau_l2,
-        "high_B_u_sup": high_u_sup, "high_B_tau_sup": high_tau_sup,
-        "high_B_u_L1": high_u_l1, "high_B_tau_L1": high_tau_l1,
-    }
+        table[L2SQ_GRADU] = np.trapezoid(bgu**2, t, axis=0)
+        table[L2SQ_TAU] = np.trapezoid(btau**2, t, axis=0)
+        table[L1_GRADU] = np.trapezoid(bgu, t, axis=0)
+        table[L1_TAU] = np.trapezoid(btau, t, axis=0)
+    return _functionals_from_table(table, *hybrid_weights(q_values, s, d), params)
 
 
 class EnergyLedger:
     """Time series of norms, functionals, and residual diagnostics.
 
     Each ``update`` appends the per-block norms of the current state to the
-    history and recomputes every functional from scratch, so a row never
-    depends on the order earlier rows were produced in.
+    ``(nt, nq)`` histories and advances a running per-block time-norm table
+    by that one row (the sups by a maximum, the time integrals by one
+    trapezoid), so a row costs the same at any row count.
+    ``functionals_from_history`` recomputes any row from the histories.
     """
 
     def __init__(self, grid: TorusGrid, params: FluidParams, s: float | None = None,
@@ -156,22 +175,43 @@ class EnergyLedger:
         self.gradu_blocks: list[np.ndarray] = []
         self.tau_blocks: list[np.ndarray] = []
         self.rows: list[dict] = []
+        self._weights = hybrid_weights(self.partition.q_values, self.s, grid.d)
+        self._table = np.zeros((6, self.partition.nq))
 
     def update(self, t: float, u, tau) -> dict:
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"non-finite ledger time {t}")
         if self.times and t < self.times[-1]:
             raise ValueError(f"non-monotone ledger time {t} after {self.times[-1]}")
-        self.times.append(float(t))
-        self.u_blocks.append(block_l2_norms(u, self.partition))
-        self.gradu_blocks.append(block_l2_norms(u, self.partition, gradient_weight=True))
-        self.tau_blocks.append(block_l2_norms(tau, self.partition))
-        row = {"t": float(t)}
-        row.update(functionals_from_history(
-            np.asarray(self.times), np.asarray(self.u_blocks),
-            np.asarray(self.gradu_blocks), np.asarray(self.tau_blocks),
-            self.partition.q_values, self.grid.d, self.s, self.params,
-        ))
+        grid = self.grid
+        # one magnitude pass per field: |grad u|^2 per mode is |k|^2 |u|^2
+        u_sq = mode_sq(u)
+        sq = np.stack((u_sq, u_sq * grid.k2, mode_sq(tau)))
+        b_u, b_gu, b_tau = block_l2_norms(sq, self.partition)
+        table = self._table
+        np.maximum(table[SUP_U], b_u, out=table[SUP_U])
+        np.maximum(table[SUP_TAU], b_tau, out=table[SUP_TAU])
+        if self.times:
+            h = t - self.times[-1]
+            prev_gu, prev_tau = self.gradu_blocks[-1], self.tau_blocks[-1]
+            # the terms of np.trapezoid, so a row equals the offline recompute
+            table[L2SQ_GRADU] += h * (b_gu**2 + prev_gu**2) / 2.0
+            table[L2SQ_TAU] += h * (b_tau**2 + prev_tau**2) / 2.0
+            table[L1_GRADU] += h * (b_gu + prev_gu) / 2.0
+            table[L1_TAU] += h * (b_tau + prev_tau) / 2.0
+        self.times.append(t)
+        self.u_blocks.append(b_u)
+        self.gradu_blocks.append(b_gu)
+        self.tau_blocks.append(b_tau)
+
+        row = {"t": t}
+        row.update(_functionals_from_table(table, *self._weights, self.params))
+        # ||grad u||^2 and ||tau||^2 by Parseval, over the box volume
+        grad_u_sq, tau_sq = sq[1:].reshape(2, -1) @ grid.multiplicity.ravel()
         row["div_residual"] = u.divergence_residual()
-        row["cancel_residual"] = cancellation_residual(u, tau)
+        row["cancel_residual"] = cancellation_residual(
+            u, tau, scale=grid.volume * math.sqrt(grad_u_sq * tau_sq))
         self.rows.append(row)
         return row
 

@@ -222,10 +222,16 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     return float(np.vdot(grid.multiplicity, per_mode)) * grid.volume
 
 
+def mode_sq(f: SpectralField) -> np.ndarray:
+    """Squared pointwise (Frobenius) magnitude of every stored mode, shape
+    ``grid.spec_shape``: sum_c w_c |f_c(k)|^2 with the component weights."""
+    c = f.coeffs
+    return np.tensordot(f.component_weights(), c.real**2 + c.imag**2, axes=(0, 0))
+
+
 def _weighted_sq_sum(f: SpectralField, mode_weight: np.ndarray) -> float:
     """sum over stored modes of mode_weight * |f(k)|^2, components weighted."""
-    per_mode = np.tensordot(f.component_weights(), np.abs(f.coeffs) ** 2, axes=(0, 0))
-    return float(np.vdot(mode_weight, per_mode))
+    return float(np.vdot(mode_weight, mode_sq(f)))
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -248,10 +254,58 @@ def lp_norm(f: SpectralField, p: float) -> float:
     return float((np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def cancellation_residual(u: VectorField, tau: SymTensorField) -> float:
-    """|(div tau | u) + (D(u) | tau)| scaled by ||tau|| ||grad u|| (0 if degenerate)."""
-    lhs = inner_product(div_tensor(tau), u) + inner_product(deformation(u), tau)
-    scale = l2_norm(tau) * grad_l2_norm(u)
+@functools.lru_cache(maxsize=1)
+def _parseval_k(grid: TorusGrid) -> np.ndarray:
+    """``grid.k`` times the Parseval weight of each stored mode, for the most
+    recent grid, so the cancellation sums need no separate weighting pass."""
+    return grid.k * grid.multiplicity
+
+
+def _im_vdot(a: np.ndarray, b: np.ndarray) -> float:
+    """Im(sum conj(a) b) by numpy's own pairwise sum: ``np.vdot`` of complex
+    arrays goes to a threaded BLAS ``zdotc``, which can stall for
+    milliseconds on a busy host."""
+    return float(np.sum((np.conj(a) * b).imag))
+
+
+def _cancellation_sums(u: VectorField, tau: SymTensorField) -> tuple[float, float]:
+    """The Parseval sums ``(div tau | u)`` and ``(D(u) | tau)``, from the coefficients.
+
+    They are computed independently, so that their sum checks the adjoint
+    pair ``div`` / ``-D`` rather than cancel by algebra: the first contracts
+    ``tau`` with ``k`` and pairs the result with ``u``; the second forms the
+    symmetric gradient of ``u`` (off-diagonal components weighted 2, as in
+    the Frobenius pairing) and pairs it with ``tau``.  The derivative's
+    factor ``i`` enters as ``Re(i z) = -Im(z)``.
+    """
+    grid = u.grid
+    grid.require_same(tau.grid)
+    k, uc, tc = _parseval_k(grid), u.coeffs, tau.coeffs
+    tk = np.zeros_like(uc)
+    sym_k_u = np.empty_like(tc)
+    for c, (i, j) in enumerate(SymTensorField.pairs(grid.d)):
+        tk[i] += k[j] * tc[c]
+        np.multiply(k[j], uc[i], out=sym_k_u[c])
+        if i != j:
+            tk[j] += k[i] * tc[c]
+            sym_k_u[c] += k[i] * uc[j]
+    return -_im_vdot(uc, tk) * grid.volume, -_im_vdot(tc, sym_k_u) * grid.volume
+
+
+def cancellation_residual(u: VectorField, tau: SymTensorField, *,
+                          scale: float | None = None) -> float:
+    """|(div tau | u) + (D(u) | tau)| scaled by ||tau|| ||grad u|| (0 if degenerate).
+
+    Pass ``scale`` when the caller already has ``||tau|| ||grad u||`` (the
+    ledger forms it from its per-mode magnitudes); otherwise it is formed
+    here from the coefficients.
+    """
+    div_tau_u, def_u_tau = _cancellation_sums(u, tau)
+    if scale is None:
+        grid = u.grid
+        scale = grid.volume * float(np.sqrt(
+            _weighted_sq_sum(tau, grid.multiplicity)
+            * _weighted_sq_sum(u, grid.multiplicity * grid.k2)))
     if scale == 0.0:
         return 0.0
-    return abs(lhs) / scale
+    return abs(div_tau_u + def_u_tau) / scale

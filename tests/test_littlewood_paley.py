@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oldroydb.fields import ScalarField, random_scalar
+from oldroydb.fields import ScalarField, random_scalar, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import (
     BesovIndex,
@@ -24,7 +24,7 @@ from oldroydb.littlewood_paley import (
     phi_profile,
     split_besov_norm,
 )
-from oldroydb.operators import l2_norm
+from oldroydb.operators import l2_norm, mode_sq
 
 
 def chi_oracle(r: float) -> float:
@@ -129,6 +129,21 @@ class TestBlocks:
             for q in part.q_values:
                 if abs(int(p) - int(q)) >= 2:
                     assert np.max(np.abs(dyadic_block(bp, int(q), part).coeffs)) == 0.0
+
+    def test_block_norms_of_stacked_magnitudes(self, grid3, rng):
+        # the ledger's path: one magnitude pass, then one call for a stack
+        u = random_vector(grid3, rng)
+        tau = random_sym_tensor(grid3, rng)
+        part = build_partition(grid3)
+        u_sq = mode_sq(u)
+        got = block_l2_norms(np.stack((u_sq, u_sq * grid3.k2, mode_sq(tau))), part)
+        want = [block_l2_norms(u, part), block_l2_norms(u, part, gradient_weight=True),
+                block_l2_norms(tau, part)]
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        np.testing.assert_allclose(block_l2_norms(u_sq, part, gradient_weight=True),
+                                   want[1], rtol=1e-14)
+        with pytest.raises(ValueError, match="partition"):
+            block_l2_norms(u_sq)
 
     def test_out_of_range_block_warns_and_returns_zero(self, grid2, rng):
         f = random_scalar(grid2, rng)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oldroydb.fields import SymTensorField, VectorField
+from oldroydb import monitor
+from oldroydb.fields import SymTensorField, VectorField, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import build_partition
 from oldroydb.monitor import (
+    LEDGER_COLUMNS,
     EnergyLedger,
     check_global_bound,
     compute_kappas,
@@ -15,6 +17,7 @@ from oldroydb.monitor import (
     read_ledger_csv,
     stability_experiment,
 )
+from oldroydb.operators import leray_project
 from oldroydb.solver import FluidParams, InitSpec, Simulation, SolverConfig, simulate
 
 PARAMS = FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0)
@@ -179,6 +182,47 @@ class TestLedger:
         ledger.update(1.0, VectorField.zero(grid2), SymTensorField.zero(grid2))
         with pytest.raises(ValueError):
             ledger.update(0.5, VectorField.zero(grid2), SymTensorField.zero(grid2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, grid2, bad):
+        ledger = EnergyLedger(grid2, PARAMS)
+        ledger.update(1.0, VectorField.zero(grid2), SymTensorField.zero(grid2))
+        with pytest.raises(ValueError, match="non-finite"):
+            ledger.update(bad, VectorField.zero(grid2), SymTensorField.zero(grid2))
+        assert ledger.times == [1.0] and len(ledger.rows) == 1
+        ledger.update(2.0, VectorField.zero(grid2), SymTensorField.zero(grid2))
+        assert ledger.rows[-1]["E"] == 0.0
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_rows_match_offline_recompute(self, nonlinear):
+        # the running accumulators against functionals_from_history on the
+        # stored histories, row by row
+        cfg = SolverConfig(d=2, n=32, dt=0.01, t_end=1.2, params=PARAMS,
+                           init=InitSpec(amplitude=0.3, band=(1.0, 6.0), seed=2),
+                           nonlinear=nonlinear)
+        led = simulate(cfg).ledger
+        assert len(led.rows) >= 100
+        hist = (np.asarray(led.times), np.asarray(led.u_blocks),
+                np.asarray(led.gradu_blocks), np.asarray(led.tau_blocks))
+        columns = [c for c in LEDGER_COLUMNS[1:] if not c.endswith("_residual")]
+        assert len(columns) == 11
+        for i, row in enumerate(led.rows):
+            want = functionals_from_history(*hist, led.partition.q_values, 2, led.s,
+                                            PARAMS, upto=i)
+            for key in columns:
+                assert row[key] == pytest.approx(want[key], rel=1e-13, abs=0.0), (i, key)
+
+    def test_update_does_not_recompute_from_history(self, grid2, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("update recomputed the functionals from history")
+
+        monkeypatch.setattr(monitor, "functionals_from_history", refuse)
+        ledger = EnergyLedger(grid2, PARAMS, dt=0.1)
+        u = leray_project(random_vector(grid2, rng))
+        tau = random_sym_tensor(grid2, rng)
+        for i in range(50):
+            ledger.update(0.1 * i, u * (1.0 + 0.01 * i), tau)
+        assert len(ledger.rows) == 50 and ledger.rows[-1]["E"] > ledger.rows[0]["E"]
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=0.3, params=PARAMS,

@@ -13,12 +13,14 @@ from oldroydb.fields import (
 )
 from oldroydb.grid import TorusGrid
 from oldroydb.operators import (
+    _cancellation_sums,
     advect,
     cancellation_residual,
     deformation,
     div_tensor,
     g_alpha,
     g_alpha_pointwise,
+    grad_l2_norm,
     gradient,
     inner_product,
     l2_norm,
@@ -234,6 +236,43 @@ class TestInnerProduct:
                 u = leray_project(random_vector(grid, rng))
                 tau = random_sym_tensor(grid, rng)
                 assert cancellation_residual(u, tau) <= 1e-12
+
+
+class TestCancellationSums:
+    """The two Parseval sums of the cancellation check, formed from the
+    coefficients, against the same sums over built fields."""
+
+    @staticmethod
+    def _correlated_pair(grid, rng):
+        # tau leans on D(u), so that both sums are a sizeable share of
+        # ||tau|| ||grad u||; uncorrelated random pairs can fall to 3e-4
+        u = leray_project(random_vector(grid, rng))
+        r = random_sym_tensor(grid, rng)
+        tau = deformation(u) * (1.0 / grad_l2_norm(u)) + r * (1.0 / l2_norm(r))
+        return u, tau
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_sums_match_field_oracle_and_are_not_trivial(self, d, n):
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(10 * d + n)
+        for _ in range(10):
+            u, tau = self._correlated_pair(grid, rng)
+            div_tau_u, def_u_tau = _cancellation_sums(u, tau)
+            assert div_tau_u == pytest.approx(inner_product(div_tensor(tau), u),
+                                              rel=1e-13)
+            assert def_u_tau == pytest.approx(inner_product(deformation(u), tau),
+                                              rel=1e-13)
+            scale = l2_norm(tau) * grad_l2_norm(u)
+            assert abs(div_tau_u) >= 0.1 * scale
+            assert abs(def_u_tau) >= 0.1 * scale
+            assert cancellation_residual(u, tau) <= 1e-12
+
+    def test_given_scale_is_used(self, grid2, rng):
+        u, tau = self._correlated_pair(grid2, rng)
+        div_tau_u, def_u_tau = _cancellation_sums(u, tau)
+        assert cancellation_residual(u, tau, scale=0.5) == abs(
+            div_tau_u + def_u_tau) / 0.5
+        assert cancellation_residual(u, tau, scale=0.0) == 0.0
 
 
 class TestParsevalOracle:
