@@ -22,6 +22,7 @@ buffer it owns (``out``): a call then allocates nothing of the field's size.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -81,6 +82,18 @@ class TorusGrid:
                                      2.0, 1.0)
         # index map realizing m -> -m per axis
         self._neg = (n - np.arange(n)) % n
+
+    @functools.cached_property
+    def shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct |k|^2 on the half grid, ascending, and the index of each
+        mode's shell, shaped ``spec_shape``: ``shells[0][shells[1]] == k2``.
+
+        Radial tables (the propagator, the dyadic partition) are evaluated
+        once per shell and gathered through the index.
+        """
+        k2, inverse = np.unique(self.k2, return_inverse=True)
+        # the shape of the inverse differs across numpy 2.0.x releases
+        return k2, inverse.reshape(self.spec_shape)
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Physical coordinate meshes, one array per axis."""

@@ -57,10 +57,8 @@ class BesovIndex:
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
     pos = t > 0.0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
 
 
 def smooth_transition(t: np.ndarray) -> np.ndarray:
@@ -92,7 +90,9 @@ class DyadicPartition:
 
     ``q_min`` is the lowest block with any support on resolved modes and
     ``q_max = ceil(log2(8/3 * k_nyquist))``; blocks beyond the corner modes
-    are stored but identically zero.
+    are stored but identically zero.  ``phi`` is radial, so it is evaluated
+    once per distinct |k|^2 (``grid.shells``) and gathered to the modes,
+    with the same values to the bit as an evaluation at every mode.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -101,9 +101,10 @@ class DyadicPartition:
         self.q_min = math.ceil(math.log2(3.0 / 8.0 * kmin))
         self.q_max = math.ceil(math.log2(8.0 / 3.0 * grid.k_scale * grid.k_nyquist))
         self.q_values = np.arange(self.q_min, self.q_max + 1)
-        scaled = grid.kmag[None] / (2.0 ** self.q_values.reshape((-1,) + (1,) * grid.d))
+        k2, inverse = grid.shells
+        scaled = np.sqrt(k2) / (2.0 ** self.q_values[:, None])
         #: phi multipliers stacked over q, shape (nq,) + grid.spec_shape
-        self.phi_mults = phi_profile(scaled)
+        self.phi_mults = np.take(phi_profile(scaled), inverse, axis=1)
         # squared multipliers with the Parseval weight of each stored mode
         self._phi_sq = self.phi_mults**2 * grid.multiplicity
         self._chi_cache: dict[int, np.ndarray] = {}

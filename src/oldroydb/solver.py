@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .fields import (
     SymTensorField,
@@ -286,30 +285,108 @@ def friedrichs_truncate(f, radius: float):
 # ---- linear propagator ---------------------------------------------------------
 
 
+#: coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+#: largest 1-norm at which the degree-13 approximant is accurate to double
+#: precision without scaling
+_THETA13 = 5.371920351148152
+
+
+def _expm_batch(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix of a real finite ``(K, m, m)`` stack.
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
+    SIAM J. Matrix Anal. Appl. 26; Al-Mohy & Higham 2009, SIAM J. Matrix
+    Anal. Appl. 31), vectorized over the stack with one batched solve.  Each
+    matrix is scaled by its own power of two, 2^-s with the least s >= 0
+    that brings its 1-norm to ``_THETA13``, and squared back s times: a
+    common power would overscale the small matrices.  A matrix is held as
+    E = exp - I, squared as 2E + E^2, while some entry of exp is at least
+    1/2, so near-identity matrices keep the low bits of their small entries;
+    once it has decayed below that it is held and squared as exp itself.
+    A zero matrix gives the identity exactly.
+    """
+    b = _PADE13
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    mant, expo = np.frexp(norm / _THETA13)
+    # s = ceil(log2(norm / theta)), at least 0 (a zero norm gives 0)
+    s = np.maximum(expo - (mant == 0.5), 0)
+    a = np.ldexp(a, -s[:, None, None])
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    # (v + u)/(v - u) - I, exactly 0 for a zero matrix
+    ex = np.linalg.solve(v - u, 2.0 * u)
+    held = np.ones((len(ex), 1, 1), dtype=bool)  # matrices held as exp - I
+    for j in range(int(s.max(initial=0))):
+        small = np.max(np.abs(ex + eye).reshape(len(ex), -1), axis=1) < 0.5
+        drop = held & small[:, None, None]
+        ex += drop * eye
+        held &= ~drop
+        sq = ex @ ex
+        ex = np.where((s > j)[:, None, None], np.where(held, 2.0 * ex + sq, sq), ex)
+    return ex + held * eye
+
+
+def _real_generators(k2: np.ndarray, params: FluidParams) -> np.ndarray:
+    """The 3x3 generators of ``block_coefficients`` at the given |k|^2, in
+    the real form D^-1 G D, D = diag(1, i, 1); shape ``(k2.size, 3, 3)``."""
+    kn = np.sqrt(k2)
+    b = 1.0 / params.we
+    gen = np.zeros((k2.size, 3, 3))
+    gen[:, 0, 0] = -(1.0 - params.omega) * k2 / params.re
+    gen[:, 0, 1] = -kn / params.re
+    gen[:, 1, 0] = params.omega * kn * b
+    gen[:, 1, 1] = -b
+    gen[:, 2, 0] = 1.0
+    gen[:, 2, 2] = -b
+    return gen
+
+
 def block_coefficients(grid: TorusGrid, params: FluidParams, dt: float) -> np.ndarray:
     """Per-mode coefficients (e_uu, e_uz, g_u, g_z, decay) of the linear step.
 
     Shape ``(5,) + grid.spec_shape``, complex, zero at inactive modes (see
     ``LinearPropagator``).  A third row w' = u - b w carries the Duhamel
-    integral of the drive, so one 3x3 exponential per distinct |k|^2 gives
-    every coefficient (double root and a == b included).
+    integral of the drive, so one 3x3 exponential per distinct |k|^2
+    (``grid.shells``) gives every coefficient (double root and a == b
+    included).  The stack is exponentiated by ``_expm_batch`` in the real
+    form D^-1 G D, D = diag(1, i, 1), of the generator
+
+        G = [[-a, i|k|/Re, 0], [i omega |k|/We, -b, 0], [1, 0, -b]],
+
+    so e_uu, g_z and decay come out exactly real and e_uz, g_u exactly
+    imaginary.  Raises ``ConfigError`` if ``dt`` is so large that the
+    generator or the coefficients are not finite.
     """
-    active = grid.mode_mask & (grid.k2 > 0.0)
-    k2, inverse = np.unique(grid.k2[active], return_inverse=True)
-    kn = np.sqrt(k2)
-    b = 1.0 / params.we
-    gen = np.zeros((k2.size, 3, 3), dtype=np.complex128)
-    gen[:, 0, 0] = -(1.0 - params.omega) * k2 / params.re
-    gen[:, 0, 1] = 1j * kn / params.re
-    gen[:, 1, 0] = 1j * params.omega * kn * b
-    gen[:, 1, 1] = -b
-    gen[:, 2, 0] = 1.0
-    gen[:, 2, 2] = -b
-    ex = scipy.linalg.expm(gen * float(dt))
-    drive = 1j * params.omega * b * kn
-    coeffs = np.zeros((5,) + grid.spec_shape, dtype=np.complex128)
-    coeffs[:, active] = np.stack([ex[:, 0, 0], ex[:, 0, 1], drive * ex[:, 2, 0],
-                                  drive * ex[:, 2, 1], ex[:, 2, 2]])[:, inverse]
+    k2, inverse = grid.shells
+    # the first shell is k = 0, which stays zero: its generator has an
+    # eigenvalue 0, and a rounding error there would grow through every
+    # squaring
+    k2 = k2[1:]
+    with np.errstate(over="ignore"):
+        gen = _real_generators(k2, params) * float(dt)
+    if not np.all(np.isfinite(gen)):
+        raise ConfigError(f"dt = {dt} overflows the linear generator")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = _expm_batch(gen)
+    # exp(G)[r, c] = ex[r, c] D_r / D_c, and the drive is i omega |k|/We
+    drive = params.omega * np.sqrt(k2) / params.we
+    shell = np.zeros((5, k2.size + 1), dtype=np.complex128)
+    shell.real[[0, 3, 4], 1:] = (ex[:, 0, 0], drive * ex[:, 2, 1], ex[:, 2, 2])
+    shell.imag[[1, 2], 1:] = (-ex[:, 0, 1], drive * ex[:, 2, 0])
+    if not np.all(np.isfinite(shell)):
+        raise ConfigError(f"dt = {dt} gives non-finite linear-step coefficients")
+    coeffs = np.take(shell, inverse, axis=1)
+    coeffs[:, ~grid.mode_mask] = 0.0
     return coeffs
 
 

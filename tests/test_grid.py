@@ -11,6 +11,16 @@ def test_rejects_bad_dimensions(d, n):
         TorusGrid(d, n)
 
 
+@pytest.mark.parametrize("d,n,period", [(2, 32, 2.0 * np.pi), (3, 16, 1.0)])
+def test_shells_index_every_mode(d, n, period):
+    grid = TorusGrid(d, n, period)
+    k2, inverse = grid.shells
+    assert inverse.shape == grid.spec_shape
+    assert np.all(np.diff(k2) > 0.0)
+    np.testing.assert_array_equal(k2[inverse], grid.k2)
+    assert grid.shells is grid.shells
+
+
 def test_wavevectors_are_integers_times_scale(grid2):
     assert grid2.k_scale == pytest.approx(1.0)
     np.testing.assert_array_equal(grid2.k, grid2.k_int.astype(float))

@@ -11,6 +11,7 @@ from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import (
     BesovIndex,
     DyadicDecomposition,
+    DyadicPartition,
     UnsupportedIndexError,
     bernstein_check,
     besov_norm,
@@ -88,6 +89,18 @@ class TestPartition:
         res_chi, res_full = part.identity_residuals()
         assert res_chi <= 1e-12
         assert res_full <= 1e-12
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_shell_tabulation_matches_per_mode_evaluation(self, d, n):
+        grid = TorusGrid(d, n)
+        part = DyadicPartition(grid)
+        for i, q in enumerate(part.q_values):
+            np.testing.assert_array_equal(part.phi_mults[i],
+                                          phi_profile(grid.kmag / 2.0**q))
+        # block_l2_norms reshapes the squares once per call: a strided
+        # gather would make that a copy
+        assert part.phi_mults.flags.c_contiguous
+        assert part._phi_sq.flags.c_contiguous
 
     def test_q_range(self):
         part = build_partition(TorusGrid(2, 128))

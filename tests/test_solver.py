@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oldroydb import solver
 from oldroydb.fields import (
     SymTensorField,
     VectorField,
@@ -23,6 +24,8 @@ from oldroydb.solver import (
     Simulation,
     SolverConfig,
     SolverState,
+    _expm_batch,
+    _real_generators,
     block_coefficients,
     build_propagator,
     friedrichs_mask,
@@ -347,6 +350,117 @@ class TestPropagator:
         info = build_partition.cache_info()
         assert info.currsize == info.maxsize
         assert build_partition(grid) is build_partition(TorusGrid(2, 8))
+
+
+def _shell_generators(grid, params, dt):
+    """The real generators of ``block_coefficients`` times dt, one per
+    nonzero |k|^2 shell of ``grid``."""
+    return _real_generators(grid.shells[0][1:], params) * dt
+
+
+def _random_stack(count, lo, hi, seed):
+    """Random real 3x3 matrices with 1-norms spaced log-evenly in [lo, hi]."""
+    a = np.random.default_rng(seed).standard_normal((count, 3, 3))
+    norm = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    return a * (np.logspace(np.log10(lo), np.log10(hi), count) / norm)[:, None, None]
+
+
+def _worst_error(got, want):
+    """Largest entrywise error of each matrix over its largest exact entry."""
+    return float(np.max(np.max(np.abs(got - want), axis=(1, 2))
+                        / np.max(np.abs(want), axis=(1, 2))))
+
+
+def _expm_40_digits(a):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array([np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(),
+                                  dtype=float) for m in a])
+
+
+class TestExpmBatch:
+    """``_expm_batch`` matrix by matrix against ``scipy.linalg.expm`` and a
+    40-digit evaluation, at 1e-13 of each matrix's largest entry."""
+
+    @pytest.mark.parametrize("dt", [1e-9, 0.05])
+    @pytest.mark.parametrize("params", [PARAMS, SKEWED, EQUAL_RATES],
+                             ids=["unit", "skewed", "a-equals-b"])
+    def test_generators_match_scipy(self, params, dt):
+        gen = _shell_generators(TorusGrid(2, 16), params, dt)
+        assert _worst_error(_expm_batch(gen), scipy.linalg.expm(gen)) <= 1e-13
+
+    def test_random_stack_matches_scipy(self):
+        # norms 1e-8 .. 10: no squaring up to one; beyond that scipy's own
+        # error exceeds 1e-13 on these draws (see the high-precision test)
+        a = _random_stack(40, 1e-8, 10.0, seed=7)
+        assert _worst_error(_expm_batch(a), scipy.linalg.expm(a)) <= 1e-13
+
+    @pytest.mark.parametrize("dt", [1e-9, 0.05, 2.0, 50.0])
+    @pytest.mark.parametrize("params", [PARAMS, SKEWED, EQUAL_RATES],
+                             ids=["unit", "skewed", "a-equals-b"])
+    def test_generators_match_high_precision(self, params, dt):
+        gen = _shell_generators(TorusGrid(2, 16), params, dt)
+        # at dt = 50 the 1-norms reach about 500 and every entry has decayed
+        # by e^-50 or more; any backward-stable evaluation then errs by a
+        # few times norm * 1.1e-16 (scipy: up to 8.8e-12 here)
+        rtol = 2e-13 if dt == 50.0 else 1e-13
+        assert _worst_error(_expm_batch(gen), _expm_40_digits(gen)) <= rtol
+
+    def test_random_stack_matches_high_precision(self):
+        # norms 1e-8 .. 1e3: 0 to 8 squarings (scipy: up to 1.6e-11 here)
+        a = _random_stack(40, 1e-8, 1e3, seed=7)
+        assert _worst_error(_expm_batch(a), _expm_40_digits(a)) <= 1e-13
+
+    def test_zero_matrices_give_identity_exactly(self):
+        a = _random_stack(6, 1e-3, 1e2, seed=8)
+        a[[0, 3]] = 0.0
+        a[5] = -0.0
+        ex = _expm_batch(a)
+        for i in (0, 3, 5):
+            np.testing.assert_array_equal(ex[i], np.eye(3))
+
+    def test_build_uses_no_per_matrix_exponential(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        build_propagator(TorusGrid(2, 32), SKEWED, 0.0123)
+
+
+class TestHugeDt:
+    def _config(self, dt):
+        return SolverConfig(d=2, n=16, dt=dt, t_end=dt,
+                            init=InitSpec(amplitude=0.1, band=(1.0, 4.0)))
+
+    def test_overflowing_generator_is_a_config_error(self):
+        # dt * (1 - omega)|k|^2/Re overflows at the corner shell
+        with pytest.raises(ConfigError, match="dt"):
+            simulate(self._config(1e307))
+
+    def test_overflowing_generator_exits_2(self, tmp_path, capsys):
+        from oldroydb.cli import main
+
+        doc = self._config(1e307).to_dict()
+        doc["output"]["dir"] = str(tmp_path / "out")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert json.loads(lines[-1])["event"] == "error"
+
+    def test_non_finite_coefficients_are_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "_expm_batch", lambda a: np.full_like(a, np.inf))
+        with pytest.raises(ConfigError, match="dt"):
+            block_coefficients(TorusGrid(2, 16), PARAMS, 0.05)
+
+    @pytest.mark.parametrize("dt", [1e3, 1e150])
+    def test_large_dt_decays_to_finite_zeros(self, dt):
+        # every coefficient underflows: exp(-b dt) and exp(-a dt) are 0
+        coeffs = block_coefficients(TorusGrid(2, 16), PARAMS, dt)
+        assert np.all(coeffs == 0.0)
+        result = simulate(self._config(dt))
+        assert np.all(result.final.u.coeffs == 0.0)
+        assert np.all(result.final.tau.coeffs == 0.0)
 
 
 class TestRhs:
