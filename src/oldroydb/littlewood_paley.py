@@ -91,8 +91,12 @@ class DyadicPartition:
     ``q_min`` is the lowest block with any support on resolved modes and
     ``q_max = ceil(log2(8/3 * k_nyquist))``; blocks beyond the corner modes
     are stored but identically zero.  ``phi`` is radial, so it is evaluated
-    once per distinct |k|^2 (``grid.shells``) and gathered to the modes,
-    with the same values to the bit as an evaluation at every mode.
+    and kept once per distinct |k|^2 (``grid.shells``), shape
+    ``(nq, n_shells)``, and gathered to the modes on demand
+    (``phi_mults``, ``phi_weights``), with the same values to the bit as an
+    evaluation at every mode.  The one per-mode table kept is the squared
+    multiplier times the Parseval weight, which ``block_l2_norms``
+    contracts with.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -103,10 +107,10 @@ class DyadicPartition:
         self.q_values = np.arange(self.q_min, self.q_max + 1)
         k2, inverse = grid.shells
         scaled = np.sqrt(k2) / (2.0 ** self.q_values[:, None])
-        #: phi multipliers stacked over q, shape (nq,) + grid.spec_shape
-        self.phi_mults = np.take(phi_profile(scaled), inverse, axis=1)
+        #: phi at every shell and block, shape (nq, n_shells)
+        self.phi_shell = phi_profile(scaled)
         # squared multipliers with the Parseval weight of each stored mode
-        self._phi_sq = self.phi_mults**2 * grid.multiplicity
+        self._phi_sq = np.take(self.phi_shell**2, inverse, axis=1) * grid.multiplicity
         self._chi_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -119,8 +123,15 @@ class DyadicPartition:
     def contains(self, q: int) -> bool:
         return self.q_min <= q <= self.q_max
 
+    @property
+    def phi_mults(self) -> np.ndarray:
+        """phi multipliers stacked over q, shape ``(nq,) + grid.spec_shape``,
+        gathered from the shell table on each access."""
+        return np.take(self.phi_shell, self.grid.shells[1], axis=1)
+
     def phi_weights(self, q: int) -> np.ndarray:
-        return self.phi_mults[self.q_index(q)]
+        """phi multiplier of block q at every stored mode (a fresh array)."""
+        return np.take(self.phi_shell[self.q_index(q)], self.grid.shells[1])
 
     def chi_weights(self, q: int) -> np.ndarray:
         if q not in self._chi_cache:
@@ -135,9 +146,10 @@ class DyadicPartition:
         """
         grid = self.grid
         nonneg = self.q_values >= 0
-        total_high = chi_profile(grid.kmag) + np.sum(self.phi_mults[nonneg], axis=0)
+        phi = self.phi_mults
+        total_high = chi_profile(grid.kmag) + np.sum(phi[nonneg], axis=0)
         res_chi = float(np.max(np.abs(total_high - 1.0)))
-        total_all = np.sum(self.phi_mults, axis=0)
+        total_all = np.sum(phi, axis=0)
         nz = grid.kmag > 0.0
         res_full = float(np.max(np.abs(total_all[nz] - 1.0)))
         return res_chi, res_full

@@ -11,17 +11,20 @@ inner products use Parseval's identity on the coefficient arrays, each
 stored mode weighted by the grid's ``multiplicity``, so no quadrature
 error enters them.
 
-The solver's quadratic terms go through ``quadratic_terms``: one batched
-real inverse transform of ``[u, grad u, tau, grad tau]`` (15 real fields in
-2-d, 36 in 3-d), componentwise algebra on the stored upper triangle, and one
-batched real forward transform of the ``d + d(d+1)/2`` products (5 in 2-d,
-9 in 3-d).  Composed from ``advect`` and ``g_alpha``, the same terms take 19
+The solver's quadratic terms go through ``quadratic_terms``: real inverse
+transforms of ``[u, grad u, tau, grad tau]`` (15 real fields in 2-d, 36 in
+3-d), componentwise algebra on the stored upper triangle, and one batched
+real forward transform of the ``d + d(d+1)/2`` products (5 in 2-d, 9 in
+3-d).  Composed from ``advect`` and ``g_alpha``, the same terms take 19
 real inverse and 8 real forward transforms in 2-d; those two stay as the
 per-term API and as the test oracle.
 
-``quadratic_terms`` fills the stacked half spectrum in a buffer kept for the
-most recent grid, runs the inverse passes in place on it and receives the
-samples into a second such buffer, so a step allocates and faults in none
+``quadratic_terms`` runs its inverse transform in field groups: ``[u, tau]``,
+then ``grad u``, then the gradients of three stress components at a time.
+Each group is filled into a scratch half spectrum sized to the largest
+group, transformed in place and received into its slice of a sample buffer
+holding ``[u, tau, grad u]`` and one stress-gradient group; both buffers
+are kept for the most recent grid, so a step allocates and faults in none
 of them.  Its results never alias the buffers.  Two threads that call it on
 equal grids share the buffers, so it is not safe to call concurrently.
 """
@@ -151,16 +154,25 @@ def g_alpha(tau: SymTensorField, u: VectorField, alpha: float) -> SymTensorField
     return SymTensorField(grid, grid.to_spectral(comps, grid.dealias_mask))
 
 
+#: stress components whose gradients share one inverse transform
+_STRESS_GROUP = 3
+
+
 @functools.lru_cache(maxsize=1)
 def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked half spectrum of ``quadratic_terms`` and its real samples.
+    """The scratch half spectrum of ``quadratic_terms`` and its real samples.
 
-    Kept for the most recent grid only, so runs on equal grids share them
-    and a sweep over grids holds one set.
+    The scratch holds the largest transform group (6 fields in 2-d, 9 in
+    3-d); the samples hold ``[u, tau, grad u]`` and one stress-gradient
+    group (15 fields in 2-d, 27 in 3-d).  Kept for the most recent grid
+    only, so runs on equal grids share them and a sweep over grids holds
+    one set.
     """
-    rows = (grid.d + 1) * (grid.d + grid.d * (grid.d + 1) // 2)
-    return (np.empty((rows,) + grid.spec_shape, np.complex128),
-            np.empty((rows,) + grid.shape))
+    d = grid.d
+    nt = d * (d + 1) // 2
+    group = _STRESS_GROUP * d
+    return (np.empty((max(d + nt, d * d, group),) + grid.spec_shape, np.complex128),
+            np.empty((d + nt + d * d + group,) + grid.shape))
 
 
 def quadratic_terms(
@@ -172,6 +184,14 @@ def quadratic_terms(
     up to rounding.  With A_ij = d_j u_i, D = (A + A^T)/2 and W = (A - A^T)/2,
     symmetry of tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so
     each stored component is g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
+
+    The inverse transform runs in groups through the scratch spectrum of
+    ``_kernel_buffers``: ``[u, tau]``, then ``grad u``, each into its own
+    slice of the samples, then the gradients of three stress components at
+    a time into the slice after them, where the transport of those
+    components is summed before the next group overwrites it.  Every
+    field's transform is independent of the rest of its batch, so the
+    samples equal those of one batched transform to the bit.
     """
     grid = u.grid
     grid.require_same(tau.grid)
@@ -180,30 +200,39 @@ def quadratic_terms(
     nt = len(pairs)
     ik = 1j * grid.k
     hshape = grid.spec_shape
-    # stacked rows: u_i | d_j u_i (i-major) | tau_c | d_m tau_c (c-major)
-    bounds = (d, d + d * d, d + d * d + nt)
+    group = _STRESS_GROUP  # divides nt: 3 in 2-d, 6 in 3-d
     spec, phys = _kernel_buffers(grid)
-    u_h, grad_u_h, tau_h, grad_tau_h = np.split(spec, bounds)
-    u_h[...] = u.coeffs
-    tau_h[...] = tau.coeffs
-    np.multiply(ik, u.coeffs[:, None], out=grad_u_h.reshape((d, d) + hshape))
-    np.multiply(ik, tau.coeffs[:, None], out=grad_tau_h.reshape((nt, d) + hshape))
-    grid.to_physical(spec, overwrite_x=True, out=phys)
-    vel, grad_u, stress, grad_tau = np.split(phys, bounds)
+    # sample rows: u_i | tau_c | d_j u_i (i-major) | d_m tau_c of one group
+    bounds = (d, d + nt, d + nt + d * d)
+    vel, stress, grad_u, grad_tau = np.split(phys, bounds)
     grad_u = grad_u.reshape((d, d) + grid.shape)
-    grad_tau = grad_tau.reshape((nt, d) + grid.shape)
+    grad_tau = grad_tau.reshape((group, d) + grid.shape)
+
+    spec[:d] = u.coeffs
+    spec[d:d + nt] = tau.coeffs
+    grid.to_physical(spec[:d + nt], overwrite_x=True, out=phys[:d + nt])
+    np.multiply(ik, u.coeffs[:, None], out=spec[:d * d].reshape((d, d) + hshape))
+    grid.to_physical(spec[:d * d], overwrite_x=True, out=phys[bounds[1]:bounds[2]])
+
+    out = np.empty((d + nt,) + grid.shape)
+    for i in range(d):
+        out[i] = sum(vel[j] * grad_u[i, j] for j in range(d))
+    for c0 in range(0, nt, group):
+        np.multiply(ik, tau.coeffs[c0:c0 + group, None],
+                    out=spec[:group * d].reshape((group, d) + hshape))
+        grid.to_physical(spec[:group * d], overwrite_x=True, out=phys[bounds[2]:])
+        for g in range(group):
+            out[d + c0 + g] = sum(vel[m] * grad_tau[g, m] for m in range(d))
 
     def tau_at(i, j):
         return stress[tau.component_index(i, j)]
 
     b = [[0.5 * (1.0 - alpha) * grad_u[k, j] - 0.5 * (1.0 + alpha) * grad_u[j, k]
           for j in range(d)] for k in range(d)]
-    out = np.empty((d + nt,) + grid.shape)
-    for i in range(d):
-        out[i] = sum(vel[j] * grad_u[i, j] for j in range(d))
     for c, (i, j) in enumerate(pairs):
-        out[d + c] = sum(vel[m] * grad_tau[c, m] for m in range(d)) + sum(
-            tau_at(i, k) * b[k][j] + tau_at(j, k) * b[k][i] for k in range(d))
+        out[d + c] += sum(tau_at(i, k) * b[k][j] + tau_at(j, k) * b[k][i]
+                          for k in range(d))
+    del b
     coeffs = grid.to_spectral(out, grid.dealias_mask)
     return VectorField(grid, coeffs[:d]), SymTensorField(grid, coeffs[d:])
 

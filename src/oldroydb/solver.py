@@ -503,12 +503,25 @@ def make_initial_state(config: SolverConfig, grid: TorusGrid | None = None) -> S
 
 
 class Simulation:
-    """Owns one trajectory; step with ``advance`` or drive via ``simulate``."""
+    """Owns one trajectory; step with ``advance`` or drive via ``simulate``.
+
+    A given ``state`` must lie on the config's grid (else ``GridError``)
+    and carry the config's ``params`` (else ``ConfigError``), the ones the
+    step uses.
+    """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
         self.config = config
         self.grid = TorusGrid(config.d, config.n, config.period)
-        self.state = state if state is not None else make_initial_state(config, self.grid)
+        if state is None:
+            state = make_initial_state(config, self.grid)
+        else:
+            self.grid.require_same(state.u.grid)
+            self.grid.require_same(state.tau.grid)
+            if state.params != config.params:
+                raise ConfigError(f"state params {state.params} differ from the "
+                                  f"config params {config.params}")
+        self.state = state
         self.propagator = build_propagator(self.grid, config.params, config.dt)
         self._prev_rhs: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -528,15 +541,22 @@ class Simulation:
                 nu, ntau = self._rhs()
             except DivergenceError as exc:
                 raise DivergenceError(st.step_index + 1, st.t + dt, exc.field) from None
+            # every temporary is dropped at its last use; none is written
+            # in place, since a returned state may share its arrays
             if self._prev_rhs is None:
                 u_mid = u_in + dt * nu.coeffs
                 tau_mid = tau_in + dt * ntau.coeffs
             else:
                 pu, ptau = self._prev_rhs
+                self._prev_rhs = None
                 u_mid = u_in + dt * (1.5 * nu.coeffs - 0.5 * pu)
+                del pu
                 tau_mid = tau_in + dt * (1.5 * ntau.coeffs - 0.5 * ptau)
+                del ptau
             u_new, tau_new = prop.apply(u_mid, tau_mid)
+            del u_mid, tau_mid
             self._prev_rhs = prop.apply(nu.coeffs, ntau.coeffs)
+            del nu, ntau
         else:
             u_new, tau_new = prop.apply(u_in, tau_in)
 

@@ -102,6 +102,15 @@ class TestPartition:
         assert part.phi_mults.flags.c_contiguous
         assert part._phi_sq.flags.c_contiguous
 
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_one_per_mode_table(self, d, n):
+        grid = TorusGrid(d, n)
+        part = DyadicPartition(grid)
+        per_mode = [name for name, value in vars(part).items()
+                    if isinstance(value, np.ndarray) and value.shape[-d:] == grid.spec_shape]
+        assert per_mode == ["_phi_sq"]
+        assert part.phi_shell.shape == (part.nq, len(grid.shells[0]))
+
     def test_q_range(self):
         part = build_partition(TorusGrid(2, 128))
         assert part.q_min == -1

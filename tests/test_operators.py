@@ -372,6 +372,29 @@ class TestKernelBuffers:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_cold_call_peak_below_grouped_layout(self):
+        from oldroydb.operators import _kernel_buffers
+
+        d, n = 3, 16
+        grid = TorusGrid(d, n)
+        u, tau = self._state(grid, 5)
+        nt = d * (d + 1) // 2
+        spec, phys = 16 * np.prod(grid.spec_shape), 8 * np.prod(grid.shape)
+        # buffers: a scratch spectrum of one 3d-field transform group, and
+        # the samples [u, tau, grad u] plus one such group; the algebra: the
+        # d + nt products and their spectrum, at most twice each
+        bound = (3 * d * spec + (d + nt + d * d + 3 * d) * phys
+                 + 2 * (d + nt) * (spec + phys))
+        _kernel_buffers.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            quadratic_terms(u, tau, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_buffers_held_for_one_grid_over_a_sweep(self):
         from oldroydb.operators import _kernel_buffers
 

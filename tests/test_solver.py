@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from oldroydb.fields import (
     random_sym_tensor,
     random_vector,
 )
-from oldroydb.grid import TorusGrid
+from oldroydb.grid import GridError, TorusGrid
 from oldroydb.operators import advect, g_alpha, inner_product, l2_norm, leray_project
 from oldroydb.solver import (
     ConfigError,
@@ -617,6 +619,39 @@ class TestStepping:
         assert err.value.field == "ntau"
         assert "ntau" in str(err.value)
 
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_steps_leave_earlier_states_unchanged(self, d, n, nonlinear):
+        cfg = SolverConfig(d=d, n=n, dt=0.05, t_end=1.0, params=PARAMS,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=5),
+                           nonlinear=nonlinear)
+        given = make_initial_state(cfg)
+        sim = Simulation(cfg, given)
+        returned = sim.advance()
+        kept = [(st, st.u.coeffs.copy(), st.tau.coeffs.copy()) for st in (given, returned)]
+        for _ in range(3):
+            sim.advance()
+        for st, u, tau in kept:
+            np.testing.assert_array_equal(st.u.coeffs, u)
+            np.testing.assert_array_equal(st.tau.coeffs, tau)
+
+    def test_warm_step_peak_below_five_stacked_states(self):
+        cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=1))
+        sim = Simulation(cfg)
+        for _ in range(3):
+            sim.advance()
+        grid = sim.grid
+        stacked = (grid.d + len(SymTensorField.pairs(grid.d))) * 16 * np.prod(grid.spec_shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim.advance()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * stacked
+
     def test_reality_preserved_along_trajectory(self):
         cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=0.25, params=PARAMS,
                            init=InitSpec(amplitude=0.5, band=(1.0, 6.0), seed=13))
@@ -662,6 +697,28 @@ def test_step_takes_no_complex_full_grid_transform(monkeypatch, d, n):
     sim.advance()
     sim.advance()
     assert sim.state.step_index == 2
+
+
+class TestGivenState:
+    def test_state_on_another_grid_is_a_grid_error(self):
+        cfg = small_data_config(0, t_end=0.5, n=32)
+        state = make_initial_state(replace(cfg, n=16))
+        with pytest.raises(GridError, match=r"\(2,32,.*\) vs \(2,16,"):
+            Simulation(cfg, state)
+
+    def test_stress_on_another_grid_is_a_grid_error(self):
+        cfg = small_data_config(0, t_end=0.5, n=32)
+        state = make_initial_state(cfg)
+        other = make_initial_state(replace(cfg, n=16))
+        with pytest.raises(GridError):
+            Simulation(cfg, SolverState(0.0, state.u, other.tau, cfg.params))
+
+    def test_state_with_other_params_is_a_config_error(self):
+        cfg = small_data_config(0, t_end=0.5, n=32)
+        state = make_initial_state(cfg)
+        other = SolverState(0.0, state.u, state.tau, FluidParams(re=5.0))
+        with pytest.raises(ConfigError, match="re=5.0"):
+            Simulation(cfg, other)
 
 
 class TestSimulate:
