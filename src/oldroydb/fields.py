@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridError, TorusGrid
+from .grid import GridError, TorusGrid, leray_tables
 
 HERMITIAN_RTOL = 1e-12
 
@@ -178,7 +178,8 @@ class VectorField(SpectralField):
         scale = float(np.max(np.abs(self.coeffs)))
         if scale == 0.0:
             return 0.0
-        div = np.sum(self.grid.k * self.coeffs, axis=0)
+        k, _ = leray_tables(self.grid)
+        div = np.sum(k * self.coeffs, axis=0)
         return float(np.max(np.abs(div)) / scale)
 
 

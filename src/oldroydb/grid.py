@@ -174,3 +174,22 @@ class TorusGrid:
 
     def __repr__(self):
         return f"TorusGrid(d={self.d}, n={self.n}, period={self.period:g})"
+
+
+@functools.lru_cache(maxsize=1)
+def leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``grid.k`` and ``where(grid.k2 == 0, 1, grid.k2)`` as complex128, for
+    the most recent grid.
+
+    The multipliers of the Leray projection and of the divergence residual.
+    Held complex, the products and the quotient with complex coefficients
+    run without numpy casting a real table chunk by chunk, to the same bits:
+    a cast gives the same zero imaginary part.  Kept for one grid only, in
+    this cache rather than on the grid, so the many equal grids of a twin
+    run or a sweep share one set; read-only, since every caller shares them.
+    """
+    tables = (grid.k.astype(np.complex128),
+              np.where(grid.k2 == 0.0, 1.0, grid.k2).astype(np.complex128))
+    for table in tables:
+        table.flags.writeable = False
+    return tables

@@ -43,18 +43,27 @@ from .fields import (
     SymTensorField,
     VectorField,
 )
-from .grid import TorusGrid
+from .grid import TorusGrid, leray_tables
 
 
 # ---- linear operators -------------------------------------------------------
 
 
 def leray_project(v: VectorField) -> VectorField:
-    """Remove the gradient part: u(k) = (I - k k^T / |k|^2) v(k), zero at k=0."""
+    """Remove the gradient part: u(k) = (I - k k^T / |k|^2) v(k), zero at k=0.
+
+    ``k`` and ``|k|^2`` (1 at k = 0) come complex from ``leray_tables``,
+    built once for the most recent grid, so no product casts a real table;
+    the quotient by a complex divisor with zero imaginary part has the bits
+    of the quotient by the real one.  The products are written into the
+    result, so a call holds one component beyond it.
+    """
     grid = v.grid
-    k2 = np.where(grid.k2 == 0.0, 1.0, grid.k2)
-    kdotv = np.sum(grid.k * v.coeffs, axis=0)
-    out = v.coeffs - grid.k * (kdotv / k2)
+    k, k2 = leray_tables(grid)
+    out = np.multiply(k, v.coeffs)
+    kdotv = np.sum(out, axis=0)
+    kdotv /= k2
+    np.subtract(v.coeffs, np.multiply(k, kdotv, out=out), out=out)
     out[(slice(None),) + (0,) * grid.d] = 0.0
     return VectorField(grid, out)
 
@@ -285,16 +294,22 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _parseval_k(grid: TorusGrid) -> np.ndarray:
-    """``grid.k`` times the Parseval weight of each stored mode, for the most
-    recent grid, so the cancellation sums need no separate weighting pass."""
-    return grid.k * grid.multiplicity
+    """``grid.k`` times the Parseval weight of each stored mode, complex128,
+    for the most recent grid, so the cancellation sums need no separate
+    weighting pass and no cast of a real table.  Read-only, since every
+    caller shares it."""
+    k = (grid.k * grid.multiplicity).astype(np.complex128)
+    k.flags.writeable = False
+    return k
 
 
 def _im_vdot(a: np.ndarray, b: np.ndarray) -> float:
     """Im(sum conj(a) b) by numpy's own pairwise sum: ``np.vdot`` of complex
     arrays goes to a threaded BLAS ``zdotc``, which can stall for
     milliseconds on a busy host."""
-    return float(np.sum((np.conj(a) * b).imag))
+    prod = np.conj(a)
+    prod *= b
+    return float(np.sum(prod.imag))
 
 
 def _cancellation_sums(u: VectorField, tau: SymTensorField) -> tuple[float, float]:

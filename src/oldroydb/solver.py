@@ -396,9 +396,12 @@ class LinearPropagator:
     The velocity sees the stress only through zeta = P(tau k)/|k|, so per
     mode (u, zeta) evolve by [[-a, i|k|/Re], [i omega |k|/We, -b]], with
     a = (1-omega)|k|^2/Re and b = 1/We, and tau relaxes at rate b under the
-    drive (i omega/We) sym(k (x) u).  The coefficients come from
-    ``block_coefficients``; they are stored as float64, the imaginary ones
-    by their imaginary part, which ``apply`` multiplies by 1j.
+    drive (i omega/We) sym(k (x) u).  The five coefficients of
+    ``block_coefficients`` and the unit wavevector ``khat`` are stored as
+    complex128, so no product in ``apply`` makes numpy cast a real table to
+    complex chunk by chunk.  The exactly imaginary e_uz and g_u are stored
+    as ``1j * x`` of their imaginary parts x: the sign of that product's
+    zero real part (-0 where x < 0) fixes the signs of zeros in the results.
     """
 
     def __init__(self, grid: TorusGrid, params: FluidParams, dt: float):
@@ -406,34 +409,45 @@ class LinearPropagator:
         self.params = params
         self.dt = float(dt)
         coeffs = block_coefficients(grid, params, dt)
-        # e_uu, g_z and decay come out exactly real, e_uz and g_u exactly
-        # imaginary; only the part that is not identically zero is stored
-        self._e_uu, self._g_z, self._decay = coeffs[[0, 3, 4]].real.copy()
-        self._e_uz, self._g_u = coeffs[[1, 2]].imag.copy()
+        np.multiply(1j, coeffs[1:3].imag, out=coeffs[1:3])
+        self._e_uu, self._e_uz, self._g_u, self._g_z, self._decay = coeffs
         active = grid.mode_mask & (grid.k2 > 0.0)
-        self._khat = np.divide(grid.k, grid.kmag, out=np.zeros_like(grid.k),
-                               where=active)
+        self._khat = np.zeros(grid.k.shape, np.complex128)
+        np.divide(grid.k, grid.kmag, out=self._khat.real, where=active)
 
     def apply(self, u_coeffs: np.ndarray, tau_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance stacked coefficient arrays by one linear step.
 
         ``u_coeffs`` must be divergence-free at every mode: the update
         treats u as transverse to k.  Every state and every projected
-        tendency that ``Simulation.advance`` passes is.
+        tendency that ``Simulation.advance`` passes is.  The inputs are
+        left unchanged and the returned arrays are fresh; the products are
+        written through one stacked and one single-component scratch that
+        live for this call only.
         """
         khat = self._khat
         pairs = SymTensorField.pairs(self.grid.d)
+        scratch = np.empty_like(u_coeffs)
+        comp = np.empty_like(u_coeffs[0])
         tk = np.zeros_like(u_coeffs)
         for c, (i, j) in enumerate(pairs):
-            tk[i] += tau_coeffs[c] * khat[j]
+            tk[i] += np.multiply(tau_coeffs[c], khat[j], out=comp)
             if i != j:
-                tk[j] += tau_coeffs[c] * khat[i]
-        zeta = tk - khat * np.sum(khat * tk, axis=0)
-        u_new = self._e_uu * u_coeffs + (1j * self._e_uz) * zeta
-        w = (1j * self._g_u) * u_coeffs + self._g_z * zeta
-        tau_new = self._decay * tau_coeffs
+                tk[j] += np.multiply(tau_coeffs[c], khat[i], out=comp)
+        # zeta = tk - khat (khat . tk), formed in tk
+        np.sum(np.multiply(khat, tk, out=scratch), axis=0, out=comp)
+        tk -= np.multiply(khat, comp, out=scratch)
+        zeta = tk
+        u_new = np.multiply(self._e_uu, u_coeffs)
+        u_new += np.multiply(self._e_uz, zeta, out=scratch)
+        w = np.multiply(self._g_u, u_coeffs, out=scratch)
+        w += np.multiply(self._g_z, zeta, out=zeta)
+        tau_new = np.multiply(self._decay, tau_coeffs)
+        # tk is free again: its first row takes the second product of a pair
         for c, (i, j) in enumerate(pairs):
-            tau_new[c] += khat[i] * w[j] + khat[j] * w[i]
+            np.multiply(khat[i], w[j], out=comp)
+            comp += np.multiply(khat[j], w[i], out=tk[0])
+            tau_new[c] += comp
         return u_new, tau_new
 
 
@@ -456,8 +470,12 @@ def rhs_nonlinear(
     """Quadratic tendencies: (-P[(u.grad)u], -(u.grad)tau - g_alpha)."""
     grid = u.grid
     transport_u, transport_tau = quadratic_terms(u, tau, params.alpha)
-    nu = leray_project(transport_u) * (-1.0)
-    ntau = transport_tau * (-1.0)
+    # both are fresh arrays, negated in place; ``np.negative`` would give
+    # some zeros of the state the other sign than ``x * -1.0`` does
+    nu = leray_project(transport_u)
+    nu.coeffs *= -1.0
+    ntau = transport_tau
+    ntau.coeffs *= -1.0
     zero_idx = (slice(None),) + (0,) * grid.d
     nu.coeffs[zero_idx] = 0.0
     ntau.coeffs[zero_idx] = 0.0

@@ -11,7 +11,7 @@ from oldroydb.fields import (
     random_sym_tensor,
     random_vector,
 )
-from oldroydb.grid import TorusGrid
+from oldroydb.grid import TorusGrid, leray_tables
 from oldroydb.operators import (
     _cancellation_sums,
     advect,
@@ -68,6 +68,111 @@ class TestLerayProjection:
     def test_output_is_divergence_free(self, grid3, rng):
         u = leray_project(random_vector(grid3, rng, band=(1.0, 6.0)))
         assert u.divergence_residual() <= 1e-10
+
+
+def _leray_float_tables(v):
+    """``leray_project`` on the real tables ``grid.k`` and ``grid.k2``, which
+    numpy casts to complex in every product and in the quotient."""
+    grid = v.grid
+    k2 = np.where(grid.k2 == 0.0, 1.0, grid.k2)
+    kdotv = np.sum(grid.k * v.coeffs, axis=0)
+    out = v.coeffs - grid.k * (kdotv / k2)
+    out[(slice(None),) + (0,) * grid.d] = 0.0
+    return out
+
+
+def _divergence_residual_float_tables(v):
+    scale = float(np.max(np.abs(v.coeffs)))
+    if scale == 0.0:
+        return 0.0
+    div = np.sum(v.grid.k * v.coeffs, axis=0)
+    return float(np.max(np.abs(div)) / scale)
+
+
+def _cancellation_sums_float_tables(u, tau):
+    grid = u.grid
+    k, uc, tc = grid.k * grid.multiplicity, u.coeffs, tau.coeffs
+    tk = np.zeros_like(uc)
+    sym_k_u = np.empty_like(tc)
+    for c, (i, j) in enumerate(SymTensorField.pairs(grid.d)):
+        tk[i] += k[j] * tc[c]
+        np.multiply(k[j], uc[i], out=sym_k_u[c])
+        if i != j:
+            tk[j] += k[i] * tc[c]
+            sym_k_u[c] += k[i] * uc[j]
+    return (-float(np.sum((np.conj(uc) * tk).imag)) * grid.volume,
+            -float(np.sum((np.conj(tc) * sym_k_u).imag)) * grid.volume)
+
+
+def _with_signed_zeros(coeffs, rng):
+    """A copy with about a quarter of the entries set to zeros of both signs."""
+    out = coeffs.copy()
+    for value in (complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)):
+        out[rng.random(out.shape) < 0.1] = value
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestComplexTables:
+    """The operators multiply complex tables into the coefficients; the same
+    formulas on the real tables (cast by numpy) are the oracle, to the bit."""
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_leray_project_matches_float_tables(self, d, n):
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(d + n)
+        for _ in range(3):
+            v = random_vector(grid, rng, band=(0.0, n / 2))
+            for coeffs in (v.coeffs, _with_signed_zeros(v.coeffs, rng)):
+                field = VectorField(grid, coeffs)
+                _assert_same_bits(leray_project(field).coeffs, _leray_float_tables(field))
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_divergence_residual_matches_float_tables(self, d, n):
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(d * n)
+        for v in (random_vector(grid, rng), leray_project(random_vector(grid, rng)),
+                  VectorField.zero(grid)):
+            assert v.divergence_residual() == _divergence_residual_float_tables(v)
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_cancellation_sums_match_float_tables(self, d, n):
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(d * n + 1)
+        for _ in range(3):
+            u = leray_project(random_vector(grid, rng))
+            tau = random_sym_tensor(grid, rng)
+            assert _cancellation_sums(u, tau) == _cancellation_sums_float_tables(u, tau)
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_leray_project_leaves_its_input(self, d, n):
+        grid = TorusGrid(d, n)
+        v = random_vector(grid, np.random.default_rng(n))
+        kept = v.coeffs.copy()
+        first = leray_project(v)
+        second = leray_project(v)
+        _assert_same_bits(v.coeffs, kept)
+        _assert_same_bits(first.coeffs, second.coeffs)
+        assert not np.shares_memory(first.coeffs, second.coeffs)
+        assert not np.shares_memory(first.coeffs, v.coeffs)
+
+    def test_tables_held_for_one_grid_and_not_on_it(self):
+        grids = [TorusGrid(2, 16), TorusGrid(3, 8)]
+        for grid in grids:
+            v = random_vector(grid, np.random.default_rng(0))
+            leray_project(v)
+            assert leray_tables.cache_info().currsize == 1
+            hits = leray_tables.cache_info().hits
+            v.divergence_residual()
+            assert leray_tables.cache_info().hits == hits + 1
+            assert leray_tables(TorusGrid(grid.d, grid.n)) is leray_tables(grid)
+        for grid in grids:
+            assert not [name for name, value in vars(grid).items()
+                        if isinstance(value, np.ndarray) and np.iscomplexobj(value)]
 
 
 class TestDeformationVorticity:

@@ -329,6 +329,53 @@ class TestPropagator:
             np.testing.assert_array_equal(single_u[at], batch_u[at])
             np.testing.assert_array_equal(single_tau[at], batch_tau[at])
 
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_apply_leaves_inputs_and_returns_fresh_arrays(self, d, n):
+        grid = TorusGrid(d, n)
+        u, tau = _random_state(grid, np.random.default_rng(d * n))
+        kept = u.copy(), tau.copy()
+        prop = LinearPropagator(grid, SKEWED, 0.05)
+        first = prop.apply(u, tau)
+        second = prop.apply(u, tau)
+        for got, want in zip((u, tau), kept):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        tables = [v for v in vars(prop).values() if isinstance(v, np.ndarray)]
+        for a in first:
+            for b in second + (u, tau) + tuple(tables):
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("d,n", [(2, 128), (3, 32)])
+    def test_warm_apply_peak_below_results_and_two_scratches(self, d, n):
+        # numpy buffers a broadcasting product of at most 8192 elements (its
+        # iterator's buffer size); above that, as here, it buffers nothing
+        grid = TorusGrid(d, n)
+        u, tau = _random_state(grid, np.random.default_rng(d + 2 * n))
+        prop = LinearPropagator(grid, SKEWED, 0.05)
+        prop.apply(u, tau)
+        component = 16 * np.prod(grid.spec_shape)
+        # the results, tk, the stacked scratch and the component scratch,
+        # with one component to spare
+        bound = (len(u) + len(tau) + 2 * d + 2) * component
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prop.apply(u, tau)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_tables_are_complex_and_apply_keeps_no_scratch(self, d, n):
+        grid = TorusGrid(d, n)
+        prop = LinearPropagator(grid, SKEWED, 0.05)
+        prop.apply(*_random_state(grid, np.random.default_rng(n)))
+        tables = {name: v for name, v in vars(prop).items() if isinstance(v, np.ndarray)}
+        assert len(tables) == 6
+        assert all(v.dtype == np.complex128 for v in tables.values())
+
     def test_build_propagator_cached(self, grid2):
         a = build_propagator(grid2, PARAMS, 0.03)
         assert build_propagator(TorusGrid(2, 32), PARAMS, 0.03) is a
