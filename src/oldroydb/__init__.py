@@ -11,17 +11,13 @@ from .fields import (
 from .grid import GridError, TorusGrid
 from .littlewood_paley import (
     BesovIndex,
-    DyadicDecomposition,
     DyadicPartition,
     besov_norm,
     build_partition,
-    chemin_lerner_norm,
     dyadic_block,
     hybrid_norm,
-    low_cutoff,
     paraproduct,
     remainder,
-    split_besov_norm,
 )
 from .monitor import (
     EnergyLedger,

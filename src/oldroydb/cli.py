@@ -115,10 +115,14 @@ def cmd_norms(args) -> int:
     except ValueError:
         raise ConfigError(f"--r must be 1, 2 or inf, got {args.r!r}") from None
     field = read_field(args.field)
-    if args.hybrid:
-        rec = norm_report(field, "hybrid", s=args.s)
-    else:
-        rec = norm_report(field, "besov", s=args.s, p=args.p, r=r)
+    # a large |s| overflows the block weights 2^{qs}; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.hybrid:
+            rec = norm_report(field, "hybrid", s=args.s)
+        else:
+            rec = norm_report(field, "besov", s=args.s, p=args.p, r=r)
+    _require(np.isfinite(rec["value"]),
+             f"--s {args.s} overflows the block weights 2^(qs): the norm is not finite")
     _emit(rec)
     return EXIT_OK
 
@@ -137,6 +141,8 @@ def cmd_bench_estimates(args) -> int:
 
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
+    _require(len(set(args.n)) >= 2,
+             f"--n needs at least two distinct resolutions, got {args.n}")
     names = ESTIMATE_NAMES if args.estimate == "all" else (args.estimate,)
     report = estimate_bench(names=names, n_list=tuple(args.n),
                             samples=args.samples, seed=args.seed)

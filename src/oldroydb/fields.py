@@ -212,11 +212,6 @@ class SymTensorField(SpectralField):
             out[..., j, i] = phys[c]
         return out
 
-    @classmethod
-    def from_full_matrix_physical(cls, grid: TorusGrid, mat: np.ndarray) -> "SymTensorField":
-        comps = np.stack([mat[..., i, j] for i, j in _sym_pairs(grid.d)])
-        return cls.from_physical(grid, comps)
-
 
 class SkewTensorField(SpectralField):
     """Antisymmetric d x d tensor stored as its strict upper triangle."""

@@ -147,11 +147,6 @@ class TorusGrid:
         """Largest resolved per-axis wavenumber, in units of k_scale."""
         return self.n / 2.0
 
-    @property
-    def kmag_max(self) -> float:
-        """Largest resolved |k| (corner mode), in units of k_scale."""
-        return float(np.sqrt(self.d) * (self.n // 2 - 1))
-
     def same_as(self, other: "TorusGrid") -> bool:
         return other is self or (
             self.d == other.d

@@ -14,9 +14,10 @@ nonzero frequency is 1, so blocks with q < -1 vanish identically and every
 homogeneous sum over q is finite.
 
 Built on the blocks: Besov norms (p = 2 only), the hybrid norm measuring
-low frequencies in l2 fashion and high frequencies in l1 fashion, low/high
-split norms, Chemin-Lerner time norms, Bony's paraproduct/remainder
-decomposition, transport commutators, and Bernstein ratio reports.
+low frequencies in l2 fashion and high frequencies in l1 fashion, Bony's
+paraproduct/remainder decomposition and transport commutators.  The
+Chemin-Lerner time norms live in ``monitor`` (``EnergyLedger`` and
+``functionals_from_history``), with the block weights of ``hybrid_weights``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .fields import ScalarField, SpectralField, VectorField
 from .grid import TorusGrid
-from .operators import advect, gradient, lp_norm, mode_sq
+from .operators import advect, mode_sq
 
 CHI_SUPPORT = (0.75, 4.0 / 3.0)
 PHI_SUPPORT = (0.75, 8.0 / 3.0)
@@ -174,34 +175,6 @@ def dyadic_block(f: SpectralField, q: int, partition: DyadicPartition | None = N
     return f.apply_multiplier(part.phi_weights(q))
 
 
-def low_cutoff(f: SpectralField, q: int, partition: DyadicPartition | None = None) -> SpectralField:
-    """Low-pass cutoff chi(2^-q |k|) f."""
-    part = partition or build_partition(f.grid)
-    if q < part.q_min:
-        warnings.warn(f"low cutoff q={q} below resolved range; returning zero field")
-        return type(f).zero(f.grid)
-    return f.apply_multiplier(part.chi_weights(q))
-
-
-class DyadicDecomposition:
-    """All blocks of one field, as a map q -> band-limited field."""
-
-    def __init__(self, field: SpectralField, partition: DyadicPartition | None = None):
-        self.partition = partition or build_partition(field.grid)
-        self.source_grid = field.grid
-        self.blocks = {
-            int(q): dyadic_block(field, int(q), self.partition)
-            for q in self.partition.q_values
-        }
-
-    def reconstruct(self) -> SpectralField:
-        fields = list(self.blocks.values())
-        total = fields[0].copy()
-        for blk in fields[1:]:
-            total = total + blk
-        return total
-
-
 def block_l2_norms(f: SpectralField | np.ndarray,
                    partition: DyadicPartition | None = None,
                    gradient_weight: bool = False) -> np.ndarray:
@@ -274,18 +247,6 @@ def hs_norm(f: SpectralField, s: float, partition: DyadicPartition | None = None
     return besov_norm(f, BesovIndex(s=s, r=2.0), partition=partition)
 
 
-def split_besov_norm(f: SpectralField, s: float, side: str,
-                     partition: DyadicPartition | None = None) -> float:
-    """l1 Besov sum restricted to q < 0 ('low') or q >= 0 ('high')."""
-    if side not in ("low", "high"):
-        raise ValueError(f"side must be 'low' or 'high', got {side!r}")
-    part = partition or build_partition(f.grid)
-    norms = block_l2_norms(f, part)
-    sel = part.q_values < 0 if side == "low" else part.q_values >= 0
-    weights = 2.0 ** (part.q_values[sel] * s)
-    return float(np.sum(weights * norms[sel]))
-
-
 def hybrid_norm(f: SpectralField, s: float,
                 partition: DyadicPartition | None = None) -> tuple[float, float, float]:
     """Two-piece norm: l2 with weight 2^{qs} below q=0, l1 with weight
@@ -301,45 +262,6 @@ def hybrid_norm(f: SpectralField, s: float,
     low = float(np.sqrt(np.sum(w_hs[low_sel] * norms[low_sel] ** 2)))
     high = float(np.sum(w_high * norms))
     return low + high, low, high
-
-
-# ---- time norms --------------------------------------------------------------
-
-
-def chemin_lerner_from_blocks(times: np.ndarray, block_norms: np.ndarray,
-                              q_values: np.ndarray, rho: float, s: float,
-                              r: float = 1.0) -> float:
-    """Chemin-Lerner norm from a sampled (nt, nq) matrix of block L2 norms.
-
-    Per block the time norm is the exact max for rho = inf and a trapezoid
-    quadrature otherwise; the l^r sum over blocks then carries the 2^{qs}
-    weights.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    block_norms = np.asarray(block_norms, dtype=np.float64)
-    if times.size == 0 or block_norms.shape[0] != times.size:
-        raise ValueError("empty or mismatched time series")
-    if rho not in (1.0, 2.0, np.inf):
-        raise UnsupportedIndexError(f"rho must be 1, 2 or inf, got {rho}")
-    if np.isinf(rho):
-        per_q = np.max(block_norms, axis=0)
-    elif times.size == 1:
-        per_q = np.zeros(block_norms.shape[1])
-    else:
-        per_q = np.trapezoid(block_norms**rho, times, axis=0) ** (1.0 / rho)
-    weights = 2.0 ** (np.asarray(q_values) * s)
-    return _aggregate(weights * per_q, r)
-
-
-def chemin_lerner_norm(samples, times, rho: float, s: float, r: float = 1.0,
-                       partition: DyadicPartition | None = None) -> float:
-    """Chemin-Lerner norm of a uniformly sampled field trajectory."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty time series")
-    part = partition or build_partition(samples[0].grid)
-    mat = np.stack([block_l2_norms(f, part) for f in samples])
-    return chemin_lerner_from_blocks(np.asarray(times), mat, part.q_values, rho, s, r)
 
 
 # ---- Bony decomposition --------------------------------------------------------
@@ -424,48 +346,6 @@ def commutator_block_norms(u: VectorField, f: SpectralField,
             commutator(int(q), u, f, part, u_phys=u_phys, transported=transported)
         )
     return out
-
-
-# ---- Bernstein ratio reports -----------------------------------------------------
-
-
-def bernstein_check(f: SpectralField, q: int, partition: DyadicPartition | None = None,
-                    a: float = 2.0, b: float = np.inf) -> dict:
-    """Measured derivative and cross-exponent ratios for a block-q field.
-
-    The returned ratios come normalized by the expected powers of 2^q:
-    ``grad_normalized`` should sit in a q-independent interval and
-    ``cross_normalized`` is scaled by 2^{-q d (1/a - 1/b)}.
-    """
-    part = partition or build_partition(f.grid)
-    if not part.contains(q):
-        raise ValueError(f"q={q} outside resolved range")
-    support = part.phi_weights(q) > 0.0
-    mags = np.abs(f.coeffs)
-    outside = float(np.max(mags * ~support))
-    scale = float(np.max(mags))
-    if scale == 0.0:
-        raise ValueError("zero field")
-    if outside > 1e-13 * scale:
-        raise ValueError(f"field is not supported in block q={q}")
-    if not isinstance(f, ScalarField):
-        raise ValueError("bernstein_check expects a scalar field")
-
-    norm_a = lp_norm(f, a)
-    grad_ratio = lp_norm(gradient(f), a) / norm_a
-    cross_ratio = lp_norm(f, b) / norm_a
-    lam = 2.0**q
-    d = f.grid.d
-    cross_power = d * (1.0 / a - 1.0 / b)
-    return {
-        "q": int(q),
-        "a": a,
-        "b": b,
-        "grad_ratio": grad_ratio,
-        "grad_normalized": grad_ratio / lam,
-        "cross_ratio": cross_ratio,
-        "cross_normalized": cross_ratio / lam**cross_power,
-    }
 
 
 # ---- reports --------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Paraproduct/remainder calculus, Chemin-Lerner norms, transport commutators."""
+"""Paraproduct/remainder calculus, Chemin-Lerner norms, transport commutators.
+
+The Chemin-Lerner norms are the ledger's, recomputed offline by
+``monitor.functionals_from_history``.
+"""
 
 import math
 
@@ -8,17 +12,21 @@ import pytest
 from oldroydb.fields import ScalarField, random_scalar, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import (
-    besov_norm,
+    block_l2_norms,
     build_partition,
-    chemin_lerner_from_blocks,
-    chemin_lerner_norm,
     commutator,
     commutator_block_norms,
     dyadic_block,
+    hs_norm,
+    hybrid_norm,
     paraproduct,
     remainder,
 )
+from oldroydb.monitor import functionals_from_history
 from oldroydb.operators import l2_norm, leray_project, multiply
+from oldroydb.solver import FluidParams
+
+PARAMS = FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0)
 
 
 def _single_mode(grid, kvec, a=1.0):
@@ -28,6 +36,14 @@ def _single_mode(grid, kvec, a=1.0):
         if k[-1] >= 0:
             coeffs[(0,) + tuple(x % grid.n for x in k)] = c
     return ScalarField(grid, coeffs)
+
+
+def _time_norms(times, samples, s):
+    """Ledger time norms of one scalar series, fed in as u, grad u and tau."""
+    part = build_partition(samples[0].grid)
+    blocks = np.stack([block_l2_norms(f, part) for f in samples])
+    return functionals_from_history(times, blocks, blocks, blocks, part.q_values,
+                                    part.grid.d, s, PARAMS)
 
 
 class TestBony:
@@ -75,52 +91,40 @@ class TestBony:
 class TestCheminLerner:
     def test_constant_series_at_rho_inf_matches_spatial_norm(self, grid2, rng):
         f = random_scalar(grid2, rng, band=(1.0, 10.0))
-        times = np.linspace(0.0, 2.0, 9)
-        samples = [f] * 9
-        s, r = 0.5, 1.0
-        val = chemin_lerner_norm(samples, times, np.inf, s, r)
-        assert val == pytest.approx(besov_norm(f, s=s, r=r), rel=1e-12)
+        s = 0.5
+        got = _time_norms(np.linspace(0.0, 2.0, 9), [f] * 9, s)
+        assert got["Hs_u_sup"] == pytest.approx(hs_norm(f, s), rel=1e-12)
+        assert got["high_B_u_sup"] == pytest.approx(hybrid_norm(f, s)[2], rel=1e-12)
 
     def test_minkowski_ordering_on_samples(self, grid2, rng):
-        # tilde norm vs classical time norm of the Besov norm
-        part = build_partition(grid2)
+        # tilde norm vs classical time norm of the spatial norm
         times = np.linspace(0.0, 1.0, 21)
         fields = [random_scalar(grid2, rng, band=(1.0, 10.0)) for _ in times]
-        from oldroydb.littlewood_paley import block_l2_norms
-
-        mat = np.stack([block_l2_norms(f, part) for f in fields])
         s = 0.3
-        w = 2.0 ** (part.q_values * s)
+        got = _time_norms(times, fields, s)
+        hs = np.array([hs_norm(f, s) for f in fields])
+        high = np.array([hybrid_norm(f, s)[2] for f in fields])
 
-        # r = 1 <= rho = 2: tilde >= classical
-        tilde = chemin_lerner_from_blocks(times, mat, part.q_values, 2.0, s, 1.0)
-        classical = math.sqrt(np.trapezoid(np.sum(w * mat, axis=1) ** 2, times))
-        assert tilde >= classical * (1 - 1e-12)
+        # rho = inf >= r: tilde >= classical
+        assert got["Hs_u_sup"] >= np.max(hs) * (1 - 1e-12)
+        assert got["high_B_u_sup"] >= np.max(high) * (1 - 1e-12)
 
-        # r = inf >= rho = 2: tilde <= classical
-        tilde_inf = chemin_lerner_from_blocks(times, mat, part.q_values, 2.0, s, np.inf)
-        classical_inf = math.sqrt(np.trapezoid(np.max(w * mat, axis=1) ** 2, times))
-        assert tilde_inf <= classical_inf * (1 + 1e-12)
+        # rho = r: tilde = classical
+        assert got["grad_u_L2Hs"] == pytest.approx(
+            math.sqrt(np.trapezoid(hs**2, times)), rel=1e-12)
+        assert got["high_B_u_L1"] == pytest.approx(np.trapezoid(high, times), rel=1e-12)
 
     def test_decaying_mode_against_closed_form(self):
         grid = TorusGrid(2, 16)
         f0 = _single_mode(grid, (3, 0), a=0.25)
         times = np.linspace(0.0, 1.0, 2001)
-        samples = [f0 * math.exp(-t) for t in times]
-        s, r = 0.5, 1.0
-        got = chemin_lerner_norm(samples, times, 2.0, s, r)
-        spatial = besov_norm(f0, s=s, r=r)
-        time_factor = math.sqrt((1.0 - math.exp(-2.0)) / 2.0)
-        assert got == pytest.approx(spatial * time_factor, rel=1e-6)
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            chemin_lerner_norm([], [], 2.0, 0.0, 1.0)
-
-    def test_bad_rho_rejected(self, grid2, rng):
-        f = random_scalar(grid2, rng)
-        with pytest.raises(Exception):
-            chemin_lerner_norm([f], [0.0], 3.0, 0.0, 1.0)
+        s = 0.5
+        got = _time_norms(times, [f0 * math.exp(-t) for t in times], s)
+        l2_factor = math.sqrt((1.0 - math.exp(-2.0)) / 2.0)
+        l1_factor = 1.0 - math.exp(-1.0)
+        assert got["grad_u_L2Hs"] == pytest.approx(hs_norm(f0, s) * l2_factor, rel=1e-6)
+        assert got["high_B_u_L1"] == pytest.approx(hybrid_norm(f0, s)[2] * l1_factor,
+                                                   rel=1e-6)
 
 
 class TestCommutator:

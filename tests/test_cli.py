@@ -98,6 +98,8 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, overrides):
 @pytest.mark.parametrize("argv", [
     ["norms", "{field}", "--s", "0", "--r", "abc"],
     ["norms", "{field}", "--s", "nan"],
+    ["norms", "{field}", "--s", "1e300"],
+    ["norms", "{field}", "--s", "400", "--r", "inf"],
     ["stability", "{config}", "--delta", "-1"],
     ["stability", "{config}", "--delta", "nan"],
     ["stability", "{config}", "--delta", "inf"],
@@ -105,8 +107,11 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, overrides):
     ["bench-estimates", "all", "--samples", "0"],
     ["bench-estimates", "all", "--samples", "-3"],
     ["bench-estimates", "product_besov", "--seed", "-1"],
-], ids=["r-not-a-number", "nan-s", "negative-delta", "nan-delta", "inf-delta",
-        "negative-seed", "zero-samples", "negative-samples", "negative-bench-seed"])
+    ["bench-estimates", "product_hs", "--samples", "1", "--n", "64"],
+    ["bench-estimates", "product_hs", "--samples", "1", "--n", "8", "--n", "8"],
+], ids=["r-not-a-number", "nan-s", "huge-s", "large-s-r-inf", "negative-delta",
+        "nan-delta", "inf-delta", "negative-seed", "zero-samples", "negative-samples",
+        "negative-bench-seed", "one-resolution", "repeated-resolution"])
 def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setenv("OLDROYD_OUT_DIR", str(tmp_path / "out"))
     field = tmp_path / "zero.field"

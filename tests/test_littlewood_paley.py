@@ -10,10 +10,8 @@ from oldroydb.fields import ScalarField, random_scalar, random_sym_tensor, rando
 from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import (
     BesovIndex,
-    DyadicDecomposition,
     DyadicPartition,
     UnsupportedIndexError,
-    bernstein_check,
     besov_norm,
     block_l2_norms,
     build_partition,
@@ -21,11 +19,9 @@ from oldroydb.littlewood_paley import (
     dyadic_block,
     hs_norm,
     hybrid_norm,
-    low_cutoff,
     phi_profile,
-    split_besov_norm,
 )
-from oldroydb.operators import l2_norm, mode_sq
+from oldroydb.operators import grad_l2_norm, l2_norm, lp_norm, mode_sq
 
 
 def chi_oracle(r: float) -> float:
@@ -136,12 +132,12 @@ class TestBlocks:
             1.0, abs=1e-15)
 
     def test_reconstruction_of_random_fields(self, grid2, rng):
+        part = build_partition(grid2)
         for _ in range(10):
             f = random_scalar(grid2, rng, band=(1.0, grid2.n // 2 - 1))
-            dec = DyadicDecomposition(f)
-            rec = dec.reconstruct()
+            rec = sum(dyadic_block(f, int(q), part).coeffs for q in part.q_values)
             scale = np.max(np.abs(f.coeffs))
-            assert np.max(np.abs(rec.coeffs - f.coeffs)) <= 1e-10 * scale
+            assert np.max(np.abs(rec - f.coeffs)) <= 1e-10 * scale
 
     def test_quasi_orthogonality_exact(self, grid2, rng):
         f = random_scalar(grid2, rng)
@@ -177,28 +173,31 @@ class TestBlocks:
 
 
 class TestLowCutoff:
+    """``chi_weights(q)``, the low-pass multiplier ``paraproduct`` reads."""
+
     def test_large_q_is_identity(self, grid2, rng):
         f = random_scalar(grid2, rng)
-        out = low_cutoff(f, 12)
+        out = f.apply_multiplier(build_partition(grid2).chi_weights(12))
         np.testing.assert_allclose(out.coeffs, f.coeffs, atol=0)
 
     def test_below_range_vanishes_on_mean_zero(self, grid2, rng):
         f = random_scalar(grid2, rng)
         part = build_partition(grid2)
-        out = low_cutoff(f, part.q_min)
+        out = f.apply_multiplier(part.chi_weights(part.q_min))
         assert np.max(np.abs(out.coeffs)) == 0.0
 
-    def test_equals_sum_of_lower_blocks(self, grid2, rng):
-        f = random_scalar(grid2, rng, band=(1.0, grid2.n // 2 - 1))
-        part = build_partition(grid2)
-        for q in (0, 2, 4):
-            total = np.zeros_like(f.coeffs)
-            for p in part.q_values:
-                if p <= q - 1:
-                    total += dyadic_block(f, int(p), part).coeffs
-            cut = low_cutoff(f, q, part)
-            scale = max(np.max(np.abs(f.coeffs)), 1e-300)
-            assert np.max(np.abs(cut.coeffs - total)) <= 1e-10 * scale
+    def test_equals_sum_of_lower_blocks(self, grid2, grid3, rng):
+        for grid in (grid2, grid3):
+            f = random_scalar(grid, rng, band=(1.0, grid.n // 2 - 1))
+            part = build_partition(grid)
+            for q in (0, 2, 4):
+                total = np.zeros_like(f.coeffs)
+                for p in part.q_values:
+                    if p <= q - 1:
+                        total += dyadic_block(f, int(p), part).coeffs
+                cut = f.apply_multiplier(part.chi_weights(q))
+                scale = max(np.max(np.abs(f.coeffs)), 1e-300)
+                assert np.max(np.abs(cut.coeffs - total)) <= 1e-10 * scale
 
 
 class TestBesovNorms:
@@ -206,7 +205,6 @@ class TestBesovNorms:
         z = ScalarField.zero(grid2)
         assert besov_norm(z, s=1.0, r=1.0) == 0.0
         assert hybrid_norm(z, 0.0) == (0.0, 0.0, 0.0)
-        assert split_besov_norm(z, 1.0, "low") == 0.0
 
     @given(scale=st.floats(min_value=0.125, max_value=8.0))
     @settings(max_examples=25, deadline=None)
@@ -257,24 +255,14 @@ class TestBesovNorms:
 
 
 class TestSplitAndHybrid:
-    def test_split_partitions_the_index_set(self, grid2, rng):
-        f = random_scalar(grid2, rng, band=(1.0, grid2.n // 2 - 1))
-        s = -0.4
-        total = besov_norm(f, s=s, r=1.0)
-        lo = split_besov_norm(f, s, "low")
-        hi = split_besov_norm(f, s, "high")
-        assert lo + hi == pytest.approx(total, rel=1e-13)
-        with pytest.raises(ValueError):
-            split_besov_norm(f, s, "middle")
-
     def test_lowest_mode_block_membership(self, grid2):
         f = _single_mode(grid2, (1, 0))
         part = build_partition(grid2)
         norms = block_l2_norms(f, part)
         live = {int(q) for q, v in zip(part.q_values, norms) if v > 0}
         assert live == {-1, 0}
-        # the high side therefore sees only the q = 0 block
-        hi = split_besov_norm(f, 1.0, "high")
+        # the high side therefore sees only the q = 0 block, of weight 2^{qd/2} = 1
+        hi = hybrid_norm(f, 1.0)[2]
         l2 = math.sqrt(2 * grid2.volume)
         assert hi == pytest.approx(phi_oracle(1.0) * l2, rel=1e-12)
 
@@ -307,23 +295,16 @@ class TestBernstein:
         grid = TorusGrid(2, 64)
         for q in (0, 1, 2):
             f = _single_mode(grid, (2**q, 0))
-            rep = bernstein_check(f, q)
-            assert rep["grad_ratio"] == pytest.approx(2.0**q, rel=1e-12)
-            assert rep["grad_normalized"] == pytest.approx(1.0, rel=1e-12)
-
-    def test_requires_band_limited_input(self, grid2, rng):
-        f = random_scalar(grid2, rng, band=(1.0, 12.0))
-        with pytest.raises(ValueError):
-            bernstein_check(f, 1)
+            assert grad_l2_norm(f) / l2_norm(f) == pytest.approx(2.0**q, rel=1e-12)
 
     def test_cross_exponent_ratio_bounded(self, rng):
+        # ||f||_Linf / ||f||_L2 of a block-q field, scaled by 2^{-qd/2}
         grid = TorusGrid(2, 128)
         part = build_partition(grid)
         vals = []
         for q in range(0, 6):
             noise = ScalarField.from_physical(grid, rng.standard_normal(grid.shape))
             f = noise.apply_multiplier(part.phi_weights(q))
-            rep = bernstein_check(f, q, part)
-            vals.append(rep["cross_normalized"])
+            vals.append(lp_norm(f, np.inf) / lp_norm(f, 2.0) / 2.0 ** (q * grid.d / 2.0))
         assert max(vals) < 10.0
         assert min(vals) > 0.01
