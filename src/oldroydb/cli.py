@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -62,6 +63,11 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _diverged(exc) -> int:
+    _emit({"event": "diverged", "step": exc.step_index, "t": exc.t, "field": exc.field})
+    return EXIT_DIVERGED
+
+
 def _load_config(path: str):
     from .solver import ConfigError, SolverConfig
 
@@ -81,12 +87,8 @@ def cmd_simulate(args) -> int:
     try:
         result = simulate(config)
     except DivergenceError as exc:
-        ledger = getattr(exc, "ledger", None)
-        if ledger is not None:
-            ledger.write_csv(out / "ledger.csv")
-        _emit({"event": "diverged", "step": exc.step_index, "t": exc.t,
-               "field": exc.field})
-        return EXIT_DIVERGED
+        exc.ledger.write_csv(out / "ledger.csv")
+        return _diverged(exc)
     ledger_path = out / "ledger.csv"
     result.ledger.write_csv(ledger_path)
     write_field(out / "initial_u.field", result.initial.u)
@@ -96,7 +98,7 @@ def cmd_simulate(args) -> int:
     _emit({
         "event": "simulated",
         "t_end": result.final.t,
-        "steps": result.n_steps,
+        "steps": config.n_steps,
         "rows": len(result.ledger.rows),
         "ledger": str(ledger_path),
         "E_final": result.ledger.rows[-1]["E"],
@@ -162,14 +164,24 @@ def cmd_stability(args) -> int:
     try:
         report = stability_experiment(config, args.delta)
     except DivergenceError as exc:
-        _emit({"event": "diverged", "step": exc.step_index, "t": exc.t,
-               "field": exc.field})
-        return EXIT_DIVERGED
+        return _diverged(exc)
     out = _out_dir(config.out_dir)
     (out / "stability.json").write_text(
         json.dumps(report, indent=2, default=_json_default), encoding="utf-8")
     _emit(report)
     return EXIT_OK
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write ``--s -1e-3`` as ``--s=-1e-3`` (and so for ``--delta``): argparse
+    takes a negative number in exponent form for an option name."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--s", "--delta") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +237,7 @@ def main(argv=None) -> int:
     from .solver import ConfigError
 
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "n", "sentinel") is None:
         args.n = [64, 128]
     try:

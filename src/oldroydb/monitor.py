@@ -42,10 +42,11 @@ from .littlewood_paley import (
     DyadicPartition,
     block_l2_norms,
     build_partition,
+    hs_norm,
     hybrid_weights,
 )
 from .operators import cancellation_residual, mode_sq
-from .solver import ConfigError, FluidParams, default_s
+from .solver import ConfigError, DivergenceError, FluidParams, default_s
 
 LEDGER_COLUMNS = (
     "t", "E1", "E2", "E",
@@ -160,6 +161,8 @@ class EnergyLedger:
     by that one row (the sups by a maximum, the time integrals by one
     trapezoid), so a row costs the same at any row count.
     ``functionals_from_history`` recomputes any row from the histories.
+    A row with a non-finite value (a diverging state overflows its squares)
+    raises ``DivergenceError`` for ``E``, with no step, and is not appended.
     """
 
     def __init__(self, grid: TorusGrid, params: FluidParams, s: float | None = None,
@@ -185,33 +188,37 @@ class EnergyLedger:
         if self.times and t < self.times[-1]:
             raise ValueError(f"non-monotone ledger time {t} after {self.times[-1]}")
         grid = self.grid
-        # one magnitude pass per field: |grad u|^2 per mode is |k|^2 |u|^2
-        u_sq = mode_sq(u)
-        sq = np.stack((u_sq, u_sq * grid.k2, mode_sq(tau)))
-        b_u, b_gu, b_tau = block_l2_norms(sq, self.partition)
-        table = self._table
-        np.maximum(table[SUP_U], b_u, out=table[SUP_U])
-        np.maximum(table[SUP_TAU], b_tau, out=table[SUP_TAU])
-        if self.times:
-            h = t - self.times[-1]
-            prev_gu, prev_tau = self.gradu_blocks[-1], self.tau_blocks[-1]
-            # the terms of np.trapezoid, so a row equals the offline recompute
-            table[L2SQ_GRADU] += h * (b_gu**2 + prev_gu**2) / 2.0
-            table[L2SQ_TAU] += h * (b_tau**2 + prev_tau**2) / 2.0
-            table[L1_GRADU] += h * (b_gu + prev_gu) / 2.0
-            table[L1_TAU] += h * (b_tau + prev_tau) / 2.0
+        table = self._table.copy()
+        # a diverging state overflows the squares; the row is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one magnitude pass per field: |grad u|^2 per mode is |k|^2 |u|^2
+            u_sq = mode_sq(u)
+            sq = np.stack((u_sq, u_sq * grid.k2, mode_sq(tau)))
+            b_u, b_gu, b_tau = block_l2_norms(sq, self.partition)
+            np.maximum(table[SUP_U], b_u, out=table[SUP_U])
+            np.maximum(table[SUP_TAU], b_tau, out=table[SUP_TAU])
+            if self.times:
+                h = t - self.times[-1]
+                prev_gu, prev_tau = self.gradu_blocks[-1], self.tau_blocks[-1]
+                # the terms of np.trapezoid, so a row equals the offline recompute
+                table[L2SQ_GRADU] += h * (b_gu**2 + prev_gu**2) / 2.0
+                table[L2SQ_TAU] += h * (b_tau**2 + prev_tau**2) / 2.0
+                table[L1_GRADU] += h * (b_gu + prev_gu) / 2.0
+                table[L1_TAU] += h * (b_tau + prev_tau) / 2.0
+            row = {"t": t}
+            row.update(_functionals_from_table(table, *self._weights, self.params))
+            # ||grad u||^2 and ||tau||^2 by Parseval, over the box volume
+            grad_u_sq, tau_sq = sq[1:].reshape(2, -1) @ grid.multiplicity.ravel()
+            row["div_residual"] = u.divergence_residual()
+            row["cancel_residual"] = cancellation_residual(
+                u, tau, scale=grid.volume * math.sqrt(grad_u_sq * tau_sq))
+        if not all(map(math.isfinite, row.values())):
+            raise DivergenceError(None, t, "E")
+        self._table = table
         self.times.append(t)
         self.u_blocks.append(b_u)
         self.gradu_blocks.append(b_gu)
         self.tau_blocks.append(b_tau)
-
-        row = {"t": t}
-        row.update(_functionals_from_table(table, *self._weights, self.params))
-        # ||grad u||^2 and ||tau||^2 by Parseval, over the box volume
-        grad_u_sq, tau_sq = sq[1:].reshape(2, -1) @ grid.multiplicity.ravel()
-        row["div_residual"] = u.divergence_residual()
-        row["cancel_residual"] = cancellation_residual(
-            u, tau, scale=grid.volume * math.sqrt(grad_u_sq * tau_sq))
         self.rows.append(row)
         return row
 
@@ -295,12 +302,8 @@ def check_global_bound(ledger: EnergyLedger, e0: float | None = None) -> dict:
 
 
 def _distance_sq(u1, u2, tau1, tau2, s: float, params: FluidParams, part) -> float:
-    from .littlewood_paley import hs_norm
-
-    w = u1 - u2
-    sig = tau1 - tau2
-    return (params.omega * params.re * hs_norm(w, s, part) ** 2
-            + params.we * hs_norm(sig, s, part) ** 2)
+    return (params.omega * params.re * hs_norm(u1 - u2, s, part) ** 2
+            + params.we * hs_norm(tau1 - tau2, s, part) ** 2)
 
 
 def _gronwall_weight(u1, u2, tau2, d: int, params: FluidParams, part) -> float:
@@ -340,25 +343,21 @@ def _run_pair(config, delta: float, direction, s: float):
     base_state = make_initial_state(config, grid)
     du, dtau = direction
     pert_state = SolverState(0.0, base_state.u + du * delta,
-                             base_state.tau + dtau * delta, config.params)
+                             base_state.tau + dtau * delta)
     sim1 = Simulation(config, base_state)
     sim2 = Simulation(config, pert_state)
 
-    times, dist, weight = [0.0], [], []
-    dist.append(_distance_sq(sim1.state.u, sim2.state.u, sim1.state.tau,
-                             sim2.state.tau, s, config.params, part))
-    weight.append(_gronwall_weight(sim1.state.u, sim2.state.u, sim2.state.tau,
-                                   config.d, config.params, part))
+    times, dist, weight = [], [], []
     n_steps = config.n_steps
-    for step in range(1, n_steps + 1):
-        sim1.advance()
-        sim2.advance()
+    for step in range(n_steps + 1):
+        if step > 0:
+            sim1.advance()
+            sim2.advance()
         if step % config.output_stride == 0 or step == n_steps:
-            times.append(sim1.state.t)
-            dist.append(_distance_sq(sim1.state.u, sim2.state.u, sim1.state.tau,
-                                     sim2.state.tau, s, config.params, part))
-            weight.append(_gronwall_weight(sim1.state.u, sim2.state.u,
-                                           sim2.state.tau, config.d,
+            st1, st2 = sim1.state, sim2.state
+            times.append(st1.t)
+            dist.append(_distance_sq(st1.u, st2.u, st1.tau, st2.tau, s, config.params, part))
+            weight.append(_gronwall_weight(st1.u, st2.u, st2.tau, config.d,
                                            config.params, part))
     identical = bool(
         np.array_equal(sim1.state.u.coeffs, sim2.state.u.coeffs)
@@ -371,24 +370,19 @@ def stability_experiment(config, delta: float, perturb_seed: int | None = None) 
     """Twin-run stability report at perturbation sizes delta and delta/10.
 
     The perturbation direction is a fixed random divergence-free (u) /
-    symmetric (tau) pair of unit combined hybrid norm, drawn from
-    ``perturb_seed`` (defaults to the config seed shifted), so rescaling
+    symmetric (tau) pair of unit combined hybrid norm (``random_pair``, the
+    recipe of the initial data), drawn from ``perturb_seed`` (defaults to
+    the config seed shifted), so rescaling
     delta rescales the initial distance exactly quadratically.
     """
-    from .fields import random_sym_tensor, random_vector
-    from .littlewood_paley import hybrid_norm
-    from .operators import leray_project
+    from .solver import random_pair
 
     if not 0.0 <= delta < np.inf:
         raise ConfigError(f"delta must be nonnegative and finite, got {delta}")
     grid = TorusGrid(config.d, config.n, config.period)
     s = config.s_value
     seed = (config.init.seed + 7919) if perturb_seed is None else perturb_seed
-    rng = np.random.default_rng(seed)
-    du = leray_project(random_vector(grid, rng, band=config.init.band))
-    dtau = random_sym_tensor(grid, rng, band=config.init.band)
-    size = hybrid_norm(du, s)[0] + hybrid_norm(dtau, s)[0]
-    du, dtau = du * (1.0 / size), dtau * (1.0 / size)
+    du, dtau = random_pair(grid, seed, config.init.band, s, 1.0)
 
     report = {"delta": delta, "s": s, "config": config.to_dict()}
     times, dist, weight, identical = _run_pair(config, delta, (du, dtau), s)

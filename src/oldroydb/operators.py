@@ -17,16 +17,10 @@ transforms of ``[u, grad u, tau, grad tau]`` (15 real fields in 2-d, 36 in
 real forward transform of the ``d + d(d+1)/2`` products (5 in 2-d, 9 in
 3-d).  Composed from ``advect`` and ``g_alpha``, the same terms take 19
 real inverse and 8 real forward transforms in 2-d; those two stay as the
-per-term API and as the test oracle.
-
-``quadratic_terms`` runs its inverse transform in field groups: ``[u, tau]``,
-then ``grad u``, then the gradients of three stress components at a time.
-Each group is filled into a scratch half spectrum sized to the largest
-group, transformed in place and received into its slice of a sample buffer
-holding ``[u, tau, grad u]`` and one stress-gradient group; both buffers
-are kept for the most recent grid, so a step allocates and faults in none
-of them.  Its results never alias the buffers.  Two threads that call it on
-equal grids share the buffers, so it is not safe to call concurrently.
+per-term API and as the test oracle.  ``quadratic_terms`` transforms
+through buffers kept for the most recent grid (``_kernel_buffers``), so a
+step allocates and faults in none of them; two threads that call it on
+equal grids share them, so it is not safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -49,21 +43,30 @@ from .grid import TorusGrid, leray_tables
 # ---- linear operators -------------------------------------------------------
 
 
-def leray_project(v: VectorField) -> VectorField:
+def leray_project(v: VectorField, out: np.ndarray | None = None) -> VectorField:
     """Remove the gradient part: u(k) = (I - k k^T / |k|^2) v(k), zero at k=0.
 
     ``k`` and ``|k|^2`` (1 at k = 0) come complex from ``leray_tables``,
     built once for the most recent grid, so no product casts a real table;
     the quotient by a complex divisor with zero imaginary part has the bits
-    of the quotient by the real one.  The products are written into the
-    result, so a call holds one component beyond it.
+    of the quotient by the real one.  ``k . v`` is summed component by
+    component from zero, in the order and to the bits of ``np.sum`` over
+    the components.  The result is written into ``out`` if given, which may
+    be ``v.coeffs`` itself (the solver projects its stacked state in place),
+    else into a fresh array; a call holds two components beyond it.
     """
     grid = v.grid
     k, k2 = leray_tables(grid)
-    out = np.multiply(k, v.coeffs)
-    kdotv = np.sum(out, axis=0)
+    c = v.coeffs
+    kdotv = np.zeros_like(c[0])
+    comp = np.empty_like(kdotv)
+    for i in range(grid.d):
+        kdotv += np.multiply(k[i], c[i], out=comp)
     kdotv /= k2
-    np.subtract(v.coeffs, np.multiply(k, kdotv, out=out), out=out)
+    if out is None:
+        out = np.empty_like(c)
+    for i in range(grid.d):
+        np.subtract(c[i], np.multiply(k[i], kdotv, out=comp), out=out[i])
     out[(slice(None),) + (0,) * grid.d] = 0.0
     return VectorField(grid, out)
 
@@ -184,15 +187,15 @@ def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
             np.empty((d + nt + d * d + group,) + grid.shape))
 
 
-def quadratic_terms(
-    u: VectorField, tau: SymTensorField, alpha: float
-) -> tuple[VectorField, SymTensorField]:
+def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.ndarray:
     """((u.grad)u, (u.grad)tau + g_alpha(tau, grad u)) in one dealiased pass.
 
-    Equals ``advect(u, u)`` and ``advect(u, tau) + g_alpha(tau, u, alpha)``
-    up to rounding.  With A_ij = d_j u_i, D = (A + A^T)/2 and W = (A - A^T)/2,
-    symmetry of tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so
-    each stored component is g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
+    Returns one fresh ``(d + nt,) + grid.spec_shape`` array, velocity rows
+    first, in the layout of the solver's state; the rows equal ``advect(u,
+    u)`` and ``advect(u, tau) + g_alpha(tau, u, alpha)`` up to rounding.
+    With A_ij = d_j u_i, D = (A + A^T)/2 and W = (A - A^T)/2, symmetry of
+    tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so each
+    stored component is g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
 
     The inverse transform runs in groups through the scratch spectrum of
     ``_kernel_buffers``: ``[u, tau]``, then ``grad u``, each into its own
@@ -242,8 +245,7 @@ def quadratic_terms(
         out[d + c] += sum(tau_at(i, k) * b[k][j] + tau_at(j, k) * b[k][i]
                           for k in range(d))
     del b
-    coeffs = grid.to_spectral(out, grid.dealias_mask)
-    return VectorField(grid, coeffs[:d]), SymTensorField(grid, coeffs[d:])
+    return grid.to_spectral(out, grid.dealias_mask)
 
 
 # ---- inner products and norms ------------------------------------------------

@@ -20,6 +20,11 @@ coupling inside the exact part preserves the linear energy balance
 
 to machine precision.  An optional sharp frequency cutoff of radius
 ``friedrichs_n`` restricts the dynamics to a ball of modes.
+
+The unknown (u, tau) is one stacked ``(d + nt,) + spec_shape`` array, the
+d velocity rows then the nt = d(d+1)/2 stress rows, passed whole from
+layer to layer: ``rhs_nonlinear`` returns the tendencies in that layout,
+``LinearPropagator.apply`` advances it, and ``Simulation`` holds it.
 """
 
 from __future__ import annotations
@@ -30,12 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    SymTensorField,
-    VectorField,
-    random_sym_tensor,
-    random_vector,
-)
+from .fields import SymTensorField, VectorField, random_sym_tensor, random_vector
 from .grid import TorusGrid
 from .littlewood_paley import build_partition, hybrid_norm
 from .operators import leray_project, quadratic_terms
@@ -48,23 +48,19 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """The time integration produced non-finite values.
 
-    ``field`` names the first non-finite array in the order they are
+    ``field`` names the first non-finite quantity in the order they are
     checked: the nonlinear tendencies ``nu`` and ``ntau``, then the updated
-    state ``u`` and ``tau``.
+    state ``u`` and ``tau``, then a ledger row (``E``).  A ledger raises
+    with ``step_index`` None; ``simulate`` fills in the step of the row.
     """
 
-    def __init__(self, step_index: int, t: float, field: str):
-        super().__init__(f"solution diverged at step {step_index}, t = {t:.6g}: "
-                         f"{field} is not finite")
-        self.step_index = step_index
-        self.t = t
-        self.field = field
+    def __init__(self, step_index: int | None, t: float, field: str):
+        super().__init__(step_index, t, field)
+        self.step_index, self.t, self.field = step_index, t, field
 
-
-def _first_nonfinite(**arrays: np.ndarray) -> str | None:
-    """Name of the first array holding a non-finite value, else None."""
-    return next((name for name, a in arrays.items() if not np.all(np.isfinite(a))),
-                None)
+    def __str__(self) -> str:
+        at = "" if self.step_index is None else f" at step {self.step_index}"
+        return f"solution diverged{at}, t = {self.t:.6g}: {self.field} is not finite"
 
 
 @dataclass(frozen=True)
@@ -415,40 +411,45 @@ class LinearPropagator:
         self._khat = np.zeros(grid.k.shape, np.complex128)
         np.divide(grid.k, grid.kmag, out=self._khat.real, where=active)
 
-    def apply(self, u_coeffs: np.ndarray, tau_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance stacked coefficient arrays by one linear step.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Advance a stacked ``(d + nt,) + spec_shape`` array, the rows of
+        u then those of tau, by one linear step.
 
-        ``u_coeffs`` must be divergence-free at every mode: the update
+        The velocity rows must be divergence-free at every mode: the update
         treats u as transverse to k.  Every state and every projected
-        tendency that ``Simulation.advance`` passes is.  The inputs are
-        left unchanged and the returned arrays are fresh; the products are
-        written through one stacked and one single-component scratch that
-        live for this call only.
+        tendency that ``Simulation.advance`` passes is.  The input is left
+        unchanged and the result is fresh; the products are written through
+        one velocity-sized and one single-component scratch that live for
+        this call only.
         """
+        d = self.grid.d
+        u, tau = x[:d], x[d:]
+        out = np.empty_like(x)
+        u_new, tau_new = out[:d], out[d:]
         khat = self._khat
-        pairs = SymTensorField.pairs(self.grid.d)
-        scratch = np.empty_like(u_coeffs)
-        comp = np.empty_like(u_coeffs[0])
-        tk = np.zeros_like(u_coeffs)
+        pairs = SymTensorField.pairs(d)
+        scratch = np.empty_like(u)
+        comp = np.empty_like(u[0])
+        tk = np.zeros_like(u)
         for c, (i, j) in enumerate(pairs):
-            tk[i] += np.multiply(tau_coeffs[c], khat[j], out=comp)
+            tk[i] += np.multiply(tau[c], khat[j], out=comp)
             if i != j:
-                tk[j] += np.multiply(tau_coeffs[c], khat[i], out=comp)
+                tk[j] += np.multiply(tau[c], khat[i], out=comp)
         # zeta = tk - khat (khat . tk), formed in tk
         np.sum(np.multiply(khat, tk, out=scratch), axis=0, out=comp)
         tk -= np.multiply(khat, comp, out=scratch)
         zeta = tk
-        u_new = np.multiply(self._e_uu, u_coeffs)
+        np.multiply(self._e_uu, u, out=u_new)
         u_new += np.multiply(self._e_uz, zeta, out=scratch)
-        w = np.multiply(self._g_u, u_coeffs, out=scratch)
+        w = np.multiply(self._g_u, u, out=scratch)
         w += np.multiply(self._g_z, zeta, out=zeta)
-        tau_new = np.multiply(self._decay, tau_coeffs)
+        np.multiply(self._decay, tau, out=tau_new)
         # tk is free again: its first row takes the second product of a pair
         for c, (i, j) in enumerate(pairs):
             np.multiply(khat[i], w[j], out=comp)
             comp += np.multiply(khat[j], w[i], out=tk[0])
             tau_new[c] += comp
-        return u_new, tau_new
+        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -461,32 +462,20 @@ def build_propagator(grid: TorusGrid, params: FluidParams, dt: float) -> LinearP
 # ---- right-hand side -----------------------------------------------------------
 
 
-def rhs_nonlinear(
-    u: VectorField,
-    tau: SymTensorField,
-    params: FluidParams,
-    friedrichs_n: float | None = None,
-) -> tuple[VectorField, SymTensorField]:
-    """Quadratic tendencies: (-P[(u.grad)u], -(u.grad)tau - g_alpha)."""
+def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
+                  friedrichs_n: float | None = None) -> np.ndarray:
+    """Quadratic tendencies (-P[(u.grad)u], -(u.grad)tau - g_alpha), stacked
+    as one fresh array in the layout of ``quadratic_terms``."""
     grid = u.grid
-    transport_u, transport_tau = quadratic_terms(u, tau, params.alpha)
-    # both are fresh arrays, negated in place; ``np.negative`` would give
-    # some zeros of the state the other sign than ``x * -1.0`` does
-    nu = leray_project(transport_u)
-    nu.coeffs *= -1.0
-    ntau = transport_tau
-    ntau.coeffs *= -1.0
-    zero_idx = (slice(None),) + (0,) * grid.d
-    nu.coeffs[zero_idx] = 0.0
-    ntau.coeffs[zero_idx] = 0.0
+    x = quadratic_terms(u, tau, params.alpha)
+    leray_project(VectorField(grid, x[:grid.d]), out=x[:grid.d])
+    # ``np.negative`` would give some zeros of the state the other sign
+    # than ``x * -1.0`` does
+    x *= -1.0
+    x[(slice(None),) + (0,) * grid.d] = 0.0
     if friedrichs_n is not None:
-        mask = friedrichs_mask(grid, friedrichs_n)
-        nu = nu.apply_multiplier(mask)
-        ntau = ntau.apply_multiplier(mask)
-    bad = _first_nonfinite(nu=nu.coeffs, ntau=ntau.coeffs)
-    if bad is not None:
-        raise DivergenceError(-1, float("nan"), bad)
-    return nu, ntau
+        x *= friedrichs_mask(grid, friedrichs_n)
+    return x
 
 
 # ---- state and stepping ----------------------------------------------------------
@@ -497,35 +486,44 @@ class SolverState:
     t: float
     u: VectorField
     tau: SymTensorField
-    params: FluidParams
     step_index: int = 0
+
+
+def random_pair(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
+                size: float, friedrichs_n: float | None = None
+                ) -> tuple[VectorField, SymTensorField]:
+    """Random divergence-free u and symmetric tau in ``band``, drawn from
+    ``seed``, cut at ``friedrichs_n`` if given and scaled so that their
+    combined hybrid norm at index s is ``size`` (zero if both vanish)."""
+    rng = np.random.default_rng(seed)
+    u = leray_project(random_vector(grid, rng, band=band))
+    tau = random_sym_tensor(grid, rng, band=band)
+    if friedrichs_n is not None:
+        u, tau = (friedrichs_truncate(f, friedrichs_n) for f in (u, tau))
+    part = build_partition(grid)
+    norm = hybrid_norm(u, s, part)[0] + hybrid_norm(tau, s, part)[0]
+    scale = size / norm if norm > 0 else 0.0
+    return u * scale, tau * scale
 
 
 def make_initial_state(config: SolverConfig, grid: TorusGrid | None = None) -> SolverState:
     """Deterministic initial data for a configuration."""
     grid = grid or TorusGrid(config.d, config.n, config.period)
     if config.init.kind == "zero":
-        return SolverState(0.0, VectorField.zero(grid), SymTensorField.zero(grid),
-                           config.params)
-    rng = np.random.default_rng(config.init.seed)
-    u = leray_project(random_vector(grid, rng, band=config.init.band))
-    tau = random_sym_tensor(grid, rng, band=config.init.band)
-    if config.friedrichs_n is not None:
-        u = friedrichs_truncate(u, config.friedrichs_n)
-        tau = friedrichs_truncate(tau, config.friedrichs_n)
-    part = build_partition(grid)
-    s = config.s_value
-    size = hybrid_norm(u, s, part)[0] + hybrid_norm(tau, s, part)[0]
-    scale = config.init.amplitude / size if size > 0 else 0.0
-    return SolverState(0.0, u * scale, tau * scale, config.params)
+        return SolverState(0.0, VectorField.zero(grid), SymTensorField.zero(grid))
+    init = config.init
+    return SolverState(0.0, *random_pair(grid, init.seed, init.band, config.s_value,
+                                         init.amplitude, config.friedrichs_n))
 
 
 class Simulation:
     """Owns one trajectory; step with ``advance`` or drive via ``simulate``.
 
-    A given ``state`` must lie on the config's grid (else ``GridError``)
-    and carry the config's ``params`` (else ``ConfigError``), the ones the
-    step uses.
+    The trajectory is held as one stacked ``(d + nt,) + spec_shape`` array,
+    the rows of u then those of tau; ``state.u`` and ``state.tau`` are views
+    of it, so a write through ``state.u.coeffs`` reaches the next step.  A
+    given ``state`` must lie on the config's grid (else ``GridError``); it
+    is stacked once into a copy and never written.
     """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
@@ -536,73 +534,75 @@ class Simulation:
         else:
             self.grid.require_same(state.u.grid)
             self.grid.require_same(state.tau.grid)
-            if state.params != config.params:
-                raise ConfigError(f"state params {state.params} differ from the "
-                                  f"config params {config.params}")
-        self.state = state
+        self._set_state(state.t, np.concatenate((state.u.coeffs, state.tau.coeffs)),
+                        state.step_index)
         self.propagator = build_propagator(self.grid, config.params, config.dt)
-        self._prev_rhs: tuple[np.ndarray, np.ndarray] | None = None
+        self._prev_rhs: np.ndarray | None = None
 
-    def _rhs(self) -> tuple[VectorField, SymTensorField]:
-        return rhs_nonlinear(self.state.u, self.state.tau, self.config.params,
-                             self.config.friedrichs_n)
+    def _set_state(self, t: float, x: np.ndarray, step_index: int) -> None:
+        d = self.grid.d
+        self._x = x
+        self.state = SolverState(t, VectorField(self.grid, x[:d]),
+                                 SymTensorField(self.grid, x[d:]), step_index)
+
+    def _require_finite(self, x: np.ndarray, names: tuple[str, str]) -> None:
+        # one reduction; the rows are told apart only when it fails
+        if not np.isfinite(x).all():
+            st = self.state
+            name = names[0] if not np.isfinite(x[:self.grid.d]).all() else names[1]
+            raise DivergenceError(st.step_index + 1, st.t + self.config.dt, name)
 
     def advance(self) -> SolverState:
-        """One step of the integrating-factor scheme."""
+        """One step of the integrating-factor scheme.
+
+        Every temporary is fresh and dropped at its last use; none of the
+        state's arrays is written, since a returned state may be kept.
+        """
         st = self.state
         dt = self.config.dt
         prop = self.propagator
-        u_in, tau_in = st.u.coeffs, st.tau.coeffs
-
         if self.config.nonlinear:
-            try:
-                nu, ntau = self._rhs()
-            except DivergenceError as exc:
-                raise DivergenceError(st.step_index + 1, st.t + dt, exc.field) from None
-            # every temporary is dropped at its last use; none is written
-            # in place, since a returned state may share its arrays
-            if self._prev_rhs is None:
-                u_mid = u_in + dt * nu.coeffs
-                tau_mid = tau_in + dt * ntau.coeffs
+            n = rhs_nonlinear(st.u, st.tau, self.config.params, self.config.friedrichs_n)
+            self._require_finite(n, ("nu", "ntau"))
+            prev, self._prev_rhs = self._prev_rhs, None
+            if prev is None:
+                mid = n * dt
             else:
-                pu, ptau = self._prev_rhs
-                self._prev_rhs = None
-                u_mid = u_in + dt * (1.5 * nu.coeffs - 0.5 * pu)
-                del pu
-                tau_mid = tau_in + dt * (1.5 * ntau.coeffs - 0.5 * ptau)
-                del ptau
-            u_new, tau_new = prop.apply(u_mid, tau_mid)
-            del u_mid, tau_mid
-            self._prev_rhs = prop.apply(nu.coeffs, ntau.coeffs)
-            del nu, ntau
+                # element by element the bits of s + dt * (1.5 n - 0.5 prev),
+                # through one fresh array
+                mid = n * 1.5
+                prev *= 0.5
+                mid -= prev
+                del prev
+                mid *= dt
+            mid += self._x
+            x = prop.apply(mid)
+            del mid
+            self._prev_rhs = prop.apply(n)
+            del n
         else:
-            u_new, tau_new = prop.apply(u_in, tau_in)
-
-        bad = _first_nonfinite(u=u_new, tau=tau_new)
-        if bad is not None:
-            raise DivergenceError(st.step_index + 1, st.t + dt, bad)
-        u_field = leray_project(VectorField(self.grid, u_new))
-        tau_field = SymTensorField(self.grid, tau_new)
-        self.state = SolverState(st.t + dt, u_field, tau_field, st.params,
-                                 st.step_index + 1)
+            x = prop.apply(self._x)
+        self._require_finite(x, ("u", "tau"))
+        d = self.grid.d
+        leray_project(VectorField(self.grid, x[:d]), out=x[:d])
+        self._set_state(st.t + dt, x, st.step_index + 1)
         return self.state
 
 
 @dataclass
 class SimulationResult:
-    config: SolverConfig
-    times: np.ndarray
     ledger: object
     initial: SolverState
     final: SolverState
-    n_steps: int
 
 
 def simulate(config: SolverConfig, observer=None) -> SimulationResult:
     """Run a configuration to t_end, sampling the ledger every output stride.
 
     ``observer(state)`` is invoked at every sampled instant (including t=0
-    and the final step) after the ledger row is appended.
+    and the final step) after the ledger row is appended.  A
+    ``DivergenceError`` carries the ledger of the rows before it
+    (``exc.ledger``) and, for a non-finite row, that row's step.
     """
     from .monitor import EnergyLedger
 
@@ -610,22 +610,18 @@ def simulate(config: SolverConfig, observer=None) -> SimulationResult:
     initial = sim.state
     ledger = EnergyLedger(grid=sim.grid, params=config.params, s=config.s_value,
                           dt=config.dt)
-    ledger.update(sim.state.t, sim.state.u, sim.state.tau)
-    if observer is not None:
-        observer(sim.state)
-
     n_steps = config.n_steps
-    times = [sim.state.t]
     try:
-        for step in range(1, n_steps + 1):
-            sim.advance()
+        for step in range(n_steps + 1):
+            if step > 0:
+                sim.advance()
             if step % config.output_stride == 0 or step == n_steps:
                 ledger.update(sim.state.t, sim.state.u, sim.state.tau)
-                times.append(sim.state.t)
                 if observer is not None:
                     observer(sim.state)
     except DivergenceError as exc:
+        if exc.step_index is None:
+            exc.step_index = sim.state.step_index
         exc.ledger = ledger
         raise
-    return SimulationResult(config=config, times=np.asarray(times), ledger=ledger,
-                            initial=initial, final=sim.state, n_steps=n_steps)
+    return SimulationResult(ledger=ledger, initial=initial, final=sim.state)

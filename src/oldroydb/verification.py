@@ -386,20 +386,15 @@ def linear_solver_suite(seed: int = SUITE_SEED_DEFAULT) -> dict:
 
     pairs = SymTensorField.pairs(grid.d)
     active = np.nonzero(grid.mode_mask & (grid.k2 > 0.0))
-    expected_u = np.zeros_like(state0.u.coeffs)
-    expected_tau = np.zeros_like(state0.tau.coeffs)
+    got = np.concatenate([sim.state.u.coeffs, sim.state.tau.coeffs])
+    expected = np.zeros_like(got)
     for mode in zip(*active):
-        kvec = grid.k[(slice(None),) + mode]
-        u0 = state0.u.coeffs[(slice(None),) + mode]
+        at = (slice(None),) + mode
         tau0 = np.zeros((grid.d, grid.d), dtype=np.complex128)
         for c, (i, j) in enumerate(pairs):
             tau0[i, j] = tau0[j, i] = state0.tau.coeffs[(c,) + mode]
-        u_t, tau_t = linear_mode_oracle(kvec, params, u0, tau0, 1.0)
-        expected_u[(slice(None),) + mode] = u_t
-        for c, (i, j) in enumerate(pairs):
-            expected_tau[(c,) + mode] = tau_t[i, j]
-    expected = np.concatenate([expected_u, expected_tau], axis=0)
-    got = np.concatenate([sim.state.u.coeffs, sim.state.tau.coeffs], axis=0)
+        u_t, tau_t = linear_mode_oracle(grid.k[at], params, state0.u.coeffs[at], tau0, 1.0)
+        expected[at] = np.concatenate([u_t, [tau_t[i, j] for i, j in pairs]])
     scale = float(np.max(np.abs(expected)))
     exactness = float(np.max(np.abs(got - expected))) / scale
 

@@ -224,4 +224,25 @@ def test_divergence_event_names_the_field(tmp_path, capsys, command):
         assert main([command[0], str(cfg)] + command[1:]) == 3
     rec = _last_record(capsys)
     assert rec["event"] == "diverged"
-    assert (rec["step"], rec["field"]) == (8, "nu")
+    # the ledger meets the overflowing state one step before the step does;
+    # the twin experiment keeps no ledger
+    want = (7, "E") if command[0] == "simulate" else (8, "nu")
+    assert (rec["step"], rec["field"]) == want
+
+
+def test_norms_takes_a_negative_s_in_exponent_form(tmp_path, capsys, rng):
+    from oldroydb.fields import random_scalar
+
+    path = tmp_path / "f.field"
+    write_field(path, random_scalar(TorusGrid(2, 16), rng, band=(1.0, 5.0)))
+    assert main(["norms", str(path), "--s", "-1e-3"]) == 0
+    assert _last_record(capsys)["s"] == -0.001
+
+
+def test_stability_rejects_a_negative_delta_in_exponent_form(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OLDROYD_OUT_DIR", str(tmp_path / "out"))
+    cfg = _config(tmp_path, t_end=0.1)
+    assert main(["stability", str(cfg), "--delta", "-1e-3"]) == 2
+    rec = _last_record(capsys)
+    assert rec["event"] == "error"
+    assert "delta" in rec["message"]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,15 @@ from oldroydb.monitor import (
     stability_experiment,
 )
 from oldroydb.operators import leray_project
-from oldroydb.solver import FluidParams, InitSpec, Simulation, SolverConfig, simulate
+from oldroydb.solver import (
+    DivergenceError,
+    FluidParams,
+    InitSpec,
+    Simulation,
+    SolverConfig,
+    simulate,
+)
+from oldroydb.verification import small_data_config
 
 PARAMS = FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0)
 
@@ -86,7 +95,7 @@ class TestLedger:
                            init=InitSpec(kind="zero"), nonlinear=False)
         from oldroydb.solver import SolverState
 
-        sim = Simulation(cfg, SolverState(0.0, u0, tau0, PARAMS))
+        sim = Simulation(cfg, SolverState(0.0, u0, tau0))
         ledger = EnergyLedger(grid, PARAMS, s=s, dt=dt)
         ledger.update(0.0, sim.state.u, sim.state.tau)
         nsteps = int(round(t_end / dt))
@@ -223,6 +232,33 @@ class TestLedger:
         for i in range(50):
             ledger.update(0.1 * i, u * (1.0 + 0.01 * i), tau)
         assert len(ledger.rows) == 50 and ledger.rows[-1]["E"] > ledger.rows[0]["E"]
+
+    def test_non_finite_row_raises_and_is_not_appended(self, grid2, rng):
+        ledger = EnergyLedger(grid2, PARAMS, dt=0.1)
+        u = leray_project(random_vector(grid2, rng))
+        tau = random_sym_tensor(grid2, rng)
+        ledger.update(0.0, u, tau)
+        kept = ledger.to_csv(), ledger._table.copy()
+        # finite coefficients whose squares overflow
+        with pytest.raises(DivergenceError) as err:
+            ledger.update(0.1, u * 1e200, tau)
+        assert (err.value.step_index, err.value.field, err.value.t) == (None, "E", 0.1)
+        assert ledger.to_csv() == kept[0] and len(ledger.times) == 1
+        np.testing.assert_array_equal(ledger._table, kept[1])
+        ledger.update(0.1, u, tau)
+        assert len(ledger.rows) == 2
+
+    def test_overflowing_trajectory_stops_at_its_first_non_finite_row(self):
+        # amplitude 100 at n=32 diverges; at step 172 the state is still
+        # finite but the squares of its ledger row overflow
+        cfg = replace(small_data_config(0, t_end=10.0, n=32, amplitude=100.0), dt=0.01)
+        with pytest.raises(DivergenceError) as err:
+            simulate(cfg)
+        assert (err.value.step_index, err.value.field) == (172, "E")
+        rows = err.value.ledger.rows
+        assert len(rows) == 43
+        assert rows[-1]["t"] == pytest.approx(1.68, rel=1e-12)
+        assert all(math.isfinite(v) for row in rows for v in row.values())
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=0.3, params=PARAMS,
