@@ -10,7 +10,6 @@ from .fields import (
 )
 from .grid import GridError, TorusGrid
 from .littlewood_paley import (
-    BesovIndex,
     DyadicPartition,
     besov_norm,
     build_partition,

@@ -112,6 +112,7 @@ def cmd_norms(args) -> int:
     from .solver import ConfigError
 
     _require(np.isfinite(args.s), f"--s must be finite, got {args.s}")
+    _require(args.p == 2.0, f"only p = 2 norms are supported, got --p {args.p}")
     try:
         r = np.inf if args.r in ("inf", "oo") else float(args.r)
     except ValueError:
@@ -122,7 +123,7 @@ def cmd_norms(args) -> int:
         if args.hybrid:
             rec = norm_report(field, "hybrid", s=args.s)
         else:
-            rec = norm_report(field, "besov", s=args.s, p=args.p, r=r)
+            rec = norm_report(field, "besov", s=args.s, r=r)
     _require(np.isfinite(rec["value"]),
              f"--s {args.s} overflows the block weights 2^(qs): the norm is not finite")
     _emit(rec)
@@ -139,15 +140,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench_estimates(args) -> int:
-    from .verification import ESTIMATE_NAMES, estimate_bench
+    from .verification import ESTIMATE_NAMES, run_suite
 
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
     _require(len(set(args.n)) >= 2,
              f"--n needs at least two distinct resolutions, got {args.n}")
     names = ESTIMATE_NAMES if args.estimate == "all" else (args.estimate,)
-    report = estimate_bench(names=names, n_list=tuple(args.n),
-                            samples=args.samples, seed=args.seed)
+    report = run_suite("estimates", args.seed, names=names, n_list=tuple(args.n),
+                       samples=args.samples)
     out = _out_dir(None)
     path = out / "estimates.json"
     path.write_text(json.dumps(report, indent=2, default=_json_default),

@@ -247,13 +247,11 @@ FIELD_KINDS = {
 }
 
 
-def restrict_spectrum(field: SpectralField, coarse: TorusGrid,
-                      dealias: bool = True) -> SpectralField:
+def restrict_spectrum(field: SpectralField, coarse: TorusGrid) -> SpectralField:
     """Spectrally coarsen a field onto a smaller grid with the same period.
 
-    Keeps exactly the Fourier modes the coarse grid resolves; with
-    ``dealias`` the coarse 2/3-rule band is enforced as well, so quadratic
-    products of the restriction stay alias-free.
+    Keeps the Fourier modes inside the coarse grid's 2/3-rule band, so
+    quadratic products of the restriction stay alias-free.
     """
     fine = field.grid
     if coarse.d != fine.d or coarse.period != fine.period:
@@ -264,7 +262,7 @@ def restrict_spectrum(field: SpectralField, coarse: TorusGrid,
     c = field.coeffs[..., :coarse.n // 2 + 1]
     for ax in range(1, fine.d):
         c = np.take(c, idx, axis=ax)
-    c = c * (coarse.dealias_mask if dealias else coarse.mode_mask)
+    c = c * coarse.dealias_mask
     return type(field)(coarse, c)
 
 

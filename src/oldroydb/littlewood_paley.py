@@ -13,7 +13,7 @@ hold exactly up to roundoff.  On a torus with period ``2*pi`` the smallest
 nonzero frequency is 1, so blocks with q < -1 vanish identically and every
 homogeneous sum over q is finite.
 
-Built on the blocks: Besov norms (p = 2 only), the hybrid norm measuring
+Built on the blocks: the L2-based Besov norms, the hybrid norm measuring
 low frequencies in l2 fashion and high frequencies in l1 fashion, Bony's
 paraproduct/remainder decomposition and transport commutators.  The
 Chemin-Lerner time norms live in ``monitor`` (``EnergyLedger`` and
@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +38,6 @@ PHI_SUPPORT = (0.75, 8.0 / 3.0)
 
 class UnsupportedIndexError(ValueError):
     """Besov index outside what the L2-based machinery supports."""
-
-
-@dataclass(frozen=True)
-class BesovIndex:
-    """Regularity s, integrability p, summation exponent r."""
-
-    s: float
-    p: float = 2.0
-    r: float = 1.0
-
-    def __post_init__(self):
-        if self.r not in (1.0, 2.0, np.inf):
-            raise UnsupportedIndexError(f"r must be 1, 2 or inf, got {self.r}")
 
 
 # ---- radial profiles ---------------------------------------------------------
@@ -228,23 +214,19 @@ def _aggregate(weighted: np.ndarray, r: float) -> float:
     raise UnsupportedIndexError(f"r must be 1, 2 or inf, got {r}")
 
 
-def besov_norm(f: SpectralField, index: BesovIndex | None = None, *,
-               s: float | None = None, r: float = 1.0, p: float = 2.0,
+def besov_norm(f: SpectralField, s: float, r: float = 1.0,
                partition: DyadicPartition | None = None) -> float:
-    """Homogeneous Besov norm: l^r over q of 2^{qs} ||block_q f||_L2."""
-    if index is None:
-        index = BesovIndex(s=float(s), p=p, r=r)
-    if index.p != 2.0:
-        raise UnsupportedIndexError("only p = 2 norms are supported")
+    """Homogeneous Besov norm of ``B^s_{2,r}``: l^r over q of
+    2^{qs} ||block_q f||_L2, for r = 1, 2 or inf."""
     part = partition or build_partition(f.grid)
     norms = block_l2_norms(f, part)
-    weights = 2.0 ** (part.q_values * index.s)
-    return _aggregate(weights * norms, index.r)
+    weights = 2.0 ** (part.q_values * s)
+    return _aggregate(weights * norms, r)
 
 
 def hs_norm(f: SpectralField, s: float, partition: DyadicPartition | None = None) -> float:
     """Sobolev-type norm through the blocks (Besov with r = 2)."""
-    return besov_norm(f, BesovIndex(s=s, r=2.0), partition=partition)
+    return besov_norm(f, s, 2.0, partition)
 
 
 def hybrid_norm(f: SpectralField, s: float,
@@ -351,22 +333,18 @@ def commutator_block_norms(u: VectorField, f: SpectralField,
 # ---- reports --------------------------------------------------------------------
 
 
-def norm_report(f: SpectralField, norm_kind: str, s: float, p: float = 2.0,
-                r: float = 1.0, rho: float | None = None,
-                partition: DyadicPartition | None = None) -> dict:
-    """JSON-ready record for one norm evaluation."""
-    part = partition or build_partition(f.grid)
+def norm_report(f: SpectralField, norm_kind: str, s: float, r: float = 1.0) -> dict:
+    """JSON-ready record for one norm evaluation (all norms here have p = 2)."""
+    part = build_partition(f.grid)
     rec = {
         "norm_kind": norm_kind,
         "s": s,
-        "p": p,
+        "p": 2.0,
         "r": r,
         "q_range": [int(part.q_min), int(part.q_max)],
     }
-    if rho is not None:
-        rec["rho"] = rho
     if norm_kind == "besov":
-        rec["value"] = besov_norm(f, BesovIndex(s=s, p=p, r=r), partition=part)
+        rec["value"] = besov_norm(f, s, r, part)
     elif norm_kind == "hybrid":
         total, low, high = hybrid_norm(f, s, partition=part)
         rec.update({"value": total, "low_part": low, "high_part": high})

@@ -111,13 +111,12 @@ def div_tensor(tau: SymTensorField) -> VectorField:
 # ---- pseudo-spectral products ----------------------------------------------
 
 
-def multiply(f: ScalarField, g: ScalarField, dealias: bool = True) -> ScalarField:
-    """Pointwise product of two scalar fields, dealiased by default."""
+def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
+    """Pointwise product of two scalar fields, dealiased."""
     grid = f.grid
     grid.require_same(g.grid)
     prod = grid.to_physical(f.coeffs) * grid.to_physical(g.coeffs)
-    return ScalarField(grid, grid.to_spectral(
-        prod, grid.dealias_mask if dealias else grid.mode_mask))
+    return ScalarField(grid, grid.to_spectral(prod, grid.dealias_mask))
 
 
 def advect(u: VectorField, f: SpectralField, u_phys: np.ndarray | None = None) -> SpectralField:

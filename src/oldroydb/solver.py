@@ -147,8 +147,11 @@ class SolverConfig:
             raise ConfigError("output_stride must be at least 1")
         if self.friedrichs_n is not None and not 0.0 <= self.friedrichs_n <= self.n // 2:
             raise ConfigError("friedrichs_n must lie between 0 and the Nyquist radius")
-        if self.s is not None and not np.isfinite(self.s):
-            raise ConfigError(f"s must be finite, got {self.s}")
+        # the paper's window for the Sobolev-type part of the hybrid norm
+        if self.s is not None and not -self.d / 2 < self.s < self.d / 2 - 1:
+            raise ConfigError(f"s must satisfy -d/2 < s < d/2 - 1, the interval "
+                              f"({-self.d / 2:g}, {self.d / 2 - 1:g}) at d = {self.d}; "
+                              f"got {self.s}")
 
     @property
     def n_steps(self) -> int:

@@ -2,8 +2,10 @@
 
 Each suite draws its fields from a caller-provided seed, measures the
 relevant residuals or fitted constants, and returns a JSON-ready report
-with a ``passed`` flag.  The thresholds live here so the command line and
-the test suite agree on what passing means.
+with a ``passed`` flag.  The thresholds and the one fixed size of each
+suite live here, and ``run_suite`` is the one entry point, so the command
+line and the test suite run the same check and agree on what passing
+means.
 
 Fitted constants (the product and commutator estimates) are the maximum
 observed ratio lhs/rhs over the sample set; their only testable property
@@ -47,62 +49,62 @@ ESTIMATE_GROWTH_TOL = 0.10
 LINEAR_EXACTNESS_TOL = 1e-10
 ORDER_RATIO_MIN = 3.5
 
+#: (d, n) of the grids the cancellation and partition suites sweep
+SUITE_CASES = ((2, 128), (3, 32))
+CANCELLATION_SAMPLES = 200
+PARTITION_FIELDS = 50
+BONY_PAIRS = 50
+BERNSTEIN_SAMPLES_PER_Q = 5
+#: (d, n) of the Bony and Bernstein suites; the estimate bench runs at this d
+SUITE_GRID = (2, 128)
+STABILITY_DELTA = 1e-6
+STABILITY_T_END = 20.0
+
 SUITE_SEED_DEFAULT = 0
-
-
-def _elapsed(t0: float) -> float:
-    return round(time.time() - t0, 3)
 
 
 # ---- cancellation ---------------------------------------------------------------
 
 
-def cancellation_suite(seed: int = SUITE_SEED_DEFAULT, samples: int = 200,
-                       cases: tuple = ((2, 128), (3, 32))) -> dict:
+def cancellation_suite(seed: int) -> dict:
     """|(div tau | u) + (D(u) | tau)| over random pairs, relative to the
     natural scale ||tau|| ||grad u||."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
     per_case = {}
-    for d, n in cases:
+    for d, n in SUITE_CASES:
         grid = TorusGrid(d, n)
         case_max = 0.0
-        for _ in range(samples):
+        for _ in range(CANCELLATION_SAMPLES):
             u = leray_project(random_vector(grid, rng, band=(1.0, n // 3)))
             tau = random_sym_tensor(grid, rng, band=(1.0, n // 3))
             case_max = max(case_max, cancellation_residual(u, tau))
         per_case[f"d{d}_n{n}"] = case_max
         worst = max(worst, case_max)
     return {
-        "suite": "cancellation",
-        "seed": seed,
-        "samples": samples,
+        "samples": CANCELLATION_SAMPLES,
         "max_residual": worst,
         "per_case": per_case,
         "tolerance": CANCELLATION_TOL,
         "passed": worst <= CANCELLATION_TOL,
-        "elapsed_s": _elapsed(t0),
     }
 
 
 # ---- dyadic partition -------------------------------------------------------------
 
 
-def partition_suite(seed: int = SUITE_SEED_DEFAULT, n_fields: int = 50,
-                    cases: tuple = ((2, 128), (3, 32))) -> dict:
+def partition_suite(seed: int) -> dict:
     """Partition-of-unity residuals, reconstruction, quasi-orthogonality."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
-    report = {"suite": "partition", "seed": seed, "per_case": {}}
+    report = {"n_fields": PARTITION_FIELDS, "per_case": {}}
     ok = True
-    for d, n in cases:
+    for d, n in SUITE_CASES:
         grid = TorusGrid(d, n)
         part = build_partition(grid)
         res_chi, res_full = part.identity_residuals()
 
         rec_worst = 0.0
-        for _ in range(n_fields):
+        for _ in range(PARTITION_FIELDS):
             f = random_scalar(grid, rng, band=(1.0, n // 2 - 1))
             total = np.zeros_like(f.coeffs)
             for q in part.q_values:
@@ -132,7 +134,6 @@ def partition_suite(seed: int = SUITE_SEED_DEFAULT, n_fields: int = 50,
     report.update({
         "tolerances": {"partition": PARTITION_TOL, "reconstruction": RECONSTRUCTION_TOL},
         "passed": ok,
-        "elapsed_s": _elapsed(t0),
     })
     return report
 
@@ -140,15 +141,14 @@ def partition_suite(seed: int = SUITE_SEED_DEFAULT, n_fields: int = 50,
 # ---- Bony decomposition --------------------------------------------------------------
 
 
-def bony_suite(seed: int = SUITE_SEED_DEFAULT, n_pairs: int = 50,
-               d: int = 2, n: int = 128) -> dict:
+def bony_suite(seed: int) -> dict:
     """fg = T_f g + T_g f + R(f, g) on dealiased random band-limited pairs."""
-    t0 = time.time()
+    d, n = SUITE_GRID
     rng = np.random.default_rng(seed)
     grid = TorusGrid(d, n)
     part = build_partition(grid)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(BONY_PAIRS):
         f = random_scalar(grid, rng, band=(1.0, n // 3))
         g = random_scalar(grid, rng, band=(1.0, n // 3))
         direct = multiply(f, g)
@@ -158,27 +158,23 @@ def bony_suite(seed: int = SUITE_SEED_DEFAULT, n_pairs: int = 50,
         resid = float(np.max(np.abs(combined.coeffs - direct.coeffs))) / scale
         worst = max(worst, resid)
     return {
-        "suite": "bony",
-        "seed": seed,
-        "pairs": n_pairs,
+        "pairs": BONY_PAIRS,
         "d": d, "n": n,
         "max_residual": worst,
         "tolerance": BONY_TOL,
         "passed": worst <= BONY_TOL,
-        "elapsed_s": _elapsed(t0),
     }
 
 
 # ---- Bernstein ratios ------------------------------------------------------------------
 
 
-def bernstein_suite(seed: int = SUITE_SEED_DEFAULT, d: int = 2, n: int = 128,
-                    samples_per_q: int = 5) -> dict:
+def bernstein_suite(seed: int) -> dict:
     """Two-sided gradient ratios on random block fields across q, plus the
     L2 -> Linf exponent d/2 recovered by a slope fit on coherent annulus
     bumps (only blocks whose annulus fits inside the resolved cube enter
     the fit; clipped top blocks would bias it)."""
-    t0 = time.time()
+    d, n = SUITE_GRID
     rng = np.random.default_rng(seed)
     grid = TorusGrid(d, n)
     part = build_partition(grid)
@@ -187,7 +183,7 @@ def bernstein_suite(seed: int = SUITE_SEED_DEFAULT, d: int = 2, n: int = 128,
     ratios = []
     for q in q_two_sided:
         mask = part.phi_weights(q)
-        for _ in range(samples_per_q):
+        for _ in range(BERNSTEIN_SAMPLES_PER_Q):
             noise = ScalarField.from_physical(grid, rng.standard_normal(grid.shape))
             f = noise.apply_multiplier(mask)
             nrm = l2_norm(f)
@@ -210,9 +206,8 @@ def bernstein_suite(seed: int = SUITE_SEED_DEFAULT, d: int = 2, n: int = 128,
     support_c = 8.0 / 3.0 + 1e-9
     passed = (c_two_sided <= support_c and slope_err < BERNSTEIN_SLOPE_TOL)
     return {
-        "suite": "bernstein",
-        "seed": seed,
         "d": d, "n": n,
+        "samples_per_q": BERNSTEIN_SAMPLES_PER_Q,
         "q_two_sided": [int(q) for q in q_two_sided],
         "two_sided_constant": c_two_sided,
         "two_sided_bound": support_c,
@@ -222,7 +217,6 @@ def bernstein_suite(seed: int = SUITE_SEED_DEFAULT, d: int = 2, n: int = 128,
         "linf_slope_rel_error": slope_err,
         "slope_tolerance": BERNSTEIN_SLOPE_TOL,
         "passed": passed,
-        "elapsed_s": _elapsed(t0),
     }
 
 
@@ -239,18 +233,17 @@ def _estimate_ratio(name: str, fields, part) -> float:
         s = 0.0
         u, v = fields
         lhs = hs_norm(multiply(u, v), s, part)
-        rhs = besov_norm(u, s=d / 2.0, r=1.0, partition=part) * hs_norm(v, s, part)
+        rhs = besov_norm(u, d / 2.0, partition=part) * hs_norm(v, s, part)
     elif name == "product_hs_weak":
         s = 0.0 if d >= 3 else -0.5  # midpoint of the admissible window in 2d
         u, v = fields
         lhs = hs_norm(multiply(u, v), s, part)
-        rhs = hs_norm(u, s + 1.0, part) * besov_norm(v, s=d / 2.0 - 1.0, r=np.inf,
-                                                     partition=part)
+        rhs = hs_norm(u, s + 1.0, part) * besov_norm(v, d / 2.0 - 1.0, np.inf, part)
     elif name == "product_besov":
         u, v = fields
-        lhs = besov_norm(multiply(u, v), s=d / 2.0, r=1.0, partition=part)
-        rhs = (besov_norm(u, s=d / 2.0, r=1.0, partition=part)
-               * besov_norm(v, s=d / 2.0, r=1.0, partition=part))
+        lhs = besov_norm(multiply(u, v), d / 2.0, partition=part)
+        rhs = (besov_norm(u, d / 2.0, partition=part)
+               * besov_norm(v, d / 2.0, partition=part))
     elif name == "commutator":
         s = 0.0
         u, tau = fields
@@ -272,9 +265,10 @@ def _draw_estimate_fields(name: str, grid: TorusGrid, rng):
             random_scalar(grid, rng, band, SAMPLING_DECAY))
 
 
-def estimate_bench(names=ESTIMATE_NAMES, n_list=(64, 128), samples: int = 100,
-                   seed: int = SUITE_SEED_DEFAULT, d: int = 2) -> dict:
-    """Fitted constants per resolution and their growth under doubling.
+def estimate_bench(seed: int, names=ESTIMATE_NAMES, n_list=(64, 128),
+                   samples: int = 100) -> dict:
+    """Fitted constants per resolution and their growth under doubling, in
+    ``d = SUITE_GRID[0]``.
 
     Every sample is drawn once on the finest grid and spectrally restricted
     to the coarser ones, so the constants compare the same continuum fields
@@ -282,7 +276,7 @@ def estimate_bench(names=ESTIMATE_NAMES, n_list=(64, 128), samples: int = 100,
     """
     from .fields import restrict_spectrum
 
-    t0 = time.time()
+    d = SUITE_GRID[0]
     ordered = sorted(int(n) for n in n_list)
     grids = {n: TorusGrid(d, n) for n in ordered}
     parts = {n: build_partition(grids[n]) for n in ordered}
@@ -305,8 +299,6 @@ def estimate_bench(names=ESTIMATE_NAMES, n_list=(64, 128), samples: int = 100,
         growth[name] = worst
         ok = ok and worst <= ESTIMATE_GROWTH_TOL
     return {
-        "suite": "estimates",
-        "seed": seed,
         "d": d,
         "samples": samples,
         "resolutions": ordered,
@@ -314,7 +306,6 @@ def estimate_bench(names=ESTIMATE_NAMES, n_list=(64, 128), samples: int = 100,
         "max_relative_growth": growth,
         "growth_tolerance": ESTIMATE_GROWTH_TOL,
         "passed": ok,
-        "elapsed_s": _elapsed(t0),
     }
 
 
@@ -360,7 +351,7 @@ def linear_mode_oracle(kvec, params, u0: np.ndarray, tau0: np.ndarray,
     return u_t, tau_t
 
 
-def linear_solver_suite(seed: int = SUITE_SEED_DEFAULT) -> dict:
+def linear_solver_suite(seed: int) -> dict:
     """Linear trajectories against per-mode closed-form oracles, and the
     observed order of the full scheme under dt refinement."""
     from .fields import SymTensorField
@@ -373,7 +364,6 @@ def linear_solver_suite(seed: int = SUITE_SEED_DEFAULT) -> dict:
         make_initial_state,
     )
 
-    t0 = time.time()
     params = FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0)
     grid = TorusGrid(2, 16)
     cfg = SolverConfig(d=2, n=16, dt=0.05, t_end=1.0, params=params,
@@ -417,8 +407,6 @@ def linear_solver_suite(seed: int = SUITE_SEED_DEFAULT) -> dict:
     order = float(np.log2(ratio))
     passed = bool(exactness <= LINEAR_EXACTNESS_TOL and ratio >= ORDER_RATIO_MIN)
     return {
-        "suite": "linear",
-        "seed": seed,
         "linear_exactness": exactness,
         "exactness_tolerance": LINEAR_EXACTNESS_TOL,
         "refinement_errors": [float(e) for e in errs],
@@ -426,7 +414,6 @@ def linear_solver_suite(seed: int = SUITE_SEED_DEFAULT) -> dict:
         "observed_order": order,
         "ratio_minimum": ORDER_RATIO_MIN,
         "passed": passed,
-        "elapsed_s": _elapsed(t0),
     }
 
 
@@ -453,21 +440,21 @@ def small_data_config(seed: int, t_end: float = 50.0, n: int = 128,
     )
 
 
-def small_data_suite(seed: int = SUITE_SEED_DEFAULT, t_end: float = 50.0,
-                     n: int = 128) -> dict:
+def small_data_suite(seed: int) -> dict:
     """Small-data global bound: E(t) <= 2 kappa2 E(0) across seeds.
 
-    Runs ``len(SMALL_DATA_SEEDS)`` consecutive seeds from ``seed`` on.
+    Runs ``small_data_config`` at ``len(SMALL_DATA_SEEDS)`` consecutive seeds
+    from ``seed`` on.
     """
     from .monitor import check_global_bound
     from .solver import simulate
 
-    t0 = time.time()
     seeds = range(seed, seed + len(SMALL_DATA_SEEDS))
     per_seed = {}
     ok = True
     for seed in seeds:
-        res = simulate(small_data_config(seed, t_end=t_end, n=n))
+        cfg = small_data_config(seed)
+        res = simulate(cfg)
         rep = check_global_bound(res.ledger)
         per_seed[int(seed)] = {
             "max_ratio": rep["max_ratio"],
@@ -477,31 +464,27 @@ def small_data_suite(seed: int = SUITE_SEED_DEFAULT, t_end: float = 50.0,
         }
         ok = ok and per_seed[int(seed)]["passed"]
     return {
-        "suite": "small_data",
         "amplitude": SMALL_DATA_AMPLITUDE,
         "seeds": [int(s) for s in seeds],
-        "t_end": t_end,
-        "n": n,
+        "t_end": cfg.t_end,
+        "n": cfg.n,
         "per_seed": per_seed,
         "div_residual_tolerance": DIV_RESIDUAL_TOL,
         "passed": ok,
-        "elapsed_s": _elapsed(t0),
     }
 
 
 STABILITY_REL_CHANGE_TOL = 0.20
 
 
-def stability_suite(delta: float = 1e-6, t_end: float = 20.0, n: int = 128,
-                    seed: int = 0) -> dict:
+def stability_suite(seed: int) -> dict:
     """Twin-run experiment: exact-zero distance at delta=0, and a Gronwall
     envelope constant stable under delta -> delta/10."""
     from .monitor import gronwall_integral, stability_experiment
 
-    t0 = time.time()
-    cfg = small_data_config(seed, t_end=t_end, n=n)
+    cfg = small_data_config(seed, t_end=STABILITY_T_END)
     zero_rep = stability_experiment(cfg, 0.0)
-    rep = stability_experiment(cfg, delta)
+    rep = stability_experiment(cfg, STABILITY_DELTA)
     dist = np.asarray(rep["distance_sq"])
     times = np.asarray(rep["times"])
     cumw = gronwall_integral(times, np.asarray(rep["gronwall_weight"]))
@@ -514,11 +497,9 @@ def stability_suite(delta: float = 1e-6, t_end: float = 20.0, n: int = 128,
               and envelope_ok
               and rel_change is not None and rel_change <= STABILITY_REL_CHANGE_TOL)
     return {
-        "suite": "stability",
-        "delta": delta,
-        "seed": seed,
-        "t_end": t_end,
-        "n": n,
+        "delta": STABILITY_DELTA,
+        "t_end": cfg.t_end,
+        "n": cfg.n,
         "zero_delta_identical": zero_rep["bitwise_identical"],
         "C_hat": c_hat,
         "C_hat_tenth": rep["fit_tenth"]["C_hat"],
@@ -526,7 +507,6 @@ def stability_suite(delta: float = 1e-6, t_end: float = 20.0, n: int = 128,
         "rel_change_tolerance": STABILITY_REL_CHANGE_TOL,
         "envelope_ok": envelope_ok,
         "passed": passed,
-        "elapsed_s": _elapsed(t0),
     }
 
 
@@ -542,7 +522,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = SUITE_SEED_DEFAULT) -> dict:
+def run_suite(name: str, seed: int = SUITE_SEED_DEFAULT, **options) -> dict:
+    """Run one suite at ``seed``: its report, with the suite name, the seed
+    and the wall time added.  Only ``estimates`` takes ``options`` (``names``,
+    ``n_list``, ``samples``)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](seed=seed)
+    t0 = time.time()
+    report = SUITES[name](seed, **options)
+    return {"suite": name.replace("-", "_"), "seed": seed, **report,
+            "elapsed_s": round(time.time() - t0, 3)}

@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion.
 
-Each test runs the corresponding randomized suite at its stated tolerance
-and prints a single PASS/FAIL line (visible with ``pytest -s``).  The
-trajectory-level criteria use the frozen calibrated amplitude from
-``oldroydb.verification``.
+Each test runs the corresponding randomized suite through
+``verification.run_suite``, the call ``oldroydb verify`` makes, checks the
+fixed size the report records and the stated tolerance, and prints a
+single PASS/FAIL line (visible with ``pytest -s``).  The trajectory-level
+criteria use the frozen calibrated amplitude from ``oldroydb.verification``.
 """
 
 import numpy as np
@@ -18,7 +19,9 @@ def _report(name: str, report: dict, detail: str) -> None:
 
 
 def test_a1_cancellation_identity():
-    rep = V.cancellation_suite(seed=0, samples=200, cases=((2, 128), (3, 32)))
+    rep = V.run_suite("cancellation", seed=0)
+    assert rep["samples"] == 200
+    assert list(rep["per_case"]) == ["d2_n128", "d3_n32"]
     _report("A-1 cancellation", rep,
             f"max residual {rep['max_residual']:.3e} <= {rep['tolerance']:.0e}")
     assert rep["max_residual"] <= 1e-12
@@ -26,7 +29,9 @@ def test_a1_cancellation_identity():
 
 
 def test_a2_littlewood_paley_exactness():
-    rep = V.partition_suite(seed=0, n_fields=50, cases=((2, 128), (3, 32)))
+    rep = V.run_suite("partition", seed=0)
+    assert rep["n_fields"] == 50
+    assert list(rep["per_case"]) == ["d2_n128", "d3_n32"]
     worst_partition = max(
         max(c["partition_residual_chi_form"], c["partition_residual_full_form"])
         for c in rep["per_case"].values())
@@ -43,7 +48,8 @@ def test_a2_littlewood_paley_exactness():
 
 
 def test_a3_bony_decomposition():
-    rep = V.bony_suite(seed=0, n_pairs=50, d=2, n=128)
+    rep = V.run_suite("bony", seed=0)
+    assert (rep["pairs"], rep["d"], rep["n"]) == (50, 2, 128)
     _report("A-3 Bony identity", rep,
             f"max residual {rep['max_residual']:.3e} <= {rep['tolerance']:.0e}")
     assert rep["max_residual"] <= 1e-10
@@ -51,7 +57,8 @@ def test_a3_bony_decomposition():
 
 
 def test_a4_bernstein_ratios():
-    rep = V.bernstein_suite(seed=0, d=2, n=128)
+    rep = V.run_suite("bernstein", seed=0)
+    assert (rep["d"], rep["n"], rep["samples_per_q"]) == (2, 128, 5)
     _report("A-4 Bernstein", rep,
             f"two-sided C {rep['two_sided_constant']:.3f} <= "
             f"{rep['two_sided_bound']:.3f}, slope {rep['linf_slope']:.4f} "
@@ -62,7 +69,8 @@ def test_a4_bernstein_ratios():
 
 
 def test_a5_estimate_constants_stable_under_doubling():
-    rep = V.estimate_bench(n_list=(64, 128), samples=100, seed=0, d=2)
+    rep = V.run_suite("estimates", seed=0)
+    assert (rep["d"], rep["samples"], rep["resolutions"]) == (2, 100, [64, 128])
     detail = ", ".join(f"{k} +{v:.2%}" for k, v in rep["max_relative_growth"].items())
     _report("A-5 estimate constants", rep, detail)
     for name, growth in rep["max_relative_growth"].items():
@@ -71,7 +79,7 @@ def test_a5_estimate_constants_stable_under_doubling():
 
 
 def test_a6_linear_exactness_and_order():
-    rep = V.linear_solver_suite(seed=0)
+    rep = V.run_suite("linear", seed=0)
     _report("A-6 linear solver", rep,
             f"exactness {rep['linear_exactness']:.2e} <= 1e-10, refinement "
             f"ratio {rep['refinement_ratio']:.2f} (order "
@@ -84,7 +92,8 @@ def test_a6_linear_exactness_and_order():
 
 @pytest.mark.slow
 def test_sd1_small_data_global_bound():
-    rep = V.small_data_suite(seed=0, t_end=50.0, n=128)
+    rep = V.run_suite("small-data", seed=0)
+    assert (rep["t_end"], rep["n"], rep["seeds"]) == (50.0, 128, [0, 1, 2, 3, 4])
     worst = max(c["max_ratio"] for c in rep["per_seed"].values())
     threshold = next(iter(rep["per_seed"].values()))["threshold"]
     worst_div = max(c["max_div_residual"] for c in rep["per_seed"].values())
@@ -99,7 +108,8 @@ def test_sd1_small_data_global_bound():
 
 @pytest.mark.slow
 def test_sd2_twin_run_stability():
-    rep = V.stability_suite(delta=1e-6, t_end=20.0, n=128, seed=0)
+    rep = V.run_suite("stability", seed=0)
+    assert (rep["delta"], rep["t_end"], rep["n"], rep["seed"]) == (1e-6, 20.0, 128, 0)
     _report("SD-2 stability", rep,
             f"zero-delta identical: {rep['zero_delta_identical']}, "
             f"C {rep['C_hat']:.4f} vs {rep['C_hat_tenth']:.4f} "

@@ -5,7 +5,11 @@ among them) when it is imported, and ``Tracer.install`` looks up every
 traced function by name.  Deleting one of those names makes every benchmark
 run fail.  The import and the install run in a subprocess, so the test
 process is never patched.  The same subprocess counts the spans of one warm
-step, the per-layer call counts the benchmark reports.
+step, the per-layer call counts the benchmark reports, and runs the
+benchmark's own operations at d=2, n=16 for eight steps: the off-path calls,
+two ``simulate`` workloads and the twin experiment.  A change to a signature
+they call (``EnergyLedger``, ``hs_norm``, ``stability_experiment``,
+``check_global_bound``, the twin report's keys) then fails here.
 """
 
 import subprocess
@@ -16,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import collections
+from dataclasses import replace
 
 import spans
 import workloads
@@ -38,6 +43,22 @@ for nonlinear, want in ((True, NONLINEAR_STEP), (False, LINEAR_STEP)):
         tracer.uninstall()
     got = dict(collections.Counter(span[0] for span in tracer.spans))
     assert got == want, (nonlinear, got)
+
+
+def small(workload):
+    return replace(workloads.config(workload, 0), n=16, t_end=0.4)
+
+
+spans.off_path_calls(small("sd2d"), SCRATCH)
+for workload in ("sd2d", "linear2d"):
+    cfg = small(workload)
+    record = workloads.run_simulate(workload, cfg, None, SCRATCH)
+    assert record["failed"] == [], (workload, record["failed"])
+    assert record["n_samples"] == cfg.n_steps // cfg.output_stride + 1, workload
+# three twin runs (delta 0, delta, delta/10) of three samples each
+record = workloads.run_twin(small("twin64"), None)
+assert record["failed"] == [], record["failed"]
+assert record["n_samples"] == 9 and len(record["C_hat"]) == 2, record
 """
 
 #: spans of one warm (Adams-Bashforth) step at d=2: the kernel's three
@@ -49,10 +70,11 @@ LINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 
                "operators.leray_project": 1}
 
 
-def test_tracer_installs_on_every_traced_name():
+def test_tracer_installs_on_every_traced_name(tmp_path):
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     code = (f"import sys\nsys.path[:0] = {paths!r}\n"
             f"NONLINEAR_STEP = {NONLINEAR_STEP!r}\nLINEAR_STEP = {LINEAR_STEP!r}\n"
+            f"SCRATCH = {str(tmp_path)!r}\n"
             + SCRIPT)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)

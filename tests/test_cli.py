@@ -84,9 +84,12 @@ def test_bad_config_exits_2(tmp_path, capsys):
     {"t_end": 0.12},
     {"dt": 10**400},
     {"init": {"kind": "random_band", "seed": -1}},
+    {"s": 0.0},
+    {"d": 3, "s": -1.5},
 ], ids=["init-not-object", "output-not-object", "band-not-numbers",
         "band-reversed", "unknown-key", "fractional-d", "nan-dt",
-        "t_end-not-whole-steps", "dt-too-large-for-float", "negative-seed"])
+        "t_end-not-whole-steps", "dt-too-large-for-float", "negative-seed",
+        "s-at-upper-end-2d", "s-at-lower-end-3d"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, overrides):
     cfg = _config(tmp_path, **overrides)
     assert main(["simulate", str(cfg)]) == 2
@@ -220,13 +223,12 @@ def test_verify_small_data_runs_the_given_seeds(capsys, monkeypatch):
 def test_divergence_event_names_the_field(tmp_path, capsys, command):
     cfg = _config(tmp_path, dt=0.1, t_end=2.0,
                   init={"amplitude": 1e4, "band": [1, 5], "seed": 1})
-    with np.errstate(all="ignore"):
-        assert main([command[0], str(cfg)] + command[1:]) == 3
+    assert main([command[0], str(cfg)] + command[1:]) == 3
     rec = _last_record(capsys)
     assert rec["event"] == "diverged"
-    # the ledger meets the overflowing state one step before the step does;
-    # the twin experiment keeps no ledger
-    want = (7, "E") if command[0] == "simulate" else (8, "nu")
+    # the ledger row, or the twin experiment's distance sample, meets the
+    # overflowing state one step before the step does
+    want = (7, "E") if command[0] == "simulate" else (7, "distance")
     assert (rec["step"], rec["field"]) == want
 
 

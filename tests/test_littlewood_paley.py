@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oldroydb.fields import ScalarField, random_scalar, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import (
-    BesovIndex,
     DyadicPartition,
     UnsupportedIndexError,
     besov_norm,
@@ -222,12 +221,10 @@ class TestBesovNorms:
         expected = sum(2.0**q * phi_oracle(2.0 / 2.0**q) * l2 for q in (0, 1, 2))
         assert besov_norm(f, s=1.0, r=1.0) == pytest.approx(expected, rel=1e-12)
 
-    def test_p_not_two_rejected(self, grid2, rng):
+    def test_unsupported_r_rejected(self, grid2, rng):
         f = random_scalar(grid2, rng)
         with pytest.raises(UnsupportedIndexError):
-            besov_norm(f, BesovIndex(s=0.0, p=4.0, r=1.0))
-        with pytest.raises(UnsupportedIndexError):
-            BesovIndex(s=0.0, r=3.0)
+            besov_norm(f, 0.0, r=3.0)
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            s=st.floats(min_value=-1.0, max_value=1.0))

@@ -95,7 +95,7 @@ class TestParamsAndConfig:
         {"we": np.inf}, {"s": np.nan}, {"friedrichs_n": np.nan},
         {"friedrichs_n": -1.0}, {"init": {"amplitude": np.nan}},
         {"t_end": 0.12}, {"dt": 10**400}, {"init": {"band": [1, 10**400]}},
-        {"init": {"seed": -1}},
+        {"init": {"seed": -1}}, {"s": 0.0}, {"d": 3, "s": -1.5},
     ])
     def test_from_dict_rejects(self, doc):
         with pytest.raises(ConfigError):
