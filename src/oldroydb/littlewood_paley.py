@@ -15,9 +15,16 @@ homogeneous sum over q is finite.
 
 Built on the blocks: the L2-based Besov norms, the hybrid norm measuring
 low frequencies in l2 fashion and high frequencies in l1 fashion, Bony's
-paraproduct/remainder decomposition and transport commutators.  The
-Chemin-Lerner time norms live in ``monitor`` (``EnergyLedger`` and
-``functionals_from_history``), with the block weights of ``hybrid_weights``.
+paraproduct/remainder decomposition and the block norms of the transport
+commutator (``commutator_block_norms``).  The Chemin-Lerner time norms live
+in ``monitor`` (``EnergyLedger`` and ``functionals_from_history``), with the
+block weights of ``hybrid_weights``.
+
+Every function takes its partition from the field's grid
+(``build_partition(f.grid)``, cached per grid).  Two accept one besides:
+``block_l2_norms``, whose squared-magnitude input carries no grid, and
+``hs_norm``; given together with a field, a partition of another grid is a
+``GridError``.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .fields import ScalarField, SpectralField, VectorField
 from .grid import TorusGrid
-from .operators import advect, mode_sq
+from .operators import advect, l2_norm, mode_sq
 
 CHI_SUPPORT = (0.75, 4.0 / 3.0)
 PHI_SUPPORT = (0.75, 8.0 / 3.0)
@@ -151,9 +158,9 @@ def build_partition(grid: TorusGrid) -> DyadicPartition:
 # ---- blocks ------------------------------------------------------------------
 
 
-def dyadic_block(f: SpectralField, q: int, partition: DyadicPartition | None = None) -> SpectralField:
+def dyadic_block(f: SpectralField, q: int) -> SpectralField:
     """Band-pass block at scale 2^q; zero with a warning outside the range."""
-    part = partition or build_partition(f.grid)
+    part = build_partition(f.grid)
     if not part.contains(q):
         warnings.warn(f"dyadic block q={q} outside resolved range "
                       f"[{part.q_min}, {part.q_max}]; returning zero field")
@@ -171,10 +178,12 @@ def block_l2_norms(f: SpectralField | np.ndarray,
     ``f`` may also be per-mode squared magnitudes (``operators.mode_sq``),
     shape ``spec_shape``, or a stack of them, shape ``(m,) + spec_shape``,
     giving shape ``(m, nq)``; the partition is then required.  A caller that
-    measures several series of one field so forms its magnitudes once.
+    measures several series of one field so forms its magnitudes once.  A
+    field given with a partition of another grid is a ``GridError``.
     """
     if isinstance(f, SpectralField):
         part = partition or build_partition(f.grid)
+        part.grid.require_same(f.grid)
         sq = mode_sq(f)
     elif partition is None:
         raise ValueError("block_l2_norms of squared magnitudes needs a partition")
@@ -214,30 +223,29 @@ def _aggregate(weighted: np.ndarray, r: float) -> float:
     raise UnsupportedIndexError(f"r must be 1, 2 or inf, got {r}")
 
 
-def besov_norm(f: SpectralField, s: float, r: float = 1.0,
-               partition: DyadicPartition | None = None) -> float:
+def besov_norm(f: SpectralField, s: float, r: float = 1.0) -> float:
     """Homogeneous Besov norm of ``B^s_{2,r}``: l^r over q of
     2^{qs} ||block_q f||_L2, for r = 1, 2 or inf."""
-    part = partition or build_partition(f.grid)
-    norms = block_l2_norms(f, part)
-    weights = 2.0 ** (part.q_values * s)
-    return _aggregate(weights * norms, r)
+    part = build_partition(f.grid)
+    return _aggregate(2.0 ** (part.q_values * s) * block_l2_norms(f, part), r)
 
 
 def hs_norm(f: SpectralField, s: float, partition: DyadicPartition | None = None) -> float:
-    """Sobolev-type norm through the blocks (Besov with r = 2)."""
-    return besov_norm(f, s, 2.0, partition)
+    """Sobolev-type norm through the blocks (Besov with r = 2).  A
+    ``partition`` of another grid than ``f``'s is a ``GridError``."""
+    if partition is not None:
+        partition.grid.require_same(f.grid)
+    return besov_norm(f, s, 2.0)
 
 
-def hybrid_norm(f: SpectralField, s: float,
-                partition: DyadicPartition | None = None) -> tuple[float, float, float]:
+def hybrid_norm(f: SpectralField, s: float) -> tuple[float, float, float]:
     """Two-piece norm: l2 with weight 2^{qs} below q=0, l1 with weight
     2^{q d/2} from q=0 up.  Returns (total, low_part, high_part).
 
     The equivalence with the sum of the Sobolev-type and l1 Besov norms
     needs s < d/2; larger s still evaluates but loses that meaning.
     """
-    part = partition or build_partition(f.grid)
+    part = build_partition(f.grid)
     norms = block_l2_norms(f, part)
     w_hs, w_high = hybrid_weights(part.q_values, s, f.grid.d)
     low_sel = part.q_values < 0
@@ -254,13 +262,12 @@ def _require_scalar(f: SpectralField, name: str) -> None:
         raise ValueError(f"{name} expects scalar fields")
 
 
-def paraproduct(f: ScalarField, g: ScalarField,
-                partition: DyadicPartition | None = None) -> ScalarField:
+def paraproduct(f: ScalarField, g: ScalarField) -> ScalarField:
     """Bony paraproduct of f on g: sum_q lowpass_{q-1}(f) * block_q(g)."""
     _require_scalar(f, "paraproduct")
     _require_scalar(g, "paraproduct")
     f.grid.require_same(g.grid)
-    part = partition or build_partition(f.grid)
+    part = build_partition(f.grid)
     grid = f.grid
     acc = np.zeros((1,) + grid.shape)
     for q in part.q_values:
@@ -270,13 +277,12 @@ def paraproduct(f: ScalarField, g: ScalarField,
     return ScalarField(grid, grid.to_spectral(acc, grid.dealias_mask))
 
 
-def remainder(f: ScalarField, g: ScalarField,
-              partition: DyadicPartition | None = None) -> ScalarField:
+def remainder(f: ScalarField, g: ScalarField) -> ScalarField:
     """Bony remainder: sum_q block_q(f) * (block_{q-1}+block_q+block_{q+1})(g)."""
     _require_scalar(f, "remainder")
     _require_scalar(g, "remainder")
     f.grid.require_same(g.grid)
-    part = partition or build_partition(f.grid)
+    part = build_partition(f.grid)
     grid = f.grid
     acc = np.zeros((1,) + grid.shape)
     for q in part.q_values:
@@ -293,40 +299,17 @@ def remainder(f: ScalarField, g: ScalarField,
 # ---- commutator ----------------------------------------------------------------
 
 
-def commutator(q: int, u: VectorField, f: SpectralField,
-               partition: DyadicPartition | None = None,
-               u_phys: np.ndarray | None = None,
-               transported: SpectralField | None = None) -> SpectralField:
-    """Transport commutator block_q(u.grad f) - u.grad(block_q f).
-
-    ``transported`` may carry a precomputed ``advect(u, f)`` when the caller
-    loops over q.
-    """
-    part = partition or build_partition(u.grid)
-    if not part.contains(q):
-        raise ValueError(f"q={q} outside resolved range [{part.q_min}, {part.q_max}]")
-    if u_phys is None:
-        u_phys = u.to_physical()
-    if transported is None:
-        transported = advect(u, f, u_phys)
-    first = dyadic_block(transported, q, part)
-    second = advect(u, dyadic_block(f, q, part), u_phys)
-    return first - second
-
-
-def commutator_block_norms(u: VectorField, f: SpectralField,
-                           partition: DyadicPartition | None = None) -> np.ndarray:
-    """L2 norm of the transport commutator at every block, shape (nq,)."""
-    from .operators import l2_norm
-
-    part = partition or build_partition(u.grid)
+def commutator_block_norms(u: VectorField, f: SpectralField) -> np.ndarray:
+    """L2 norm of the transport commutator block_q(u.grad f) - u.grad(block_q f)
+    at every block, shape (nq,)."""
+    part = build_partition(u.grid)
     u_phys = u.to_physical()
     transported = advect(u, f, u_phys)
     out = np.empty(part.nq)
     for i, q in enumerate(part.q_values):
-        out[i] = l2_norm(
-            commutator(int(q), u, f, part, u_phys=u_phys, transported=transported)
-        )
+        phi = part.phi_weights(int(q))
+        out[i] = l2_norm(transported.apply_multiplier(phi)
+                         - advect(u, f.apply_multiplier(phi), u_phys))
     return out
 
 
@@ -344,9 +327,9 @@ def norm_report(f: SpectralField, norm_kind: str, s: float, r: float = 1.0) -> d
         "q_range": [int(part.q_min), int(part.q_max)],
     }
     if norm_kind == "besov":
-        rec["value"] = besov_norm(f, s, r, part)
+        rec["value"] = besov_norm(f, s, r)
     elif norm_kind == "hybrid":
-        total, low, high = hybrid_norm(f, s, partition=part)
+        total, low, high = hybrid_norm(f, s)
         rec.update({"value": total, "low_part": low, "high_part": high})
     else:
         raise ValueError(f"unknown norm kind {norm_kind!r}")

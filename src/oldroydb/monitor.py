@@ -39,13 +39,22 @@ import numpy as np
 
 from .grid import TorusGrid
 from .littlewood_paley import (
+    besov_norm,
     block_l2_norms,
     build_partition,
     hs_norm,
     hybrid_weights,
 )
 from .operators import cancellation_residual, mode_sq
-from .solver import ConfigError, DivergenceError, FluidParams, default_s
+from .solver import (
+    ConfigError,
+    DivergenceError,
+    FluidParams,
+    Simulation,
+    SolverState,
+    make_initial_state,
+    random_pair,
+)
 
 LEDGER_COLUMNS = (
     "t", "E1", "E2", "E",
@@ -164,11 +173,10 @@ class EnergyLedger:
     raises ``DivergenceError`` for ``E``, with no step, and is not appended.
     """
 
-    def __init__(self, grid: TorusGrid, params: FluidParams, s: float | None = None,
-                 dt: float | None = None):
+    def __init__(self, grid: TorusGrid, params: FluidParams, s: float, dt: float):
         self.grid = grid
         self.params = params
-        self.s = default_s(grid.d) if s is None else float(s)
+        self.s = float(s)
         self.dt = dt
         self.partition = build_partition(grid)
         self.kappas = compute_kappas(params)
@@ -300,18 +308,19 @@ def check_global_bound(ledger: EnergyLedger) -> dict:
 # ---- twin-run stability experiment -----------------------------------------------
 
 
-def _distance_sq(u1, u2, tau1, tau2, s: float, params: FluidParams, part) -> float:
-    return (params.omega * params.re * hs_norm(u1 - u2, s, part) ** 2
-            + params.we * hs_norm(tau1 - tau2, s, part) ** 2)
+def _distance_sq(u1, u2, tau1, tau2, s: float, params: FluidParams) -> float:
+    return (params.omega * params.re * hs_norm(u1 - u2, s) ** 2
+            + params.we * hs_norm(tau1 - tau2, s) ** 2)
 
 
-def _gronwall_weight(u1, u2, tau2, d: int, params: FluidParams, part) -> float:
-    """Measured weight ||grad u1||_B + omega Re ||u2||_B^2 + We ||tau2||_B^2."""
-    q = part.q_values
-    w = 2.0 ** (q * d / 2.0)
-    gu1 = float(np.sum(w * block_l2_norms(u1, part, gradient_weight=True)))
-    bu2 = float(np.sum(w * block_l2_norms(u2, part)))
-    btau2 = float(np.sum(w * block_l2_norms(tau2, part)))
+def _gronwall_weight(u1, u2, tau2, params: FluidParams) -> float:
+    """Measured weight ||grad u1||_B + omega Re ||u2||_B^2 + We ||tau2||_B^2,
+    with B the l1 Besov space at regularity d/2."""
+    d = u1.grid.d
+    w = 2.0 ** (build_partition(u1.grid).q_values * d / 2.0)
+    gu1 = float(np.sum(w * block_l2_norms(u1, gradient_weight=True)))
+    bu2 = besov_norm(u2, d / 2.0)
+    btau2 = besov_norm(tau2, d / 2.0)
     return gu1 + params.omega * params.re * bu2**2 + params.we * btau2**2
 
 
@@ -335,10 +344,7 @@ def _fit_envelope(times: np.ndarray, dist: np.ndarray, weight: np.ndarray) -> di
 
 def _run_pair(config, delta: float, direction, s: float):
     """Step baseline and perturbed runs in lockstep; sample d(t) and m(t)."""
-    from .solver import Simulation, SolverState, make_initial_state
-
     grid = TorusGrid(config.d, config.n, config.period)
-    part = build_partition(grid)
     base_state = make_initial_state(config, grid)
     du, dtau = direction
     pert_state = SolverState(0.0, base_state.u + du * delta,
@@ -356,8 +362,8 @@ def _run_pair(config, delta: float, direction, s: float):
             st1, st2 = sim1.state, sim2.state
             # a diverging pair overflows the squares; the sample is checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                d_sq = _distance_sq(st1.u, st2.u, st1.tau, st2.tau, s, config.params, part)
-                w = _gronwall_weight(st1.u, st2.u, st2.tau, config.d, config.params, part)
+                d_sq = _distance_sq(st1.u, st2.u, st1.tau, st2.tau, s, config.params)
+                w = _gronwall_weight(st1.u, st2.u, st2.tau, config.params)
             if not (math.isfinite(d_sq) and math.isfinite(w)):
                 raise DivergenceError(step, st1.t, "distance")
             times.append(st1.t)
@@ -380,8 +386,6 @@ def stability_experiment(config, delta: float) -> dict:
     A sample whose distance or weight is not finite (a diverging pair
     overflows their squares) raises ``DivergenceError`` for ``distance``.
     """
-    from .solver import random_pair
-
     if not 0.0 <= delta < np.inf:
         raise ConfigError(f"delta must be nonnegative and finite, got {delta}")
     grid = TorusGrid(config.d, config.n, config.period)

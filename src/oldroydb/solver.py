@@ -37,7 +37,7 @@ import numpy as np
 
 from .fields import SymTensorField, VectorField, random_sym_tensor, random_vector
 from .grid import TorusGrid
-from .littlewood_paley import build_partition, hybrid_norm
+from .littlewood_paley import hybrid_norm
 from .operators import leray_project, quadratic_terms
 
 
@@ -189,38 +189,19 @@ class SolverConfig:
         out_dir = out.get("dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ConfigError(f"output.dir must be a string or null, got {out_dir!r}")
-        nonlinear = doc.get("nonlinear", True)
-        if not isinstance(nonlinear, bool):
-            raise ConfigError(f"nonlinear must be true or false, got {nonlinear!r}")
+        if "nonlinear" in doc and not isinstance(doc["nonlinear"], bool):
+            raise ConfigError(f"nonlinear must be true or false, got {doc['nonlinear']!r}")
         try:
-            params = FluidParams(
-                re=float(doc.get("re", 1.0)),
-                we=float(doc.get("we", 1.0)),
-                omega=float(doc.get("omega", 0.5)),
-                alpha=float(doc.get("alpha", 1.0)),
-            )
-            init = InitSpec(
-                kind=init_doc.get("kind", "random_band"),
-                amplitude=float(init_doc.get("amplitude", 1e-3)),
-                band=tuple(init_doc.get("band", (1.0, 8.0))),
-                seed=_as_int("init.seed", init_doc.get("seed", 0)),
-            )
-            fr = doc.get("friedrichs_n")
-            s = doc.get("s")
-            return cls(
-                d=_as_int("d", doc.get("d", 2)),
-                n=_as_int("n", doc.get("n", 128)),
-                period=float(doc.get("period", 2.0 * np.pi)),
-                dt=float(doc.get("dt", 0.05)),
-                t_end=float(doc.get("t_end", 1.0)),
-                params=params,
-                friedrichs_n=None if fr is None else float(fr),
-                s=None if s is None else float(s),
-                init=init,
-                output_stride=_as_int("output.stride", out.get("stride", 1)),
-                out_dir=out_dir,
-                nonlinear=nonlinear,
-            )
+            params = FluidParams(**_given(doc, re=float, we=float, omega=float, alpha=float))
+            init = InitSpec(**_given(init_doc, kind=None, amplitude=float, band=tuple,
+                                     seed=functools.partial(_as_int, "init.seed")))
+            kwargs = _given(doc, d=functools.partial(_as_int, "d"),
+                            n=functools.partial(_as_int, "n"), period=float, dt=float,
+                            t_end=float, friedrichs_n=_optional_float, s=_optional_float,
+                            nonlinear=None)
+            if "stride" in out:
+                kwargs["output_stride"] = _as_int("output.stride", out["stride"])
+            return cls(params=params, init=init, out_dir=out_dir, **kwargs)
         except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -256,6 +237,18 @@ def _section(doc: dict, key: str) -> dict:
         raise ConfigError(f"{key} must be a JSON object, got {value!r}")
     _reject_unknown(value, _SCHEMA[key], key + ".")
     return value
+
+
+def _given(doc: dict, **convert) -> dict:
+    """Keyword arguments for the keys of ``convert`` that ``doc`` holds, each
+    value passed through its conversion (``None``: as it is).  An absent key
+    keeps the dataclass default."""
+    return {key: doc[key] if fn is None else fn(doc[key])
+            for key, fn in convert.items() if key in doc}
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
 
 
 def _as_int(name: str, value) -> int:
@@ -503,8 +496,7 @@ def random_pair(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
     tau = random_sym_tensor(grid, rng, band=band)
     if friedrichs_n is not None:
         u, tau = (friedrichs_truncate(f, friedrichs_n) for f in (u, tau))
-    part = build_partition(grid)
-    norm = hybrid_norm(u, s, part)[0] + hybrid_norm(tau, s, part)[0]
+    norm = hybrid_norm(u, s)[0] + hybrid_norm(tau, s)[0]
     scale = size / norm if norm > 0 else 0.0
     return u * scale, tau * scale
 

@@ -19,7 +19,14 @@ import time
 
 import numpy as np
 
-from .fields import ScalarField, random_scalar, random_sym_tensor, random_vector
+from .fields import (
+    ScalarField,
+    SymTensorField,
+    random_scalar,
+    random_sym_tensor,
+    random_vector,
+    restrict_spectrum,
+)
 from .grid import TorusGrid
 from .littlewood_paley import (
     besov_norm,
@@ -38,6 +45,15 @@ from .operators import (
     leray_project,
     lp_norm,
     multiply,
+)
+from .monitor import check_global_bound, gronwall_integral, stability_experiment
+from .solver import (
+    FluidParams,
+    InitSpec,
+    Simulation,
+    SolverConfig,
+    make_initial_state,
+    simulate,
 )
 
 CANCELLATION_TOL = 1e-12
@@ -108,7 +124,7 @@ def partition_suite(seed: int) -> dict:
             f = random_scalar(grid, rng, band=(1.0, n // 2 - 1))
             total = np.zeros_like(f.coeffs)
             for q in part.q_values:
-                total += dyadic_block(f, int(q), part).coeffs
+                total += dyadic_block(f, int(q)).coeffs
             rec_worst = max(
                 rec_worst,
                 float(np.max(np.abs(total - f.coeffs)) / np.max(np.abs(f.coeffs))),
@@ -117,11 +133,11 @@ def partition_suite(seed: int) -> dict:
         quasi = 0.0
         probe = random_scalar(grid, rng, band=(1.0, n // 2 - 1))
         for p in part.q_values:
-            bp = dyadic_block(probe, int(p), part)
+            bp = dyadic_block(probe, int(p))
             for q in part.q_values:
                 if abs(int(p) - int(q)) >= 2:
                     quasi = max(quasi, float(np.max(np.abs(
-                        dyadic_block(bp, int(q), part).coeffs))))
+                        dyadic_block(bp, int(q)).coeffs))))
         case = {
             "partition_residual_chi_form": res_chi,
             "partition_residual_full_form": res_full,
@@ -146,14 +162,12 @@ def bony_suite(seed: int) -> dict:
     d, n = SUITE_GRID
     rng = np.random.default_rng(seed)
     grid = TorusGrid(d, n)
-    part = build_partition(grid)
     worst = 0.0
     for _ in range(BONY_PAIRS):
         f = random_scalar(grid, rng, band=(1.0, n // 3))
         g = random_scalar(grid, rng, band=(1.0, n // 3))
         direct = multiply(f, g)
-        combined = (paraproduct(f, g, part) + paraproduct(g, f, part)
-                    + remainder(f, g, part))
+        combined = paraproduct(f, g) + paraproduct(g, f) + remainder(f, g)
         scale = float(np.max(np.abs(direct.coeffs)))
         resid = float(np.max(np.abs(combined.coeffs - direct.coeffs))) / scale
         worst = max(worst, resid)
@@ -227,30 +241,30 @@ ESTIMATE_NAMES = ("product_hs", "product_hs_weak", "product_besov", "commutator"
 SAMPLING_DECAY = 3.0
 
 
-def _estimate_ratio(name: str, fields, part) -> float:
+def _estimate_ratio(name: str, fields) -> float:
     d = fields[0].grid.d
     if name == "product_hs":
         s = 0.0
         u, v = fields
-        lhs = hs_norm(multiply(u, v), s, part)
-        rhs = besov_norm(u, d / 2.0, partition=part) * hs_norm(v, s, part)
+        lhs = hs_norm(multiply(u, v), s)
+        rhs = besov_norm(u, d / 2.0) * hs_norm(v, s)
     elif name == "product_hs_weak":
         s = 0.0 if d >= 3 else -0.5  # midpoint of the admissible window in 2d
         u, v = fields
-        lhs = hs_norm(multiply(u, v), s, part)
-        rhs = hs_norm(u, s + 1.0, part) * besov_norm(v, d / 2.0 - 1.0, np.inf, part)
+        lhs = hs_norm(multiply(u, v), s)
+        rhs = hs_norm(u, s + 1.0) * besov_norm(v, d / 2.0 - 1.0, np.inf)
     elif name == "product_besov":
         u, v = fields
-        lhs = besov_norm(multiply(u, v), d / 2.0, partition=part)
-        rhs = (besov_norm(u, d / 2.0, partition=part)
-               * besov_norm(v, d / 2.0, partition=part))
+        lhs = besov_norm(multiply(u, v), d / 2.0)
+        rhs = besov_norm(u, d / 2.0) * besov_norm(v, d / 2.0)
     elif name == "commutator":
         s = 0.0
         u, tau = fields
-        norms = commutator_block_norms(u, tau, part)
-        lhs = float(np.sqrt(np.sum((2.0 ** (part.q_values * s) * norms) ** 2)))
-        gradu = block_l2_norms(u, part, gradient_weight=True)
-        rhs = float(np.sum(2.0 ** (part.q_values * d / 2.0) * gradu)) * hs_norm(tau, s, part)
+        q = build_partition(u.grid).q_values
+        norms = commutator_block_norms(u, tau)
+        lhs = float(np.sqrt(np.sum((2.0 ** (q * s) * norms) ** 2)))
+        gradu = block_l2_norms(u, gradient_weight=True)
+        rhs = float(np.sum(2.0 ** (q * d / 2.0) * gradu)) * hs_norm(tau, s)
     else:
         raise ValueError(f"unknown estimate {name!r}")
     return lhs / rhs
@@ -274,12 +288,9 @@ def estimate_bench(seed: int, names=ESTIMATE_NAMES, n_list=(64, 128),
     to the coarser ones, so the constants compare the same continuum fields
     across resolutions rather than independent random batches.
     """
-    from .fields import restrict_spectrum
-
     d = SUITE_GRID[0]
     ordered = sorted(int(n) for n in n_list)
     grids = {n: TorusGrid(d, n) for n in ordered}
-    parts = {n: build_partition(grids[n]) for n in ordered}
     fine = ordered[-1]
     constants = {name: {n: 0.0 for n in ordered} for name in names}
     for name in names:
@@ -290,7 +301,7 @@ def estimate_bench(seed: int, names=ESTIMATE_NAMES, n_list=(64, 128),
                 local = fields if n == fine else tuple(
                     restrict_spectrum(f, grids[n]) for f in fields)
                 constants[name][n] = max(constants[name][n],
-                                         float(_estimate_ratio(name, local, parts[n])))
+                                         float(_estimate_ratio(name, local)))
     growth = {}
     ok = True
     for name in names:
@@ -354,16 +365,6 @@ def linear_mode_oracle(kvec, params, u0: np.ndarray, tau0: np.ndarray,
 def linear_solver_suite(seed: int) -> dict:
     """Linear trajectories against per-mode closed-form oracles, and the
     observed order of the full scheme under dt refinement."""
-    from .fields import SymTensorField
-    from .operators import l2_norm as _l2
-    from .solver import (
-        FluidParams,
-        InitSpec,
-        Simulation,
-        SolverConfig,
-        make_initial_state,
-    )
-
     params = FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0)
     grid = TorusGrid(2, 16)
     cfg = SolverConfig(d=2, n=16, dt=0.05, t_end=1.0, params=params,
@@ -402,7 +403,7 @@ def linear_solver_suite(seed: int) -> dict:
     errs = []
     for dt in (0.1, 0.05):
         st = _final(dt)
-        errs.append(np.sqrt(_l2(st.u - ref.u) ** 2 + _l2(st.tau - ref.tau) ** 2))
+        errs.append(np.sqrt(l2_norm(st.u - ref.u) ** 2 + l2_norm(st.tau - ref.tau) ** 2))
     ratio = float(errs[0] / errs[1])
     order = float(np.log2(ratio))
     passed = bool(exactness <= LINEAR_EXACTNESS_TOL and ratio >= ORDER_RATIO_MIN)
@@ -428,8 +429,6 @@ DIV_RESIDUAL_TOL = 1e-10
 
 def small_data_config(seed: int, t_end: float = 50.0, n: int = 128,
                       amplitude: float = SMALL_DATA_AMPLITUDE):
-    from .solver import FluidParams, InitSpec, SolverConfig
-
     return SolverConfig(
         d=2, n=n, dt=0.05, t_end=t_end,
         params=FluidParams(re=1.0, we=1.0, omega=0.5, alpha=1.0),
@@ -446,9 +445,6 @@ def small_data_suite(seed: int) -> dict:
     Runs ``small_data_config`` at ``len(SMALL_DATA_SEEDS)`` consecutive seeds
     from ``seed`` on.
     """
-    from .monitor import check_global_bound
-    from .solver import simulate
-
     seeds = range(seed, seed + len(SMALL_DATA_SEEDS))
     per_seed = {}
     ok = True
@@ -480,8 +476,6 @@ STABILITY_REL_CHANGE_TOL = 0.20
 def stability_suite(seed: int) -> dict:
     """Twin-run experiment: exact-zero distance at delta=0, and a Gronwall
     envelope constant stable under delta -> delta/10."""
-    from .monitor import gronwall_integral, stability_experiment
-
     cfg = small_data_config(seed, t_end=STABILITY_T_END)
     zero_rep = stability_experiment(cfg, 0.0)
     rep = stability_experiment(cfg, STABILITY_DELTA)

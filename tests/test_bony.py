@@ -14,7 +14,6 @@ from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import (
     block_l2_norms,
     build_partition,
-    commutator,
     commutator_block_norms,
     dyadic_block,
     hs_norm,
@@ -55,28 +54,25 @@ class TestBony:
         assert np.max(np.abs(remainder(f, g).coeffs)) == 0.0
 
     def test_decomposition_reconstructs_product(self, grid2, rng):
-        part = build_partition(grid2)
         for _ in range(10):
             f = random_scalar(grid2, rng, band=(1.0, grid2.n // 3))
             g = random_scalar(grid2, rng, band=(1.0, grid2.n // 3))
             direct = multiply(f, g)
-            total = (paraproduct(f, g, part) + paraproduct(g, f, part)
-                     + remainder(f, g, part))
+            total = paraproduct(f, g) + paraproduct(g, f) + remainder(f, g)
             scale = np.max(np.abs(direct.coeffs))
             assert np.max(np.abs(total.coeffs - direct.coeffs)) <= 1e-10 * scale
 
     def test_separated_modes_land_in_one_paraproduct(self):
         grid = TorusGrid(2, 128)
-        part = build_partition(grid)
         f = _single_mode(grid, (1, 0))     # active blocks q in {-1, 0}
         g = _single_mode(grid, (32, 0))    # active blocks q in {4, 5, 6}
         # the low factor never survives S_{q-1} on the high factor's blocks
-        tgf = paraproduct(g, f, part)
+        tgf = paraproduct(g, f)
         assert np.max(np.abs(tgf.coeffs)) == 0.0
-        tfg = paraproduct(f, g, part)
-        rem = remainder(f, g, part)
+        tfg = paraproduct(f, g)
+        rem = remainder(f, g)
         direct = multiply(f, g)
-        recon = tfg + paraproduct(g, f, part) + rem
+        recon = tfg + paraproduct(g, f) + rem
         scale = np.max(np.abs(direct.coeffs))
         assert np.max(np.abs(recon.coeffs - direct.coeffs)) <= 1e-12 * scale
         assert np.max(np.abs(tfg.coeffs)) > 0.0
@@ -133,14 +129,8 @@ class TestCommutator:
 
         tau = random_sym_tensor(grid2, rng)
         part = build_partition(grid2)
-        out = commutator(0, VectorField.zero(grid2), tau, part)
-        assert np.max(np.abs(out.coeffs)) == 0.0
-
-    def test_out_of_range_q(self, grid2, rng):
-        u = leray_project(random_vector(grid2, rng))
-        tau = random_sym_tensor(grid2, rng)
-        with pytest.raises(ValueError):
-            commutator(99, u, tau)
+        out = commutator_block_norms(VectorField.zero(grid2), tau)[part.q_index(0)]
+        assert out == 0.0
 
     def test_support_locality(self):
         # low-frequency velocity against a single-block field: the commutator
@@ -151,23 +141,18 @@ class TestCommutator:
         u = leray_project(random_vector(grid, rng, band=(1.0, 2.0)))
         f = random_scalar(grid, rng, band=(1.0, 40.0))
         q0 = 4
-        f_banded = dyadic_block(f, q0, part)
-        u_phys = u.to_physical()
-        from oldroydb.operators import advect
-
-        transported = advect(u, f_banded, u_phys)
-        near = l2_norm(commutator(q0, u, f_banded, part, u_phys=u_phys,
-                                  transported=transported))
+        f_banded = dyadic_block(f, q0)
+        norms = commutator_block_norms(u, f_banded)
+        near = norms[part.q_index(q0)]
         for q_far in (q0 - 3, q0 + 3):
-            far = l2_norm(commutator(q_far, u, f_banded, part, u_phys=u_phys,
-                                     transported=transported))
+            far = norms[part.q_index(q_far)]
             assert far <= 1e-10 * max(near, l2_norm(f_banded))
 
     def test_block_norm_series_shape(self, grid2, rng):
         u = leray_project(random_vector(grid2, rng, band=(1.0, 8.0)))
         tau = random_sym_tensor(grid2, rng, band=(1.0, 8.0))
         part = build_partition(grid2)
-        norms = commutator_block_norms(u, tau, part)
+        norms = commutator_block_norms(u, tau)
         assert norms.shape == (part.nq,)
         assert np.all(norms >= 0.0)
         assert np.any(norms > 0.0)

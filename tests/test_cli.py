@@ -204,16 +204,16 @@ def test_bench_estimates_small(tmp_path, capsys, monkeypatch):
 def test_verify_small_data_runs_the_given_seeds(capsys, monkeypatch):
     from dataclasses import replace
 
-    from oldroydb import solver
+    from oldroydb import verification
 
-    simulate = solver.simulate
+    simulate = verification.simulate
     seeds = []
 
     def short_simulate(config):
         seeds.append(config.init.seed)
         return simulate(replace(config, n=16, t_end=0.0))
 
-    monkeypatch.setattr(solver, "simulate", short_simulate)
+    monkeypatch.setattr(verification, "simulate", short_simulate)
     main(["verify", "small-data", "--seed", "5"])
     assert seeds == [5, 6, 7, 8, 9]
     assert _last_record(capsys)["seeds"] == seeds

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oldroydb.fields import ScalarField, random_scalar, random_sym_tensor, random_vector
-from oldroydb.grid import TorusGrid
+from oldroydb.grid import GridError, TorusGrid
 from oldroydb.littlewood_paley import (
     DyadicPartition,
     UnsupportedIndexError,
@@ -120,12 +120,12 @@ class TestBlocks:
         f = _single_mode(grid2, (2, 0))
         part = build_partition(grid2)
         for q in part.q_values:
-            blk = dyadic_block(f, int(q), part)
+            blk = dyadic_block(f, int(q))
             expected = phi_oracle(2.0 / 2.0**q)
             got = abs(blk.coeffs[0, 2, 0])
             assert got == pytest.approx(expected, abs=1e-14)
         live = {int(q) for q in part.q_values
-                if np.max(np.abs(dyadic_block(f, int(q), part).coeffs)) > 0}
+                if np.max(np.abs(dyadic_block(f, int(q)).coeffs)) > 0}
         assert live == {0, 1}
         assert phi_oracle(2.0) + phi_oracle(1.0) + phi_oracle(0.5) == pytest.approx(
             1.0, abs=1e-15)
@@ -134,7 +134,7 @@ class TestBlocks:
         part = build_partition(grid2)
         for _ in range(10):
             f = random_scalar(grid2, rng, band=(1.0, grid2.n // 2 - 1))
-            rec = sum(dyadic_block(f, int(q), part).coeffs for q in part.q_values)
+            rec = sum(dyadic_block(f, int(q)).coeffs for q in part.q_values)
             scale = np.max(np.abs(f.coeffs))
             assert np.max(np.abs(rec - f.coeffs)) <= 1e-10 * scale
 
@@ -142,10 +142,10 @@ class TestBlocks:
         f = random_scalar(grid2, rng)
         part = build_partition(grid2)
         for p in part.q_values:
-            bp = dyadic_block(f, int(p), part)
+            bp = dyadic_block(f, int(p))
             for q in part.q_values:
                 if abs(int(p) - int(q)) >= 2:
-                    assert np.max(np.abs(dyadic_block(bp, int(q), part).coeffs)) == 0.0
+                    assert np.max(np.abs(dyadic_block(bp, int(q)).coeffs)) == 0.0
 
     def test_block_norms_of_stacked_magnitudes(self, grid3, rng):
         # the ledger's path: one magnitude pass, then one call for a stack
@@ -161,6 +161,16 @@ class TestBlocks:
                                    want[1], rtol=1e-14)
         with pytest.raises(ValueError, match="partition"):
             block_l2_norms(u_sq)
+
+    def test_partition_of_another_grid_rejected(self, rng):
+        # same d and n, four times the period: a partition that would
+        # silently measure u at the wrong frequencies
+        u = random_vector(TorusGrid(2, 32), rng)
+        foreign = build_partition(TorusGrid(2, 32, 8 * np.pi))
+        with pytest.raises(GridError):
+            hs_norm(u, 0.0, foreign)
+        with pytest.raises(GridError):
+            block_l2_norms(u, foreign)
 
     def test_out_of_range_block_warns_and_returns_zero(self, grid2, rng):
         f = random_scalar(grid2, rng)
@@ -193,7 +203,7 @@ class TestLowCutoff:
                 total = np.zeros_like(f.coeffs)
                 for p in part.q_values:
                     if p <= q - 1:
-                        total += dyadic_block(f, int(p), part).coeffs
+                        total += dyadic_block(f, int(p)).coeffs
                 cut = f.apply_multiplier(part.chi_weights(q))
                 scale = max(np.max(np.abs(f.coeffs)), 1e-300)
                 assert np.max(np.abs(cut.coeffs - total)) <= 1e-10 * scale

@@ -187,14 +187,14 @@ class TestLedger:
         assert np.max(res.ledger.column("div_residual")) <= 1e-10
 
     def test_non_monotone_time_rejected(self, grid2):
-        ledger = EnergyLedger(grid2, PARAMS)
+        ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)
         ledger.update(1.0, VectorField.zero(grid2), SymTensorField.zero(grid2))
         with pytest.raises(ValueError):
             ledger.update(0.5, VectorField.zero(grid2), SymTensorField.zero(grid2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, grid2, bad):
-        ledger = EnergyLedger(grid2, PARAMS)
+        ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)
         ledger.update(1.0, VectorField.zero(grid2), SymTensorField.zero(grid2))
         with pytest.raises(ValueError, match="non-finite"):
             ledger.update(bad, VectorField.zero(grid2), SymTensorField.zero(grid2))
@@ -226,7 +226,7 @@ class TestLedger:
             raise AssertionError("update recomputed the functionals from history")
 
         monkeypatch.setattr(monitor, "functionals_from_history", refuse)
-        ledger = EnergyLedger(grid2, PARAMS, dt=0.1)
+        ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)
         u = leray_project(random_vector(grid2, rng))
         tau = random_sym_tensor(grid2, rng)
         for i in range(50):
@@ -234,7 +234,7 @@ class TestLedger:
         assert len(ledger.rows) == 50 and ledger.rows[-1]["E"] > ledger.rows[0]["E"]
 
     def test_non_finite_row_raises_and_is_not_appended(self, grid2, rng):
-        ledger = EnergyLedger(grid2, PARAMS, dt=0.1)
+        ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)
         u = leray_project(random_vector(grid2, rng))
         tau = random_sym_tensor(grid2, rng)
         ledger.update(0.0, u, tau)
@@ -279,7 +279,7 @@ class TestLedger:
 
 class TestGlobalBound:
     def test_zero_data_passes_with_zero_ratio(self, grid2):
-        ledger = EnergyLedger(grid2, PARAMS)
+        ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)
         for t in (0.0, 1.0):
             ledger.update(t, VectorField.zero(grid2), SymTensorField.zero(grid2))
         rep = check_global_bound(ledger)
@@ -288,7 +288,7 @@ class TestGlobalBound:
         assert rep["first_violation_t"] is None
 
     def test_threshold_is_twice_kappa2(self, grid2):
-        ledger = EnergyLedger(grid2, PARAMS)
+        ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)
         ledger.update(0.0, VectorField.zero(grid2), SymTensorField.zero(grid2))
         rep = check_global_bound(ledger)
         assert rep["threshold"] == pytest.approx(2.0 * math.sqrt(2.0))

@@ -101,6 +101,10 @@ class TestParamsAndConfig:
         with pytest.raises(ConfigError):
             SolverConfig.from_dict(doc)
 
+    def test_from_dict_defaults_are_the_dataclass_defaults(self):
+        assert SolverConfig.from_dict({}) == SolverConfig()
+        assert SolverConfig.from_dict({"init": {}, "output": {}}) == SolverConfig()
+
     def test_from_dict_accepts_integral_floats(self):
         cfg = SolverConfig.from_dict({"d": 3.0, "n": 16.0, "init": {"seed": 2.0}})
         assert (cfg.d, cfg.n, cfg.init.seed) == (3, 16, 2)
