@@ -4,7 +4,7 @@ Subcommands:
 
     simulate CONFIG.json          run a simulation; write the ledger (CSV)
                                   and initial/final snapshots
-    norms FIELD [--hybrid | --r R --p P] --s S
+    norms FIELD [--hybrid | --r R] --s S
                                   print a JSON norm report for a snapshot
     verify SUITE [--seed N]       run a named property suite; exit 0/1
     bench-estimates NAME [...]    fitted estimate constants per resolution
@@ -26,6 +26,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from .fields import FieldError
+from .grid import GridError
+from .littlewood_paley import UnsupportedIndexError, besov_norm, build_partition, hybrid_norm
+from .monitor import stability_experiment
+from .snapshots import SnapshotError, read_field, write_field
+from .solver import ConfigError, DivergenceError, SolverConfig, simulate
+from .verification import ESTIMATE_NAMES, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -57,8 +65,6 @@ def _out_dir(configured: str | None) -> Path:
 
 def _require(ok: bool, message: str) -> None:
     """Reject a bad command-line value as a configuration error (exit 2)."""
-    from .solver import ConfigError
-
     if not ok:
         raise ConfigError(message)
 
@@ -69,8 +75,6 @@ def _diverged(exc) -> int:
 
 
 def _load_config(path: str):
-    from .solver import ConfigError, SolverConfig
-
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -79,9 +83,6 @@ def _load_config(path: str):
 
 
 def cmd_simulate(args) -> int:
-    from .snapshots import write_field
-    from .solver import DivergenceError, simulate
-
     config = _load_config(args.config)
     out = _out_dir(config.out_dir)
     try:
@@ -107,23 +108,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    from .littlewood_paley import norm_report
-    from .snapshots import read_field
-    from .solver import ConfigError
-
     _require(np.isfinite(args.s), f"--s must be finite, got {args.s}")
-    _require(args.p == 2.0, f"only p = 2 norms are supported, got --p {args.p}")
     try:
         r = np.inf if args.r in ("inf", "oo") else float(args.r)
     except ValueError:
         raise ConfigError(f"--r must be 1, 2 or inf, got {args.r!r}") from None
     field = read_field(args.field)
+    part = build_partition(field.grid)
+    # every norm here has p = 2; the hybrid norm sums its high part in l1
+    rec = {"norm_kind": "hybrid" if args.hybrid else "besov", "s": args.s, "p": 2.0,
+           "r": 1.0 if args.hybrid else r, "q_range": [int(part.q_min), int(part.q_max)]}
     # a large |s| overflows the block weights 2^{qs}; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if args.hybrid:
-            rec = norm_report(field, "hybrid", s=args.s)
+            total, low, high = hybrid_norm(field, args.s)
+            rec.update({"value": total, "low_part": low, "high_part": high})
         else:
-            rec = norm_report(field, "besov", s=args.s, r=r)
+            rec["value"] = besov_norm(field, args.s, r)
     _require(np.isfinite(rec["value"]),
              f"--s {args.s} overflows the block weights 2^(qs): the norm is not finite")
     _emit(rec)
@@ -131,8 +132,6 @@ def cmd_norms(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verification import run_suite
-
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
     report = run_suite(args.suite, seed=args.seed)
     _emit(report)
@@ -140,15 +139,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench_estimates(args) -> int:
-    from .verification import ESTIMATE_NAMES, run_suite
-
     _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
-    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
-    _require(len(set(args.n)) >= 2,
-             f"--n needs at least two distinct resolutions, got {args.n}")
-    names = ESTIMATE_NAMES if args.estimate == "all" else (args.estimate,)
-    report = run_suite("estimates", args.seed, names=names, n_list=tuple(args.n),
-                       samples=args.samples)
+    # only the values given go on: the defaults are estimate_bench's
+    options = {"names": ESTIMATE_NAMES if args.estimate == "all" else (args.estimate,)}
+    if args.samples is not None:
+        _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
+        options["samples"] = args.samples
+    if args.n is not None:
+        _require(len(set(args.n)) >= 2,
+                 f"--n needs at least two distinct resolutions, got {args.n}")
+        options["n_list"] = tuple(args.n)
+    report = run_suite("estimates", args.seed, **options)
     out = _out_dir(None)
     path = out / "estimates.json"
     path.write_text(json.dumps(report, indent=2, default=_json_default),
@@ -158,9 +159,6 @@ def cmd_bench_estimates(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    from .monitor import stability_experiment
-    from .solver import DivergenceError
-
     config = _load_config(args.config)
     try:
         report = stability_experiment(config, args.delta)
@@ -199,26 +197,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norms", help="norm report for a field snapshot")
     p.add_argument("field", help="path to a field-v1 snapshot")
     p.add_argument("--s", type=float, required=True, help="regularity index")
-    p.add_argument("--p", type=float, default=2.0, help="integrability (2 only)")
     p.add_argument("--r", default="1", help="summation exponent: 1, 2 or inf")
     p.add_argument("--hybrid", action="store_true",
                    help="hybrid low/high norm instead of a Besov norm")
     p.set_defaults(fn=cmd_norms)
 
     p = sub.add_parser("verify", help="run a named property suite")
-    from .verification import SUITES
-
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench-estimates", help="fit estimate constants per resolution")
-    from .verification import ESTIMATE_NAMES
-
     p.add_argument("estimate", choices=ESTIMATE_NAMES + ("all",))
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--n", type=int, action="append", default=None,
-                   help="resolution; repeat for several (default 64 and 128)")
+    p.add_argument("--samples", type=int,
+                   help="samples per estimate (default: estimate_bench's)")
+    p.add_argument("--n", type=int, action="append",
+                   help="resolution; repeat for several (default: estimate_bench's)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench_estimates)
 
@@ -231,16 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .fields import FieldError
-    from .grid import GridError
-    from .littlewood_paley import UnsupportedIndexError
-    from .snapshots import SnapshotError
-    from .solver import ConfigError
-
-    parser = build_parser()
-    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
-    if getattr(args, "n", "sentinel") is None:
-        args.n = [64, 128]
+    args = build_parser().parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ConfigError, SnapshotError, GridError, FieldError,

@@ -14,8 +14,8 @@ pair: ``to_physical`` is one real inverse transform (``irfftn``) of all
 components, ``from_physical`` one real forward transform (``rfftn``).  No
 full-grid complex transform is taken.  Hermitian symmetry off the
 ``k_last = 0`` plane is structural; on that plane the forward transform
-makes it exact, and ``validate`` checks it (and the mean-zero convention)
-when asked to.
+makes it exact, and ``hermitian_residual`` measures it (``mean_residual``
+the mean-zero convention).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridError, TorusGrid, leray_tables
-
-HERMITIAN_RTOL = 1e-12
 
 
 class FieldError(ValueError):
@@ -121,16 +119,6 @@ class SpectralField:
         scale = float(np.max(np.abs(self.coeffs)))
         dc = np.abs(self.coeffs[(slice(None),) + (0,) * self.grid.d])
         return float(np.max(dc) / scale) if scale else 0.0
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.coeffs)):
-            raise FieldError("non-finite coefficients")
-        if self.hermitian_residual() > HERMITIAN_RTOL:
-            raise FieldError(
-                f"Hermitian symmetry violated: residual {self.hermitian_residual():.3e}"
-            )
-        if self.mean_residual() > HERMITIAN_RTOL:
-            raise FieldError("mean mode is not zero")
 
     # ---- arithmetic (same kind, same grid) ---------------------------------
 

@@ -312,25 +312,3 @@ def commutator_block_norms(u: VectorField, f: SpectralField) -> np.ndarray:
                          - advect(u, f.apply_multiplier(phi), u_phys))
     return out
 
-
-# ---- reports --------------------------------------------------------------------
-
-
-def norm_report(f: SpectralField, norm_kind: str, s: float, r: float = 1.0) -> dict:
-    """JSON-ready record for one norm evaluation (all norms here have p = 2)."""
-    part = build_partition(f.grid)
-    rec = {
-        "norm_kind": norm_kind,
-        "s": s,
-        "p": 2.0,
-        "r": r,
-        "q_range": [int(part.q_min), int(part.q_max)],
-    }
-    if norm_kind == "besov":
-        rec["value"] = besov_norm(f, s, r)
-    elif norm_kind == "hybrid":
-        total, low, high = hybrid_norm(f, s)
-        rec.update({"value": total, "low_part": low, "high_part": high})
-    else:
-        raise ValueError(f"unknown norm kind {norm_kind!r}")
-    return rec

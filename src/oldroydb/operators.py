@@ -316,12 +316,14 @@ def _im_vdot(a: np.ndarray, b: np.ndarray) -> float:
 def _cancellation_sums(u: VectorField, tau: SymTensorField) -> tuple[float, float]:
     """The Parseval sums ``(div tau | u)`` and ``(D(u) | tau)``, from the coefficients.
 
-    They are computed independently, so that their sum checks the adjoint
-    pair ``div`` / ``-D`` rather than cancel by algebra: the first contracts
-    ``tau`` with ``k`` and pairs the result with ``u``; the second forms the
-    symmetric gradient of ``u`` (off-diagonal components weighted 2, as in
-    the Frobenius pairing) and pairs it with ``tau``.  The derivative's
-    factor ``i`` enters as ``Re(i z) = -Im(z)``.
+    Each has its own contraction: the first contracts ``tau`` with ``k``
+    and pairs the result with ``u``; the second forms the symmetric gradient
+    of ``u`` (off-diagonal components weighted 2, as in the Frobenius
+    pairing) and pairs it with ``tau``.  The derivative's factor ``i``
+    enters as ``Re(i z) = -Im(z)``.  Mode by mode the two terms are ``Re(i
+    z)`` and ``Re(i conj z)``, so the sums cancel for any coefficients, not
+    only divergence-free or Hermitian ones: their sum checks that the two
+    contractions agree, and says nothing about a trajectory.
     """
     grid = u.grid
     grid.require_same(tau.grid)

@@ -398,8 +398,6 @@ class LinearPropagator:
 
     def __init__(self, grid: TorusGrid, params: FluidParams, dt: float):
         self.grid = grid
-        self.params = params
-        self.dt = float(dt)
         coeffs = block_coefficients(grid, params, dt)
         np.multiply(1j, coeffs[1:3].imag, out=coeffs[1:3])
         self._e_uu, self._e_uz, self._g_u, self._g_z, self._decay = coeffs

@@ -76,8 +76,6 @@ SUITE_GRID = (2, 128)
 STABILITY_DELTA = 1e-6
 STABILITY_T_END = 20.0
 
-SUITE_SEED_DEFAULT = 0
-
 
 # ---- cancellation ---------------------------------------------------------------
 
@@ -516,7 +514,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = SUITE_SEED_DEFAULT, **options) -> dict:
+def run_suite(name: str, seed: int, **options) -> dict:
     """Run one suite at ``seed``: its report, with the suite name, the seed
     and the wall time added.  Only ``estimates`` takes ``options`` (``names``,
     ``n_list``, ``samples``)."""

@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oldroydb import verification
 from oldroydb.cli import main
-from oldroydb.fields import SymTensorField
+from oldroydb.fields import SymTensorField, random_scalar, random_sym_tensor
 from oldroydb.grid import TorusGrid
-from oldroydb.snapshots import write_field
+from oldroydb.littlewood_paley import besov_norm, build_partition, hybrid_norm
+from oldroydb.snapshots import read_field, write_field
 
 
 def _config(tmp_path, **overrides):
@@ -147,9 +150,6 @@ def test_norms_malformed_header_exits_2(tmp_path, capsys):
 
 
 def test_norms_besov_inf(tmp_path, capsys, rng):
-    from oldroydb.fields import random_scalar
-    from oldroydb.littlewood_paley import besov_norm
-
     grid = TorusGrid(2, 16)
     f = random_scalar(grid, rng, band=(1.0, 5.0))
     path = tmp_path / "f.field"
@@ -159,13 +159,28 @@ def test_norms_besov_inf(tmp_path, capsys, rng):
     assert rec["value"] == pytest.approx(besov_norm(f, s=0.5, r=np.inf), rel=1e-12)
 
 
-def test_norms_unsupported_p(tmp_path, capsys, rng):
-    from oldroydb.fields import random_scalar
+@pytest.mark.parametrize("d,n,cls", [(2, 32, random_scalar), (3, 16, random_sym_tensor)])
+def test_norms_hybrid_is_the_library_value(tmp_path, capsys, rng, d, n, cls):
+    f = cls(TorusGrid(d, n), rng, band=(1.0, n / 3))
+    path = tmp_path / "f.field"
+    write_field(path, f)
+    assert main(["norms", str(path), "--s", "0.25", "--hybrid"]) == 0
+    rec = _last_record(capsys)
+    # the snapshot stores physical samples, so compare with the field it reads back
+    snap = read_field(path)
+    part = build_partition(snap.grid)
+    assert (rec["value"], rec["low_part"], rec["high_part"]) == hybrid_norm(snap, 0.25)
+    assert rec["q_range"] == [part.q_min, part.q_max]
+    assert (rec["norm_kind"], rec["p"], rec["r"]) == ("hybrid", 2.0, 1.0)
 
+
+def test_norms_unsupported_p(tmp_path, capsys, rng):
     grid = TorusGrid(2, 16)
     path = tmp_path / "f.field"
     write_field(path, random_scalar(grid, rng))
-    assert main(["norms", str(path), "--s", "0.5", "--p", "4"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", str(path), "--s", "0.5", "--p", "4"])
+    assert exc.value.code == 2
 
 
 def test_verify_passing_suite(capsys):
@@ -202,10 +217,6 @@ def test_bench_estimates_small(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_small_data_runs_the_given_seeds(capsys, monkeypatch):
-    from dataclasses import replace
-
-    from oldroydb import verification
-
     simulate = verification.simulate
     seeds = []
 
@@ -233,8 +244,6 @@ def test_divergence_event_names_the_field(tmp_path, capsys, command):
 
 
 def test_norms_takes_a_negative_s_in_exponent_form(tmp_path, capsys, rng):
-    from oldroydb.fields import random_scalar
-
     path = tmp_path / "f.field"
     write_field(path, random_scalar(TorusGrid(2, 16), rng, band=(1.0, 5.0)))
     assert main(["norms", str(path), "--s", "-1e-3"]) == 0

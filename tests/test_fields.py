@@ -47,7 +47,7 @@ def test_from_physical_pins_mean_and_nyquist(grid2, rng):
     assert f.coeffs[0, 0, 0] == 0.0
     nyq = np.any(np.abs(grid2.k_int) == grid2.n // 2, axis=0)
     assert np.all(f.coeffs[0][nyq] == 0.0)
-    f.validate()
+    assert f.hermitian_residual() == 0.0
 
 
 def test_hermitian_symmetry_of_real_fields(grid2, rng):
@@ -56,8 +56,7 @@ def test_hermitian_symmetry_of_real_fields(grid2, rng):
     broken = f.copy()
     # off the k_last = 0 plane the symmetry is structural, so break it there
     broken.coeffs[0, 1, 0] += 0.5 * np.max(np.abs(f.coeffs))
-    with pytest.raises(FieldError):
-        broken.validate()
+    assert broken.hermitian_residual() > 0.1
 
 
 def test_component_counts_and_weights(grid2, grid3):
