@@ -14,10 +14,13 @@ set of usable modes (the unpaired Nyquist lines ``|m_i| = n/2`` are
 excluded), and the sharp 2/3-rule mask used to dealias quadratic products.
 
 ``to_physical`` and ``to_spectral`` are the one transform pair.  The inverse
-runs as separate passes, ``scipy.fft.ifft`` over each leading spatial axis
-and ``numpy.fft.irfft`` over the last, so that a caller can hand over its
-coefficients as scratch (``overwrite_x``) and receive the samples into a
-buffer it owns (``out``): a call then allocates nothing of the field's size.
+runs as separate passes (``inverse_passes``), ``scipy.fft.ifft`` over each
+leading spatial axis and ``numpy.fft.irfft`` over the last, so that a caller
+can hand over its coefficients as scratch (``overwrite_x``) and receive the
+samples into a buffer it owns (``out``): a call then allocates nothing of
+the field's size.  A caller may also run the passes in stretches: a
+derivative ``i k_j c`` commutes with the passes over the other axes, so the
+gradient of a field can share the passes before axis ``j`` with the field.
 """
 
 from __future__ import annotations
@@ -111,24 +114,40 @@ class TorusGrid:
             out = np.take(out, self._neg, axis=ax)
         return out
 
+    def inverse_passes(self, x: np.ndarray, start: int = 0, stop: int | None = None, *,
+                       overwrite_x: bool = False,
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """Passes ``start`` to ``stop - 1`` (to the last by default) of the
+        inverse transform of a half spectrum (spatial axes last).
+
+        Pass ``j < d - 1`` is the complex inverse transform over spatial axis
+        ``j`` (``scipy.fft.ifft``); pass ``d - 1``, the last, is the real
+        inverse transform over the last axis (``numpy.fft.irfft``) into
+        ``out`` (a fresh array if None), which leaves its input as it was.
+        The first complex pass copies ``x`` and the others run
+        in place on that copy, as ``irfftn`` does on its internal temporary;
+        with ``overwrite_x=True`` a C-contiguous complex128 ``x`` is that
+        scratch instead, and every complex pass runs in place on it.
+        """
+        stop = self.d if stop is None else stop
+        lead = x.ndim - self.d
+        for axis in range(start, stop):
+            if axis == self.d - 1:
+                return np.fft.irfft(x, n=self.n, axis=-1, norm="forward", out=out)
+            x = scipy.fft.ifft(x, axis=lead + axis, norm="forward",
+                               overwrite_x=overwrite_x or axis > start)
+        return x
+
     def to_physical(self, coeffs: np.ndarray, *, overwrite_x: bool = False,
                     out: np.ndarray | None = None) -> np.ndarray:
         """Real samples of half-spectrum coefficients (spatial axes last).
 
-        Runs the passes of ``irfftn`` one axis at a time, with the same
-        result to the bit: complex inverse transforms over the leading
-        spatial axes, then the real inverse transform over the last one
-        into ``out`` (a fresh array if None).  The first complex pass copies
-        ``coeffs`` and the others run in place on that copy, as ``irfftn``
-        does on its internal temporary.  With ``overwrite_x=True`` a
-        C-contiguous complex128 ``coeffs`` is that scratch instead: every
-        pass runs in place on it and leaves it holding partial transforms.
+        Runs every pass of ``inverse_passes``, the passes of ``irfftn`` one
+        axis at a time, with the same result to the bit.  With
+        ``overwrite_x=True`` the coefficients are handed over as scratch and
+        left holding partial transforms; ``out`` receives the samples.
         """
-        tmp = coeffs
-        for ax in range(coeffs.ndim - self.d, coeffs.ndim - 1):
-            tmp = scipy.fft.ifft(tmp, axis=ax, norm="forward",
-                                 overwrite_x=overwrite_x or tmp is not coeffs)
-        return np.fft.irfft(tmp, n=self.n, axis=-1, norm="forward", out=out)
+        return self.inverse_passes(coeffs, overwrite_x=overwrite_x, out=out)
 
     def to_spectral(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients of real samples, times ``mask``.

@@ -15,12 +15,15 @@ The solver's quadratic terms go through ``quadratic_terms``: real inverse
 transforms of ``[u, grad u, tau, grad tau]`` (15 real fields in 2-d, 36 in
 3-d), componentwise algebra on the stored upper triangle, and one batched
 real forward transform of the ``d + d(d+1)/2`` products (5 in 2-d, 9 in
-3-d).  Composed from ``advect`` and ``g_alpha``, the same terms take 19
-real inverse and 8 real forward transforms in 2-d; those two stay as the
-per-term API and as the test oracle.  ``quadratic_terms`` transforms
-through buffers kept for the most recent grid (``_kernel_buffers``), so a
-step allocates and faults in none of them; two threads that call it on
-equal grids share them, so it is not safe to call concurrently.
+3-d).  Each field's samples and gradient share their leading complex
+passes (``_samples_and_gradients``): 2 complex field-passes per field
+instead of 3 in 2-d, 5 instead of 8 in 3-d.  Composed from ``advect`` and
+``g_alpha``, the same terms take 19 real inverse and 8 real forward
+transforms in 2-d; those two stay as the per-term API and as the test
+oracle.  ``quadratic_terms`` transforms through buffers kept for the most
+recent grid (``_kernel_buffers``), so a step allocates and faults in none
+of them; two threads that call it on equal grids share them, so it is not
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -165,25 +168,56 @@ def g_alpha(tau: SymTensorField, u: VectorField, alpha: float) -> SymTensorField
     return SymTensorField(grid, grid.to_spectral(comps, grid.dealias_mask))
 
 
-#: stress components whose gradients share one inverse transform
-_STRESS_GROUP = 3
+#: fields whose samples and gradients share one chain of inverse passes
+_GROUP = 3
 
 
 @functools.lru_cache(maxsize=1)
-def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The scratch half spectrum of ``quadratic_terms`` and its real samples.
+def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scratch half spectrum of ``quadratic_terms``, its real samples and
+    the dealias mask as complex128.
 
-    The scratch holds the largest transform group (6 fields in 2-d, 9 in
-    3-d); the samples hold ``[u, tau, grad u]`` and one stress-gradient
-    group (15 fields in 2-d, 27 in 3-d).  Kept for the most recent grid
+    The scratch holds two groups of fields, the pass chain and the
+    gradient in transform (6 fields); the samples hold ``[u, tau, grad u]``
+    and the gradients of one stress group (15 fields in 2-d, 27 in 3-d).
+    Multiplying by the complex mask gives the bits of the boolean one,
+    which numpy would cast chunk by chunk.  Kept for the most recent grid
     only, so runs on equal grids share them and a sweep over grids holds
     one set.
     """
     d = grid.d
     nt = d * (d + 1) // 2
-    group = _STRESS_GROUP * d
-    return (np.empty((max(d + nt, d * d, group),) + grid.spec_shape, np.complex128),
-            np.empty((d + nt + d * d + group,) + grid.shape))
+    mask = grid.dealias_mask.astype(np.complex128)
+    mask.flags.writeable = False
+    return (np.empty((2 * _GROUP,) + grid.spec_shape, np.complex128),
+            np.empty((d + nt + d * d + _GROUP * d,) + grid.shape), mask)
+
+
+def _samples_and_gradients(grid: TorusGrid, c: np.ndarray, spec: np.ndarray,
+                           values: np.ndarray, grads: np.ndarray) -> None:
+    """Samples of the fields ``c`` into ``values`` and of their derivatives
+    ``d_j c`` into ``grads[:, j]``, through the scratch ``spec``.
+
+    The passes run as a prefix chain: ``A_0 = c`` and ``A_{j+1}`` is pass
+    ``j`` of ``A_j``, held in ``spec[:len(c)]``.  Multiplying by ``i k_j``
+    commutes with the passes over the other axes, so ``d_j c`` is the
+    passes ``j`` onward of ``i k_j A_j``, formed in the second half of
+    ``spec``, and the samples are the last pass of ``A_{d-1}``: 2 complex
+    field-passes instead of 3 in 2-d, 5 instead of 8 in 3-d.  The samples
+    and ``d_0 c`` take the passes of ``to_physical`` in its order, so they
+    are its bits; every other derivative agrees with it to rounding.
+    """
+    g = len(c)
+    k = leray_tables(grid)[0]
+    chain, scratch = spec[:g], spec[_GROUP:_GROUP + g]
+    chain[...] = c
+    for j in range(grid.d):
+        if j:
+            chain = grid.inverse_passes(chain, j - 1, j, overwrite_x=True)
+        np.multiply(k[j], chain, out=scratch)
+        scratch *= 1j
+        grid.inverse_passes(scratch, j, overwrite_x=True, out=grads[:, j])
+    grid.inverse_passes(chain, grid.d - 1, out=values)
 
 
 def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.ndarray:
@@ -196,55 +230,66 @@ def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.nda
     tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so each
     stored component is g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
 
-    The inverse transform runs in groups through the scratch spectrum of
-    ``_kernel_buffers``: ``[u, tau]``, then ``grad u``, each into its own
-    slice of the samples, then the gradients of three stress components at
-    a time into the slice after them, where the transport of those
-    components is summed before the next group overwrites it.  Every
-    field's transform is independent of the rest of its batch, so the
-    samples equal those of one batched transform to the bit.
+    The inverse transforms run field group by field group through the
+    buffers of ``_kernel_buffers`` (``_samples_and_gradients``): ``u`` and
+    ``grad u`` into their own slices of the samples, then three stress
+    components at a time, their samples into the stress slice and their
+    gradients into the slice after it.  Every field's passes are
+    independent of the rest of its batch.  The algebra writes into the
+    product rows only: each transport sum goes straight into its row, the
+    stress gradients serving as their own product scratch once read; ``B``
+    is formed in place over ``grad u`` (``B_kk = -alpha A_kk``; each
+    off-diagonal pair through two free stress-gradient rows), and the
+    ``g_alpha`` products are added to the rows one by one.
     """
     grid = u.grid
     grid.require_same(tau.grid)
     d = grid.d
     pairs = SymTensorField.pairs(d)
     nt = len(pairs)
-    ik = 1j * grid.k
-    hshape = grid.spec_shape
-    group = _STRESS_GROUP  # divides nt: 3 in 2-d, 6 in 3-d
-    spec, phys = _kernel_buffers(grid)
+    spec, phys, mask = _kernel_buffers(grid)
     # sample rows: u_i | tau_c | d_j u_i (i-major) | d_m tau_c of one group
-    bounds = (d, d + nt, d + nt + d * d)
-    vel, stress, grad_u, grad_tau = np.split(phys, bounds)
+    vel, stress, grad_u, grad_tau = np.split(phys, (d, d + nt, d + nt + d * d))
     grad_u = grad_u.reshape((d, d) + grid.shape)
-    grad_tau = grad_tau.reshape((group, d) + grid.shape)
+    grad_tau = grad_tau.reshape((_GROUP, d) + grid.shape)
+    free = grad_tau[0]  # d rows, free whenever no stress group is in flight
 
-    spec[:d] = u.coeffs
-    spec[d:d + nt] = tau.coeffs
-    grid.to_physical(spec[:d + nt], overwrite_x=True, out=phys[:d + nt])
-    np.multiply(ik, u.coeffs[:, None], out=spec[:d * d].reshape((d, d) + hshape))
-    grid.to_physical(spec[:d * d], overwrite_x=True, out=phys[bounds[1]:bounds[2]])
-
+    _samples_and_gradients(grid, u.coeffs, spec, vel, grad_u)
     out = np.empty((d + nt,) + grid.shape)
     for i in range(d):
-        out[i] = sum(vel[j] * grad_u[i, j] for j in range(d))
-    for c0 in range(0, nt, group):
-        np.multiply(ik, tau.coeffs[c0:c0 + group, None],
-                    out=spec[:group * d].reshape((group, d) + hshape))
-        grid.to_physical(spec[:group * d], overwrite_x=True, out=phys[bounds[2]:])
-        for g in range(group):
-            out[d + c0 + g] = sum(vel[m] * grad_tau[g, m] for m in range(d))
+        np.multiply(vel[0], grad_u[i, 0], out=out[i])
+        for j in range(1, d):
+            out[i] += np.multiply(vel[j], grad_u[i, j], out=free[0])
+    for c0 in range(0, nt, _GROUP):  # _GROUP divides nt: 3 in 2-d, 6 in 3-d
+        _samples_and_gradients(grid, tau.coeffs[c0:c0 + _GROUP], spec,
+                               stress[c0:c0 + _GROUP], grad_tau)
+        for g in range(_GROUP):
+            row = out[d + c0 + g]
+            np.multiply(vel[0], grad_tau[g, 0], out=row)
+            for m in range(1, d):
+                row += np.multiply(vel[m], grad_tau[g, m], out=grad_tau[g, m])
+
+    # B = W - alpha D over grad u: B_kj = a A_kj - b A_jk
+    a, b = 0.5 * (1.0 - alpha), 0.5 * (1.0 + alpha)
+    for k in range(d):
+        grad_u[k, k] *= -alpha
+        for j in range(k + 1, d):
+            np.multiply(b, grad_u[j, k], out=free[0])
+            np.multiply(b, grad_u[k, j], out=free[1])
+            grad_u[k, j] *= a
+            grad_u[k, j] -= free[0]
+            grad_u[j, k] *= a
+            grad_u[j, k] -= free[1]
 
     def tau_at(i, j):
         return stress[tau.component_index(i, j)]
 
-    b = [[0.5 * (1.0 - alpha) * grad_u[k, j] - 0.5 * (1.0 + alpha) * grad_u[j, k]
-          for j in range(d)] for k in range(d)]
     for c, (i, j) in enumerate(pairs):
-        out[d + c] += sum(tau_at(i, k) * b[k][j] + tau_at(j, k) * b[k][i]
-                          for k in range(d))
-    del b
-    return grid.to_spectral(out, grid.dealias_mask)
+        row = out[d + c]
+        for k in range(d):
+            row += np.multiply(tau_at(i, k), grad_u[k, j], out=free[0])
+            row += np.multiply(tau_at(j, k), grad_u[k, i], out=free[0])
+    return grid.to_spectral(out, mask)
 
 
 # ---- inner products and norms ------------------------------------------------

@@ -405,20 +405,23 @@ class LinearPropagator:
         self._khat = np.zeros(grid.k.shape, np.complex128)
         np.divide(grid.k, grid.kmag, out=self._khat.real, where=active)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance a stacked ``(d + nt,) + spec_shape`` array, the rows of
         u then those of tau, by one linear step.
 
         The velocity rows must be divergence-free at every mode: the update
         treats u as transverse to k.  Every state and every projected
-        tendency that ``Simulation.advance`` passes is.  The input is left
-        unchanged and the result is fresh; the products are written through
-        one velocity-sized and one single-component scratch that live for
-        this call only.
+        tendency that ``Simulation.advance`` passes is.  The result is
+        written into ``out`` if given, which may be ``x`` itself, else into
+        a fresh array; each row of ``x`` is overwritten only after its last
+        read, so the bits are the same either way.  The
+        products are written through ``tk``, one velocity-sized and one
+        single-component scratch that live for this call only.
         """
         d = self.grid.d
         u, tau = x[:d], x[d:]
-        out = np.empty_like(x)
+        if out is None:
+            out = np.empty_like(x)
         u_new, tau_new = out[:d], out[d:]
         khat = self._khat
         pairs = SymTensorField.pairs(d)
@@ -433,9 +436,11 @@ class LinearPropagator:
         np.sum(np.multiply(khat, tk, out=scratch), axis=0, out=comp)
         tk -= np.multiply(khat, comp, out=scratch)
         zeta = tk
-        np.multiply(self._e_uu, u, out=u_new)
-        u_new += np.multiply(self._e_uz, zeta, out=scratch)
+        # w = g_u u + g_z zeta, from u before u_new overwrites it
         w = np.multiply(self._g_u, u, out=scratch)
+        np.multiply(self._e_uu, u, out=u_new)
+        for i in range(d):
+            u_new[i] += np.multiply(self._e_uz, zeta[i], out=comp)
         w += np.multiply(self._g_z, zeta, out=zeta)
         np.multiply(self._decay, tau, out=tau_new)
         # tk is free again: its first row takes the second product of a pair
@@ -548,8 +553,11 @@ class Simulation:
     def advance(self) -> SolverState:
         """One step of the integrating-factor scheme.
 
-        Every temporary is fresh and dropped at its last use; none of the
-        state's arrays is written, since a returned state may be kept.
+        The step's temporaries are the tendencies ``n`` and the AB2
+        midpoint, both fresh; each linear step runs in place on its own
+        temporary (``apply(mid, out=mid)``, ``apply(n, out=n)``), which
+        then holds the new state or the propagated tendencies.  None of
+        the state's arrays is written, since a returned state may be kept.
         """
         st = self.state
         dt = self.config.dt
@@ -569,9 +577,9 @@ class Simulation:
                 del prev
                 mid *= dt
             mid += self._x
-            x = prop.apply(mid)
+            x = prop.apply(mid, out=mid)
             del mid
-            self._prev_rhs = prop.apply(n)
+            self._prev_rhs = prop.apply(n, out=n)
             del n
         else:
             x = prop.apply(self._x)

@@ -61,11 +61,12 @@ assert record["failed"] == [], record["failed"]
 assert record["n_samples"] == 9 and len(record["C_hat"]) == 2, record
 """
 
-#: spans of one warm (Adams-Bashforth) step at d=2: the kernel's three
-#: inverse transform groups take two passes each, plus one forward transform
+#: spans of one warm (Adams-Bashforth) step at d=2: the kernel's two field
+#: groups (u, then the three stress components) take two complex and three
+#: real passes each, plus one forward transform
 NONLINEAR_STEP = {"solver.Simulation.advance": 1, "solver.rhs_nonlinear": 1,
                   "solver.LinearPropagator.apply": 2, "operators.leray_project": 2,
-                  "fft": 7}
+                  "fft": 11}
 LINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 1,
                "operators.leray_project": 1}
 

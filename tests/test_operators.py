@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from oldroydb.fields import (
     ScalarField,
@@ -14,6 +15,8 @@ from oldroydb.fields import (
 from oldroydb.grid import TorusGrid, leray_tables
 from oldroydb.operators import (
     _cancellation_sums,
+    _kernel_buffers,
+    _samples_and_gradients,
     advect,
     cancellation_residual,
     deformation,
@@ -489,17 +492,16 @@ class TestKernelBuffers:
         assert peak < bound
 
     def test_cold_call_peak_below_grouped_layout(self):
-        from oldroydb.operators import _kernel_buffers
-
         d, n = 3, 16
         grid = TorusGrid(d, n)
         u, tau = self._state(grid, 5)
         nt = d * (d + 1) // 2
         spec, phys = 16 * np.prod(grid.spec_shape), 8 * np.prod(grid.shape)
-        # buffers: a scratch spectrum of one 3d-field transform group, and
-        # the samples [u, tau, grad u] plus one such group; the algebra: the
-        # d + nt products and their spectrum, at most twice each
-        bound = (3 * d * spec + (d + nt + d * d + 3 * d) * phys
+        # buffers: a scratch spectrum of two 3-field groups, the complex
+        # mask, and the samples [u, tau, grad u] plus the gradients of one
+        # stress group; the algebra: the d + nt products and their spectrum,
+        # at most twice each
+        bound = ((2 * 3 + 1) * spec + (d + nt + d * d + 3 * d) * phys
                  + 2 * (d + nt) * (spec + phys))
         _kernel_buffers.cache_clear()
         tracemalloc.start()
@@ -512,8 +514,67 @@ class TestKernelBuffers:
         assert peak < bound
 
     def test_buffers_held_for_one_grid_over_a_sweep(self):
-        from oldroydb.operators import _kernel_buffers
-
         for d, n in [(2, 8), (2, 16), (3, 8), (2, 8)]:
             quadratic_terms(*self._state(TorusGrid(d, n), 4), 1.0)
             assert _kernel_buffers.cache_info().currsize <= 1
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_complex_mask_gives_the_bits_of_the_boolean_one(self, d, n):
+        grid = TorusGrid(d, n)
+        values = np.random.default_rng(d * n).standard_normal((4,) + grid.shape)
+        mask = _kernel_buffers(grid)[2]
+        assert mask.dtype == np.complex128
+        want = grid.to_spectral(values, grid.dealias_mask)
+        got = grid.to_spectral(values, mask)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSharedPasses:
+    """``_samples_and_gradients`` against one ``to_physical`` per field and
+    per derivative."""
+
+    @staticmethod
+    def _coeffs(grid, rng, band):
+        if band is None:  # every stored mode, far beyond n // 3
+            shape = (3,) + grid.spec_shape
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return random_sym_tensor(grid, rng, band=band).coeffs[:3]
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("band", [(1.0, 5.0), None])
+    def test_matches_one_transform_per_derivative(self, d, n, band):
+        grid = TorusGrid(d, n)
+        c = self._coeffs(grid, np.random.default_rng(7 * d + n), band)
+        kept = c.copy()
+        spec = np.empty((6,) + grid.spec_shape, np.complex128)
+        values = np.empty((3,) + grid.shape)
+        grads = np.empty((3, d) + grid.shape)
+        _samples_and_gradients(grid, c, spec, values, grads)
+        np.testing.assert_array_equal(c, kept)
+        # the samples and d_0 take the passes of to_physical in its order
+        np.testing.assert_array_equal(values, grid.to_physical(c))
+        np.testing.assert_array_equal(grads[:, 0], grid.to_physical(1j * grid.k[0] * c))
+        for j in range(1, d):
+            want = grid.to_physical(1j * grid.k[j] * c)
+            err = np.max(np.abs(grads[:, j] - want))
+            assert err <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d,n,passes", [(2, 16, 10), (3, 8, 45)])
+    def test_complex_field_passes_per_kernel_call(self, monkeypatch, d, n, passes):
+        # one full chain of passes per field and per derivative would take
+        # (d + nt) (d + 1) (d - 1): 15 in 2-d, 72 in 3-d
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(d)
+        u = leray_project(random_vector(grid, rng, band=(1.0, n // 3)))
+        tau = random_sym_tensor(grid, rng, band=(1.0, n // 3))
+        field = np.prod(grid.spec_shape)
+        counted = []
+        ifft = scipy.fft.ifft
+
+        def counting(x, *args, **kwargs):
+            counted.append(np.size(x) // field)
+            return ifft(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "ifft", counting)
+        quadratic_terms(u, tau, 1.0)
+        assert sum(counted) == passes

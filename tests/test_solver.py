@@ -364,6 +364,40 @@ class TestPropagator:
         assert peak < bound
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_apply_in_place_matches_fresh_bitwise(self, d, n):
+        grid = TorusGrid(d, n)
+        x = _random_state(grid, np.random.default_rng(3 * d + n))
+        # signed zeros at some modes: in place or not, they come out the same
+        x.real[:, 1::3] = -0.0
+        x.imag[:, 2::5] = -0.0
+        prop = LinearPropagator(grid, SKEWED, 0.05)
+        want = prop.apply(x)
+        assert prop.apply(x, out=x) is x
+        np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
+        out = np.empty_like(x)
+        assert prop.apply(want, out=out) is out
+        np.testing.assert_array_equal(out.view(np.uint64), prop.apply(want).view(np.uint64))
+
+    @pytest.mark.parametrize("d,n", [(2, 128), (3, 32)])
+    def test_warm_in_place_apply_peak_below_two_scratches(self, d, n):
+        grid = TorusGrid(d, n)
+        x = _random_state(grid, np.random.default_rng(d + 3 * n))
+        prop = LinearPropagator(grid, SKEWED, 0.05)
+        prop.apply(x, out=x)
+        component = 16 * np.prod(grid.spec_shape)
+        # tk, the velocity-sized scratch and the component scratch, with
+        # one component to spare
+        bound = (2 * d + 2) * component
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prop.apply(x, out=x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
     def test_tables_are_complex_and_apply_keeps_no_scratch(self, d, n):
         grid = TorusGrid(d, n)
         prop = LinearPropagator(grid, SKEWED, 0.05)
@@ -726,7 +760,9 @@ class TestStepping:
         for a in (given.u.coeffs, given.tau.coeffs):
             assert not np.shares_memory(a, sim.state.u.coeffs.base)
 
-    def test_warm_step_peak_below_4_3_stacked_states(self):
+    def test_warm_step_peak_below_3_3_stacked_states(self):
+        # the linear steps run in place on the step's two temporaries
+        # (3.13 stacked states measured at d=3, n=16; 4.13 with fresh results)
         cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS,
                            init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=1))
         sim = Simulation(cfg)
@@ -741,7 +777,7 @@ class TestStepping:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 4.3 * stacked
+        assert peak < 3.3 * stacked
 
     def test_reality_preserved_along_trajectory(self):
         cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=0.25, params=PARAMS,
