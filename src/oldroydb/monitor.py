@@ -17,7 +17,13 @@ non-decreasing in time by construction.  The block weights, 2^{2qs} and
 ``EnergyLedger.update`` keeps each block's running sup and trapezoid sums,
 so a row costs the same at any row count; it forms each field's per-mode
 squared magnitudes once, for the block norms of u, grad u and tau and for
-the scale of the cancellation check.  ``functionals_from_history``
+the scale of the cancellation check.  A row allocates one real
+``(3,) + spec_shape`` array of magnitudes (1.5 complex components) and
+``mode_sq``'s component scratch, drops them before the residual columns,
+and forms the cancellation sums through two component scratches, so its
+peak (about 3 complex components at d=2, 4 at d=3, set by
+``divergence_residual``) stays below one stacked state.
+``functionals_from_history``
 recomputes any row offline from the stored (nt, nq) block histories.
 
 The kappa constants are the parameter-dependent prefactors entering the
@@ -169,8 +175,12 @@ class EnergyLedger:
     by that one row (the sups by a maximum, the time integrals by one
     trapezoid), so a row costs the same at any row count.
     ``functionals_from_history`` recomputes any row from the histories.
-    A row with a non-finite value (a diverging state overflows its squares)
-    raises ``DivergenceError`` for ``E``, with no step, and is not appended.
+    A row writes ``|u|^2``, ``|k|^2 |u|^2`` and ``|tau|^2`` per mode
+    straight into one ``(3,) + spec_shape`` array (``mode_sq(f, out=)``)
+    and holds no other spectrum-sized temporary beyond two component
+    scratches.  A row with a non-finite value (a diverging state overflows
+    its squares) raises ``DivergenceError`` for ``E``, with no step, and is
+    not appended.
     """
 
     def __init__(self, grid: TorusGrid, params: FluidParams, s: float, dt: float):
@@ -199,9 +209,14 @@ class EnergyLedger:
         # a diverging state overflows the squares; the row is checked below
         with np.errstate(over="ignore", invalid="ignore"):
             # one magnitude pass per field: |grad u|^2 per mode is |k|^2 |u|^2
-            u_sq = mode_sq(u)
-            sq = np.stack((u_sq, u_sq * grid.k2, mode_sq(tau)))
+            sq = np.empty((3,) + grid.spec_shape)
+            mode_sq(u, out=sq[0])
+            np.multiply(sq[0], grid.k2, out=sq[1])
+            mode_sq(tau, out=sq[2])
             b_u, b_gu, b_tau = block_l2_norms(sq, self.partition)
+            # ||grad u||^2 and ||tau||^2 by Parseval, over the box volume
+            grad_u_sq, tau_sq = sq[1:].reshape(2, -1) @ grid.multiplicity.ravel()
+            del sq
             np.maximum(table[SUP_U], b_u, out=table[SUP_U])
             np.maximum(table[SUP_TAU], b_tau, out=table[SUP_TAU])
             if self.times:
@@ -214,8 +229,6 @@ class EnergyLedger:
                 table[L1_TAU] += h * (b_tau + prev_tau) / 2.0
             row = {"t": t}
             row.update(_functionals_from_table(table, *self._weights, self.params))
-            # ||grad u||^2 and ||tau||^2 by Parseval, over the box volume
-            grad_u_sq, tau_sq = sq[1:].reshape(2, -1) @ grid.multiplicity.ravel()
             row["div_residual"] = u.divergence_residual()
             row["cancel_residual"] = cancellation_residual(
                 u, tau, scale=grid.volume * math.sqrt(grad_u_sq * tau_sq))

@@ -306,11 +306,38 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     return float(np.vdot(grid.multiplicity, per_mode)) * grid.volume
 
 
-def mode_sq(f: SpectralField) -> np.ndarray:
+def mode_sq(f: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
     """Squared pointwise (Frobenius) magnitude of every stored mode, shape
-    ``grid.spec_shape``: sum_c w_c |f_c(k)|^2 with the component weights."""
+    ``grid.spec_shape``: sum_c w_c |f_c(k)|^2 with the component weights.
+
+    The result is written into ``out`` if given, else into a fresh array.
+    Each component goes through one component-sized scratch: the squares
+    of its real and imaginary parts fill the two halves, which are added,
+    weighted and added to the result.  The components are summed in runs
+    of four, each run's sum added to the result: the order of the OpenBLAS
+    matrix-vector kernel behind ``np.tensordot(w, c.real**2 + c.imag**2,
+    axes=(0, 0))``, so the magnitudes keep that form's bits (a second run
+    occurs only for the six stress components in 3-d).
+    """
     c = f.coeffs
-    return np.tensordot(f.component_weights(), c.real**2 + c.imag**2, axes=(0, 0))
+    weights = f.component_weights()
+    if out is None:
+        out = np.empty(c.shape[1:])
+    sq = np.empty((2,) + c.shape[1:])
+    for start in range(0, len(c), 4):
+        run = out if start == 0 else np.empty_like(out)
+        for i in range(start, min(start + 4, len(c))):
+            np.square(c[i].real, out=sq[0])
+            np.square(c[i].imag, out=sq[1])
+            term = run if i == start else sq[0]
+            np.add(sq[0], sq[1], out=term)
+            if weights[i] != 1.0:
+                term *= weights[i]
+            if term is not run:
+                run += term
+        if start:
+            out += run
+    return out
 
 
 def _weighted_sq_sum(f: SpectralField, mode_weight: np.ndarray) -> float:
@@ -339,49 +366,59 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _parseval_k(grid: TorusGrid) -> np.ndarray:
-    """``grid.k`` times the Parseval weight of each stored mode, complex128,
-    for the most recent grid, so the cancellation sums need no separate
-    weighting pass and no cast of a real table.  Read-only, since every
-    caller shares it."""
-    k = (grid.k * grid.multiplicity).astype(np.complex128)
+def _parseval_ik(grid: TorusGrid) -> np.ndarray:
+    """``-1j * grid.k`` times the Parseval weight of each stored mode, for
+    the most recent grid.  Pure imaginary, so a product with it swaps the
+    real and imaginary parts: ``Re(conj(a) * (-1j k m b))`` is ``Im(conj(a)
+    * k m b)``, the real dot of the float64 views of ``a`` and the product.
+    Read-only, since every caller shares it."""
+    k = -1j * (grid.k * grid.multiplicity)
     k.flags.writeable = False
     return k
 
 
-def _im_vdot(a: np.ndarray, b: np.ndarray) -> float:
-    """Im(sum conj(a) b) by numpy's own pairwise sum: ``np.vdot`` of complex
-    arrays goes to a threaded BLAS ``zdotc``, which can stall for
-    milliseconds on a busy host."""
-    prod = np.conj(a)
-    prod *= b
-    return float(np.sum(prod.imag))
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re(sum conj(a) b) of two complex arrays: the dot of their float64
+    views, by numpy's own ``einsum`` loop (``np.dot``/``np.vdot`` would call
+    a threaded BLAS, which can stall for milliseconds on a busy host)."""
+    a, b = (np.ascontiguousarray(x).view(np.float64).ravel() for x in (a, b))
+    return float(np.einsum("m,m->", a, b))
 
 
 def _cancellation_sums(u: VectorField, tau: SymTensorField) -> tuple[float, float]:
     """The Parseval sums ``(div tau | u)`` and ``(D(u) | tau)``, from the coefficients.
 
-    Each has its own contraction: the first contracts ``tau`` with ``k``
-    and pairs the result with ``u``; the second forms the symmetric gradient
-    of ``u`` (off-diagonal components weighted 2, as in the Frobenius
-    pairing) and pairs it with ``tau``.  The derivative's factor ``i``
-    enters as ``Re(i z) = -Im(z)``.  Mode by mode the two terms are ``Re(i
-    z)`` and ``Re(i conj z)``, so the sums cancel for any coefficients, not
-    only divergence-free or Hermitian ones: their sum checks that the two
-    contractions agree, and says nothing about a trajectory.
+    Each has its own contraction, formed one row at a time through two
+    component scratches: the first contracts ``tau`` with ``k`` into the
+    row ``(tau k)_i`` and pairs it with ``u_i``; the second forms the row
+    ``c = (i, j)`` of the symmetric gradient of ``u`` (off-diagonal
+    components weighted 2, as in the Frobenius pairing) and pairs it with
+    ``tau_c``.  The derivative's factor ``i`` enters as ``Re(i z) =
+    -Im(z)``, and the table ``_parseval_ik`` makes each ``Im`` a real dot
+    (``_dot``): no conjugate product and no BLAS call.  Mode by
+    mode the two terms are ``Re(i z)`` and ``Re(i conj z)``, so the sums
+    cancel for any coefficients, not only divergence-free or Hermitian
+    ones: their sum checks that the two contractions agree, and says
+    nothing about a trajectory.
     """
     grid = u.grid
     grid.require_same(tau.grid)
-    k, uc, tc = _parseval_k(grid), u.coeffs, tau.coeffs
-    tk = np.zeros_like(uc)
-    sym_k_u = np.empty_like(tc)
+    k, uc, tc = _parseval_ik(grid), u.coeffs, tau.coeffs
+    index = tau.component_index
+    row, comp = np.empty_like(uc[0]), np.empty_like(uc[0])
+    div_tau_u = 0.0
+    for i in range(grid.d):
+        np.multiply(k[0], tc[index(i, 0)], out=row)
+        for j in range(1, grid.d):
+            row += np.multiply(k[j], tc[index(i, j)], out=comp)
+        div_tau_u -= _dot(uc[i], row)
+    def_u_tau = 0.0
     for c, (i, j) in enumerate(SymTensorField.pairs(grid.d)):
-        tk[i] += k[j] * tc[c]
-        np.multiply(k[j], uc[i], out=sym_k_u[c])
+        np.multiply(k[j], uc[i], out=row)
         if i != j:
-            tk[j] += k[i] * tc[c]
-            sym_k_u[c] += k[i] * uc[j]
-    return -_im_vdot(uc, tk) * grid.volume, -_im_vdot(tc, sym_k_u) * grid.volume
+            row += np.multiply(k[i], uc[j], out=comp)
+        def_u_tau -= _dot(tc[c], row)
+    return div_tau_u * grid.volume, def_u_tau * grid.volume
 
 
 def cancellation_residual(u: VectorField, tau: SymTensorField, *,

@@ -93,7 +93,10 @@ def read_field(path) -> SpectralField:
             grid = TorusGrid(d, n, period)
         except (GridError, OverflowError) as exc:
             raise SnapshotError(f"bad snapshot grid: {exc}") from exc
-        raw = np.frombuffer(fh.read(8 * count), dtype="<f8")
+        # straight into the array, with no bytes object in between
+        raw = np.empty(count, dtype="<f8")
+        if fh.readinto(raw) != raw.nbytes:
+            raise SnapshotError("truncated snapshot payload")
     if not np.all(np.isfinite(raw)):
         raise SnapshotError("non-finite sample in snapshot payload")
     phys = raw.reshape((ncomp,) + grid.shape)

@@ -443,10 +443,14 @@ class LinearPropagator:
             u_new[i] += np.multiply(self._e_uz, zeta[i], out=comp)
         w += np.multiply(self._g_z, zeta, out=zeta)
         np.multiply(self._decay, tau, out=tau_new)
-        # tk is free again: its first row takes the second product of a pair
+        # tk is free again: its first row takes the second product of an
+        # off-diagonal pair
         for c, (i, j) in enumerate(pairs):
             np.multiply(khat[i], w[j], out=comp)
-            comp += np.multiply(khat[j], w[i], out=tk[0])
+            if i == j:
+                comp += comp  # a + a is exactly 2a: the bits of the second product
+            else:
+                comp += np.multiply(khat[j], w[i], out=tk[0])
             tau_new[c] += comp
         return out
 
@@ -544,8 +548,10 @@ class Simulation:
                                  SymTensorField(self.grid, x[d:]), step_index)
 
     def _require_finite(self, x: np.ndarray, names: tuple[str, str]) -> None:
-        # one reduction; the rows are told apart only when it fails
-        if not np.isfinite(x).all():
+        # one reduction over the float64 view (a complex entry is finite when
+        # both its parts are, and the real loop is the faster one); the rows
+        # are told apart only when it fails
+        if not np.isfinite(x.view(np.float64)).all():
             st = self.state
             name = names[0] if not np.isfinite(x[:self.grid.d]).all() else names[1]
             raise DivergenceError(st.step_index + 1, st.t + self.config.dt, name)

@@ -5,7 +5,9 @@ among them) when it is imported, and ``Tracer.install`` looks up every
 traced function by name.  Deleting one of those names makes every benchmark
 run fail.  The import and the install run in a subprocess, so the test
 process is never patched.  The same subprocess counts the spans of one warm
-step, the per-layer call counts the benchmark reports, and runs the
+step and of one warm ledger row, the per-layer call counts the benchmark
+reports (a row that stopped calling ``block_l2_norms`` or
+``cancellation_residual`` would empty their columns), and runs the
 benchmark's own operations at d=2, n=16 for eight steps: the off-path calls,
 two ``simulate`` workloads and the twin experiment.  A change to a signature
 they call (``EnergyLedger``, ``hs_norm``, ``stability_experiment``,
@@ -24,6 +26,7 @@ from dataclasses import replace
 
 import spans
 import workloads
+from oldroydb.monitor import EnergyLedger
 from oldroydb.solver import InitSpec, Simulation, SolverConfig
 
 before = [getattr(owner, attr) for owner, attr, _, _ in spans.TRACED]
@@ -43,6 +46,18 @@ for nonlinear, want in ((True, NONLINEAR_STEP), (False, LINEAR_STEP)):
         tracer.uninstall()
     got = dict(collections.Counter(span[0] for span in tracer.spans))
     assert got == want, (nonlinear, got)
+
+ledger = EnergyLedger(sim.grid, sim.config.params, sim.config.s_value, sim.config.dt)
+state = sim.state
+ledger.update(0.0, state.u, state.tau)
+ledger.update(0.1, state.u, state.tau)
+tracer = spans.Tracer().install()
+try:
+    ledger.update(0.2, state.u, state.tau)
+finally:
+    tracer.uninstall()
+got = dict(collections.Counter(span[0] for span in tracer.spans))
+assert got == LEDGER_ROW, got
 
 
 def small(workload):
@@ -69,12 +84,17 @@ NONLINEAR_STEP = {"solver.Simulation.advance": 1, "solver.rhs_nonlinear": 1,
                   "fft": 11}
 LINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 1,
                "operators.leray_project": 1}
+#: spans of one warm ledger row: one block-norm call for all three series,
+#: one cancellation check and no transform
+LEDGER_ROW = {"monitor.EnergyLedger.update": 1, "littlewood_paley.block_l2_norms": 1,
+              "operators.cancellation_residual": 1}
 
 
 def test_tracer_installs_on_every_traced_name(tmp_path):
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     code = (f"import sys\nsys.path[:0] = {paths!r}\n"
             f"NONLINEAR_STEP = {NONLINEAR_STEP!r}\nLINEAR_STEP = {LINEAR_STEP!r}\n"
+            f"LEDGER_ROW = {LEDGER_ROW!r}\n"
             f"SCRATCH = {str(tmp_path)!r}\n"
             + SCRIPT)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,26 @@ class TestLedger:
         res = simulate(cfg)
         assert np.max(res.ledger.column("cancel_residual")) <= 1e-12
         assert np.max(res.ledger.column("div_residual")) <= 1e-10
+
+    @pytest.mark.parametrize("d,n", [(2, 64), (3, 16)])
+    def test_warm_update_peak_below_one_stacked_state(self, d, n):
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(d * n)
+        u = leray_project(random_vector(grid, rng))
+        tau = random_sym_tensor(grid, rng)
+        ledger = EnergyLedger(grid, PARAMS, s=-0.25, dt=0.1)
+        ledger.update(0.0, u, tau)
+        ledger.update(0.1, u, tau)
+        # the d + nt complex components of the solver's stacked state
+        bound = (u.ncomp + tau.ncomp) * 16 * np.prod(grid.spec_shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ledger.update(0.2, u, tau)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_non_monotone_time_rejected(self, grid2):
         ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)

@@ -1,8 +1,10 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
+from oldroydb import snapshots
 from oldroydb.fields import random_scalar, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
 from oldroydb.operators import leray_project
@@ -67,6 +69,19 @@ def test_truncated_payload_rejected(tmp_path, rng):
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(SnapshotError):
+        read_field(path)
+
+
+def test_payload_cut_after_the_size_check_rejected(tmp_path, rng, monkeypatch):
+    # a file that loses its tail between the size check and the read
+    grid = TorusGrid(2, 16)
+    path = tmp_path / "f.field"
+    write_field(path, random_scalar(grid, rng))
+    full_size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-16])
+    monkeypatch.setattr(snapshots.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=full_size))
+    with pytest.raises(SnapshotError, match="truncated"):
         read_field(path)
 
 
