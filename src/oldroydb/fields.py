@@ -20,6 +20,8 @@ the mean-zero convention).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid import GridError, TorusGrid, leray_tables
@@ -29,12 +31,23 @@ class FieldError(ValueError):
     """Invalid field data: wrong shape, broken invariant, kind mismatch."""
 
 
+@functools.cache
 def _sym_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(d) for j in range(i, d))
 
 
+@functools.cache
 def _skew_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(d) for j in range(i + 1, d))
+
+
+@functools.cache
+def _sym_index(d: int) -> dict[tuple[int, int], int]:
+    """Stored component of every ordered pair (i, j), both triangles."""
+    index = {}
+    for c, (i, j) in enumerate(_sym_pairs(d)):
+        index[i, j] = index[j, i] = c
+    return index
 
 
 class SpectralField:
@@ -162,13 +175,23 @@ class VectorField(SpectralField):
         return d
 
     def divergence_residual(self) -> float:
-        """max_k |k.u(k)| relative to max_k |u(k)| (0 for the zero field)."""
-        scale = float(np.max(np.abs(self.coeffs)))
+        """max_k |k.u(k)| relative to max_k |u(k)| (0 for the zero field).
+
+        ``k . u`` is summed component by component through one component
+        scratch, in the order of ``np.sum`` over the components, so its
+        moduli keep that form's bits; every modulus goes through one float
+        scratch.  A call holds two complex components and one float one.
+        """
+        c = self.coeffs
+        mag = np.empty(c.shape[1:])
+        scale = float(np.max([np.max(np.abs(ci, out=mag)) for ci in c]))
         if scale == 0.0:
             return 0.0
         k, _ = leray_tables(self.grid)
-        div = np.sum(k * self.coeffs, axis=0)
-        return float(np.max(np.abs(div)) / scale)
+        div, comp = np.multiply(k[0], c[0]), np.empty_like(c[0])
+        for j in range(1, len(c)):
+            div += np.multiply(k[j], c[j], out=comp)
+        return float(np.max(np.abs(div, out=mag)) / scale)
 
 
 class SymTensorField(SpectralField):
@@ -188,7 +211,7 @@ class SymTensorField(SpectralField):
         return np.array([1.0 if i == j else 2.0 for i, j in _sym_pairs(self.grid.d)])
 
     def component_index(self, i: int, j: int) -> int:
-        return _sym_pairs(self.grid.d).index((min(i, j), max(i, j)))
+        return _sym_index(self.grid.d)[i, j]
 
     def full_matrix_physical(self) -> np.ndarray:
         """Physical values as a full tensor, shape (n, ..., n, d, d)."""

@@ -16,13 +16,14 @@ non-decreasing in time by construction.  The block weights, 2^{2qs} and
 
 ``EnergyLedger.update`` keeps each block's running sup and trapezoid sums,
 so a row costs the same at any row count; it forms each field's per-mode
-squared magnitudes once, for the block norms of u, grad u and tau and for
-the scale of the cancellation check.  A row allocates one real
-``(3,) + spec_shape`` array of magnitudes (1.5 complex components) and
-``mode_sq``'s component scratch, drops them before the residual columns,
-and forms the cancellation sums through two component scratches, so its
-peak (about 3 complex components at d=2, 4 at d=3, set by
-``divergence_residual``) stays below one stacked state.
+squared magnitudes once, for the block norms of u, grad u and tau.  A row
+allocates one real ``(3,) + spec_shape`` array of magnitudes (1.5 complex
+components) and ``mode_sq``'s scratch, and drops them before the
+divergence residual, so its peak (about 2.5 complex components at d=2, 3
+at d=3, set by ``mode_sq``) stays below one stacked state.  A row reports
+no cancellation residual: ``(div tau | u) + (D(u) | tau)`` vanishes mode
+by mode for any coefficients, so the column could only read rounding;
+``operators.cancellation_residual`` and the A-1 suite check the identity.
 ``functionals_from_history``
 recomputes any row offline from the stored (nt, nq) block histories.
 
@@ -51,7 +52,7 @@ from .littlewood_paley import (
     hs_norm,
     hybrid_weights,
 )
-from .operators import cancellation_residual, mode_sq
+from .operators import mode_sq
 from .solver import (
     ConfigError,
     DivergenceError,
@@ -66,7 +67,7 @@ LEDGER_COLUMNS = (
     "t", "E1", "E2", "E",
     "Hs_u_sup", "Hs_tau_sup", "grad_u_L2Hs", "tau_L2Hs",
     "high_B_u_sup", "high_B_tau_sup", "high_B_u_L1", "high_B_tau_L1",
-    "div_residual", "cancel_residual",
+    "div_residual",
 )
 
 
@@ -177,9 +178,10 @@ class EnergyLedger:
     ``functionals_from_history`` recomputes any row from the histories.
     A row writes ``|u|^2``, ``|k|^2 |u|^2`` and ``|tau|^2`` per mode
     straight into one ``(3,) + spec_shape`` array (``mode_sq(f, out=)``)
-    and holds no other spectrum-sized temporary beyond two component
-    scratches.  A row with a non-finite value (a diverging state overflows
-    its squares) raises ``DivergenceError`` for ``E``, with no step, and is
+    and holds no other spectrum-sized temporary beyond ``mode_sq``'s
+    scratch; ``divergence_residual`` runs after the array is dropped.
+    A row with a non-finite value (a diverging state overflows its
+    squares) raises ``DivergenceError`` for ``E``, with no step, and is
     not appended.
     """
 
@@ -214,8 +216,6 @@ class EnergyLedger:
             np.multiply(sq[0], grid.k2, out=sq[1])
             mode_sq(tau, out=sq[2])
             b_u, b_gu, b_tau = block_l2_norms(sq, self.partition)
-            # ||grad u||^2 and ||tau||^2 by Parseval, over the box volume
-            grad_u_sq, tau_sq = sq[1:].reshape(2, -1) @ grid.multiplicity.ravel()
             del sq
             np.maximum(table[SUP_U], b_u, out=table[SUP_U])
             np.maximum(table[SUP_TAU], b_tau, out=table[SUP_TAU])
@@ -230,8 +230,6 @@ class EnergyLedger:
             row = {"t": t}
             row.update(_functionals_from_table(table, *self._weights, self.params))
             row["div_residual"] = u.divergence_residual()
-            row["cancel_residual"] = cancellation_residual(
-                u, tau, scale=grid.volume * math.sqrt(grad_u_sq * tau_sq))
         if not all(map(math.isfinite, row.values())):
             raise DivergenceError(None, t, "E")
         self._table = table
@@ -247,7 +245,8 @@ class EnergyLedger:
     def header(self) -> dict:
         p = self.params
         return {
-            "schema": "ledger-v1",
+            # ledger-v1 rows carry one more column, cancel_residual
+            "schema": "ledger-v2",
             "s": self.s, "d": self.grid.d, "n": self.grid.n, "dt": self.dt,
             "params": {"re": p.re, "we": p.we, "omega": p.omega, "alpha": p.alpha},
             "kappa1": self.kappas.kappa1,
@@ -274,7 +273,11 @@ class EnergyLedger:
 
 
 def read_ledger_csv(path) -> tuple[dict, list[dict]]:
-    """Read back a ledger file: (header dict, rows with float values)."""
+    """Read back a ledger file: (header dict, rows with float values).
+
+    Each row holds the columns its file names, so a ``ledger-v1`` file
+    reads back with its ``cancel_residual`` column.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         rows = [
@@ -314,7 +317,6 @@ def check_global_bound(ledger: EnergyLedger) -> dict:
         "passed": violating.size == 0,
         "first_violation_t": float(t[violating[0]]) if violating.size else None,
         "max_div_residual": float(np.max(ledger.column("div_residual"))),
-        "max_cancel_residual": float(np.max(ledger.column("cancel_residual"))),
     }
 
 

@@ -425,9 +425,8 @@ def cancellation_residual(u: VectorField, tau: SymTensorField, *,
                           scale: float | None = None) -> float:
     """|(div tau | u) + (D(u) | tau)| scaled by ||tau|| ||grad u|| (0 if degenerate).
 
-    Pass ``scale`` when the caller already has ``||tau|| ||grad u||`` (the
-    ledger forms it from its per-mode magnitudes); otherwise it is formed
-    here from the coefficients.
+    Pass ``scale`` when the caller already has ``||tau|| ||grad u||``;
+    otherwise it is formed here from the coefficients.
     """
     div_tau_u, def_u_tau = _cancellation_sums(u, tau)
     if scale is None:

@@ -6,8 +6,8 @@ traced function by name.  Deleting one of those names makes every benchmark
 run fail.  The import and the install run in a subprocess, so the test
 process is never patched.  The same subprocess counts the spans of one warm
 step and of one warm ledger row, the per-layer call counts the benchmark
-reports (a row that stopped calling ``block_l2_norms`` or
-``cancellation_residual`` would empty their columns), and runs the
+reports (a row that stopped calling ``block_l2_norms`` would empty its
+columns), and runs the
 benchmark's own operations at d=2, n=16 for eight steps: the off-path calls,
 two ``simulate`` workloads and the twin experiment.  A change to a signature
 they call (``EnergyLedger``, ``hs_norm``, ``stability_experiment``,
@@ -84,10 +84,9 @@ NONLINEAR_STEP = {"solver.Simulation.advance": 1, "solver.rhs_nonlinear": 1,
                   "fft": 11}
 LINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 1,
                "operators.leray_project": 1}
-#: spans of one warm ledger row: one block-norm call for all three series,
-#: one cancellation check and no transform
-LEDGER_ROW = {"monitor.EnergyLedger.update": 1, "littlewood_paley.block_l2_norms": 1,
-              "operators.cancellation_residual": 1}
+#: spans of one warm ledger row: one block-norm call for all three series
+#: and no transform
+LEDGER_ROW = {"monitor.EnergyLedger.update": 1, "littlewood_paley.block_l2_norms": 1}
 
 
 def test_tracer_installs_on_every_traced_name(tmp_path):

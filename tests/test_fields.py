@@ -125,3 +125,17 @@ def test_restrict_spectrum_preserves_coarse_modes(rng):
 
 def test_divergence_residual_zero_field(grid2):
     assert VectorField.zero(grid2).divergence_residual() == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_component_pairs_and_indices(d):
+    grid = TorusGrid(d, 8)
+    sym = tuple((i, j) for i in range(d) for j in range(i, d))
+    skew = tuple((i, j) for i in range(d) for j in range(i + 1, d))
+    assert SymTensorField.pairs(d) == sym
+    assert SkewTensorField.pairs(d) == skew
+    assert SymTensorField.pairs(d) is SymTensorField.pairs(d)
+    tau = SymTensorField.zero(grid)
+    for i in range(d):
+        for j in range(d):
+            assert tau.component_index(i, j) == sym.index((min(i, j), max(i, j)))

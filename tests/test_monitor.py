@@ -180,11 +180,10 @@ class TestLedger:
         assert redone["high_B_u_sup"] == full["high_B_u_sup"]
         assert redone["high_B_tau_L1"] == full["high_B_tau_L1"]
 
-    def test_cancel_residual_column_small(self):
+    def test_div_residual_column_small(self):
         cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=0.5, params=PARAMS,
                            init=InitSpec(amplitude=0.5, band=(1.0, 6.0), seed=9))
         res = simulate(cfg)
-        assert np.max(res.ledger.column("cancel_residual")) <= 1e-12
         assert np.max(res.ledger.column("div_residual")) <= 1e-10
 
     @pytest.mark.parametrize("d,n", [(2, 64), (3, 16)])
@@ -196,8 +195,15 @@ class TestLedger:
         ledger = EnergyLedger(grid, PARAMS, s=-0.25, dt=0.1)
         ledger.update(0.0, u, tau)
         ledger.update(0.1, u, tau)
-        # the d + nt complex components of the solver's stacked state
-        bound = (u.ncomp + tau.ncomp) * 16 * np.prod(grid.spec_shape)
+        # one stacked state is d + nt complex components (5 at d=2, 9 at
+        # d=3).  By design a row holds its (3,) + spec_shape magnitudes (1.5
+        # components) and mode_sq's scratch (1, and 0.5 more for the second
+        # run of the six 3-d stress components); divergence_residual runs
+        # after the magnitudes are dropped and holds 2.5.  Measured 2.60 at
+        # d=2, n=64 and 3.07 at d=3, n=16 (3.10 and 4.09 with the v1
+        # cancel_residual column); the bound allows a quarter component of
+        # small-grid overhead
+        bound = ((2.5 if d == 2 else 3.0) + 0.25) * 16 * np.prod(grid.spec_shape)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -288,7 +294,7 @@ class TestLedger:
         path = tmp_path / "ledger.csv"
         res.ledger.write_csv(path)
         header, rows = read_ledger_csv(path)
-        assert header["schema"] == "ledger-v1"
+        assert header["schema"] == "ledger-v2"
         assert header["d"] == 2 and header["n"] == 16
         assert header["kappa2"] == pytest.approx(math.sqrt(2.0))
         assert header["params"]["omega"] == 0.5
@@ -296,6 +302,23 @@ class TestLedger:
         for got, want in zip(rows, res.ledger.rows):
             for key, val in want.items():
                 assert got[key] == val  # repr round-trips floats exactly
+
+    def test_reads_v1_file_with_cancel_residual_column(self, tmp_path):
+        # the columns of ledger-v1, fixed with that format
+        columns = ("t", "E1", "E2", "E", "Hs_u_sup", "Hs_tau_sup", "grad_u_L2Hs",
+                   "tau_L2Hs", "high_B_u_sup", "high_B_tau_sup", "high_B_u_L1",
+                   "high_B_tau_L1", "div_residual", "cancel_residual")
+        values = [0.1 * (i + 1) for i in range(len(columns))]
+        path = tmp_path / "ledger.csv"
+        path.write_text(
+            '{"d": 2, "dt": 0.1, "n": 16, "schema": "ledger-v1", "s": -0.25}\n'
+            + ",".join(columns) + "\n"
+            + ",".join(map(repr, values)) + "\n"
+            + ",".join(map(repr, values[::-1])) + "\n",
+            encoding="utf-8")
+        header, rows = read_ledger_csv(path)
+        assert header == {"d": 2, "dt": 0.1, "n": 16, "schema": "ledger-v1", "s": -0.25}
+        assert rows == [dict(zip(columns, values)), dict(zip(columns, values[::-1]))]
 
 
 class TestGlobalBound:

@@ -160,8 +160,14 @@ class TestComplexTables:
     def test_divergence_residual_matches_float_tables(self, d, n):
         grid = TorusGrid(d, n)
         rng = np.random.default_rng(d * n)
-        for v in (random_vector(grid, rng), leray_project(random_vector(grid, rng)),
-                  VectorField.zero(grid)):
+        shape = (d,) + grid.spec_shape
+        fields = [random_vector(grid, rng), leray_project(random_vector(grid, rng)),
+                  VectorField.zero(grid),
+                  # neither divergence-free nor Hermitian
+                  VectorField(grid, rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))]
+        fields += [VectorField(grid, np.asfortranarray(v.coeffs)) for v in fields]
+        for v in fields:
             assert v.divergence_residual() == _divergence_residual_float_tables(v)
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
