@@ -98,7 +98,7 @@ class SpectralField:
             raise FieldError(
                 f"physical data must have shape {(ncomp,) + grid.shape}, got {values.shape}"
             )
-        coeffs = grid.to_spectral(values, grid.mode_mask)
+        coeffs = grid.to_spectral(values, grid.mode_radius)
         coeffs[(slice(None),) + (0,) * grid.d] = 0.0
         return cls(grid, coeffs)
 

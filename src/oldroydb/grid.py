@@ -13,6 +13,13 @@ The grid also carries the masks everybody needs, on the half spectrum: the
 set of usable modes (the unpaired Nyquist lines ``|m_i| = n/2`` are
 excluded), and the sharp 2/3-rule mask used to dealias quadratic products.
 
+Both masks are bands: the modes with ``|m_i| <= M`` on every axis, M =
+``dealias_radius`` (``n // 3``) for the 2/3 rule and ``mode_radius``
+(``n/2 - 1``) for the usable modes.  A band is also stored compactly, shape
+``band_shape(M) = (2M+1, ..., 2M+1, M+1)``, FFT-ordered on each leading
+axis (rows 0..M, then -M..-1); ``band_slabs`` pairs its 2^(d-1) row blocks
+with theirs in the half spectrum (``to_band``, ``add_band``).
+
 ``to_physical`` and ``to_spectral`` are the one transform pair.  The inverse
 runs as separate passes (``inverse_passes``), ``scipy.fft.ifft`` over each
 leading spatial axis and ``numpy.fft.irfft`` over the last, so that a caller
@@ -21,11 +28,14 @@ samples into a buffer it owns (``out``): a call then allocates nothing of
 the field's size.  A caller may also run the passes in stretches: a
 derivative ``i k_j c`` commutes with the passes over the other axes, so the
 gradient of a field can share the passes before axis ``j`` with the field.
+The forward transform is pruned to a band (``forward_band``): it computes
+only the rows the band keeps, to the bits of ``scipy.fft.rfftn`` there.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +44,32 @@ import scipy.fft
 
 class GridError(ValueError):
     """Structural problem with a grid: bad size, dimension, or mismatch."""
+
+
+def period_scales(d: int, n: int, period: float) -> tuple[float, float, float, float]:
+    """``(period, volume, cell_volume, k_scale)`` of a grid of ``n**d``
+    points, as floats.
+
+    Raises ``GridError`` unless the box and cell volumes and every squared
+    wavenumber ``|k|^2`` (from ``k_scale**2`` to ``d (k_scale n/2)**2``) are
+    finite and nonzero: at an extreme period the Parseval weights or the
+    wavenumber tables would overflow or underflow to zero.
+    """
+    try:
+        p = float(period)
+        k_scale = 2.0 * np.pi / p
+        scales = (p, p**d, (p / n) ** d, k_scale**2, d * (k_scale * (n // 2)) ** 2)
+    except (OverflowError, ZeroDivisionError):
+        scales = (np.inf,)
+    if not all(0.0 < x < np.inf for x in scales):
+        raise GridError(f"period must be positive, with a finite nonzero box volume "
+                        f"and wavenumbers at d={d}, n={n}; got {period!r}")
+    return p, scales[1], scales[2], k_scale
+
+
+def _rows(axis: int, start: int, stop: int) -> tuple:
+    """Index of rows start..stop-1 along ``axis``, all of the other axes."""
+    return (slice(None),) * axis + (slice(start, stop),)
 
 
 class TorusGrid:
@@ -51,14 +87,11 @@ class TorusGrid:
             raise GridError(f"dimension must be 2 or 3, got {d}")
         if n < 8 or (n & (n - 1)) != 0:
             raise GridError(f"n must be a power of two >= 8, got {n}")
-        if period <= 0:
-            raise GridError(f"period must be positive, got {period}")
         self.d = int(d)
         self.n = int(n)
-        self.period = float(period)
+        self.period, self.volume, self.cell_volume, self.k_scale = period_scales(
+            self.d, self.n, period)
         self.shape = (self.n,) * self.d
-        self.volume = self.period**self.d
-        self.cell_volume = (self.period / self.n) ** self.d
 
         #: shape of a stored coefficient array: the half spectrum m_last >= 0
         self.spec_shape = self.shape[:-1] + (self.n // 2 + 1,)
@@ -67,13 +100,16 @@ class TorusGrid:
         mesh = np.meshgrid(*([m] * (d - 1) + [np.arange(n // 2 + 1)]), indexing="ij")
         #: integer wavevectors on the half spectrum, shape (d,) + spec_shape
         self.k_int = np.stack(mesh)
-        self.k_scale = 2.0 * np.pi / self.period
         #: physical wavevectors k = k_scale * k_int
         self.k = self.k_scale * self.k_int
         self.k2 = np.sum(self.k * self.k, axis=0)
         self.kmag = np.sqrt(self.k2)
 
         nyq = n // 2
+        #: radius of the band of usable modes (drops the |m_i| = n/2 lines)
+        self.mode_radius = nyq - 1
+        #: radius of the 2/3-rule band that quadratic products keep
+        self.dealias_radius = n // 3
         #: modes with a resolvable -k partner (drops the |m_i| = n/2 lines)
         self.mode_mask = np.all(np.abs(self.k_int) != nyq, axis=0)
         #: sharp 2/3-rule mask for quadratic products
@@ -83,8 +119,6 @@ class TorusGrid:
         #: Parseval weight of each stored mode: 2 where it also stands for -k
         self.multiplicity = np.where((self.k_int[-1] > 0) & (self.k_int[-1] < nyq),
                                      2.0, 1.0)
-        # index map realizing m -> -m per axis
-        self._neg = (n - np.arange(n)) % n
 
     @functools.cached_property
     def shells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -104,15 +138,52 @@ class TorusGrid:
         return tuple(np.meshgrid(*([x] * self.d), indexing="ij"))
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
-        """The m_last = 0 plane of a half-spectrum array, reindexed from k to -k.
+        """The m_last = 0 plane of a half-spectrum or band array, reindexed
+        from k to -k.
 
         Spatial axes come last; the result drops the last one.  This plane
-        is the only place where both k and -k are stored.
+        is the only place where both k and -k are stored.  Both layouts are
+        FFT-ordered on the leading axes, so an axis of length L maps index i
+        to (L - i) % L.
         """
         out = coeffs[..., 0]
         for ax in range(1 - self.d, 0):
-            out = np.take(out, self._neg, axis=ax)
+            size = out.shape[ax]
+            out = np.take(out, (size - np.arange(size)) % size, axis=ax)
         return out
+
+    def band_shape(self, radius: int) -> tuple[int, ...]:
+        """Shape of a compact band of ``radius``: ``(2M+1, ..., 2M+1, M+1)``."""
+        return (2 * radius + 1,) * (self.d - 1) + (radius + 1,)
+
+    def band_slabs(self, radius: int) -> list[tuple[tuple, tuple]]:
+        """Index pairs ``(spectrum, band)`` of the band's 2^(d-1) blocks.
+
+        On each leading axis the band keeps rows 0..M (band rows 0..M) and
+        -M..-1 (spectrum rows n-M..n-1, band rows M+1..2M); on the last axis
+        columns 0..M.  Spatial axes come last, so the indices apply to
+        arrays with any leading component axes.
+        """
+        n, m = self.n, radius
+        rows = ((slice(0, m + 1), slice(0, m + 1)),
+                (slice(n - m, n), slice(m + 1, 2 * m + 1)))
+        cols = slice(0, m + 1)
+        return [((...,) + tuple(full for full, _ in blocks) + (cols,),
+                 (...,) + tuple(band for _, band in blocks) + (cols,))
+                for blocks in itertools.product(rows, repeat=self.d - 1)]
+
+    def to_band(self, coeffs: np.ndarray, radius: int) -> np.ndarray:
+        """The band of ``radius`` of half-spectrum coefficients, a fresh
+        compact array."""
+        out = np.empty(coeffs.shape[:-self.d] + self.band_shape(radius), coeffs.dtype)
+        for full, band in self.band_slabs(radius):
+            out[band] = coeffs[full]
+        return out
+
+    def add_band(self, coeffs: np.ndarray, band: np.ndarray, radius: int) -> None:
+        """Add a compact band into half-spectrum coefficients, in place."""
+        for full, compact in self.band_slabs(radius):
+            coeffs[full] += band[compact]
 
     def inverse_passes(self, x: np.ndarray, start: int = 0, stop: int | None = None, *,
                        overwrite_x: bool = False,
@@ -149,16 +220,60 @@ class TorusGrid:
         """
         return self.inverse_passes(coeffs, overwrite_x=overwrite_x, out=out)
 
-    def to_spectral(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients of real samples, times ``mask``.
+    def _forward_passes(self, values: np.ndarray, radius: int,
+                        scratch: np.ndarray) -> np.ndarray:
+        """The band of the forward transform of ``values``, exactly Hermitian,
+        as a compact view at the start of ``scratch`` (of shape
+        ``values.shape[:-1] + (n//2 + 1,)``): rows 0..2M on each leading
+        axis, columns 0..M."""
+        n, m = self.n, radius
+        x = np.fft.rfft(values, axis=-1, norm="forward", out=scratch)[..., :m + 1]
+        for axis in range(x.ndim - self.d, x.ndim - 1):
+            x = scipy.fft.fft(x, axis=axis, norm="forward", overwrite_x=True)
+            x[_rows(axis, m + 1, 2 * m + 1)] = x[_rows(axis, n - m, n)]
+            x = x[_rows(axis, 0, 2 * m + 1)]
+        x[..., 0] = 0.5 * (x[..., 0] + np.conj(self.reflect(x)))
+        return x
 
-        ``rfftn`` leaves the m_last = 0 plane Hermitian only to rounding;
-        averaging it with its conjugate mirror makes it exact.
+    def forward_band(self, values: np.ndarray, radius: int, *,
+                     scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Band of ``radius`` of the half-spectrum coefficients of real
+        samples (spatial axes last), exactly Hermitian, written into
+        ``out`` (shape ``values.shape[:-d] + band_shape(radius)``).
+
+        The passes of ``scipy.fft.rfftn`` pruned to the band, with its bits
+        there: ``numpy.fft.rfft`` over the last axis, into ``scratch`` (of
+        shape ``values.shape[:-1] + (n//2 + 1,)``), keeps columns 0..M;
+        each ``scipy.fft.fft`` over a leading axis, in increasing axis order
+        as ``rfftn`` runs them (the other order is not bitwise at d=3), runs
+        in place on the rows kept so far and keeps rows 0..M and -M..-1,
+        the second slab moved up next to the first.  Each pass scales by
+        ``1/n``, a power of two, so the scaling is exact.  ``rfftn`` leaves
+        the m_last = 0 plane Hermitian only to rounding; averaging it with
+        its conjugate mirror, which the band holds, makes it exact.
         """
-        axes = tuple(range(values.ndim - self.d, values.ndim))
-        coeffs = scipy.fft.rfftn(values, axes=axes, norm="forward")
-        coeffs[..., 0] = 0.5 * (coeffs[..., 0] + np.conj(self.reflect(coeffs)))
-        coeffs *= mask
+        out[...] = self._forward_passes(values, radius, scratch)
+        return out
+
+    def to_spectral(self, values: np.ndarray, radius: int) -> np.ndarray:
+        """Half-spectrum coefficients of real samples, kept on the band of
+        ``radius`` (``dealias_radius`` or ``mode_radius``) and zero outside.
+
+        The band of the passes of ``forward_band`` is spread out in place in
+        the array they ran in, undoing the slab moves axis by axis in
+        reverse, so the call holds one coefficient array.
+        """
+        n, m = self.n, radius
+        lead = values.ndim - self.d
+        coeffs = np.empty(values.shape[:lead] + self.spec_shape, np.complex128)
+        self._forward_passes(values, radius, coeffs)
+        for axis in range(values.ndim - 2, lead - 1, -1):
+            # the band so far: rows 0..2M on the axes before this one
+            block = coeffs[(...,) + (slice(0, 2 * m + 1),) * (axis - lead)
+                           + (slice(None),) * (values.ndim - 1 - axis) + (slice(0, m + 1),)]
+            block[_rows(axis, n - m, n)] = block[_rows(axis, m + 1, 2 * m + 1)]
+            block[_rows(axis, m + 1, n - m)] = 0.0
+        coeffs[..., m + 1:] = 0.0
         return coeffs
 
     @property

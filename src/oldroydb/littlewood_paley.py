@@ -274,7 +274,7 @@ def paraproduct(f: ScalarField, g: ScalarField) -> ScalarField:
         sf = grid.to_physical(f.coeffs * part.chi_weights(int(q) - 1))
         dg = grid.to_physical(g.coeffs * part.phi_weights(int(q)))
         acc += sf * dg
-    return ScalarField(grid, grid.to_spectral(acc, grid.dealias_mask))
+    return ScalarField(grid, grid.to_spectral(acc, grid.dealias_radius))
 
 
 def remainder(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -293,7 +293,7 @@ def remainder(f: ScalarField, g: ScalarField) -> ScalarField:
         df = grid.to_physical(f.coeffs * part.phi_weights(int(q)))
         ng = grid.to_physical(g.coeffs * near)
         acc += df * ng
-    return ScalarField(grid, grid.to_spectral(acc, grid.dealias_mask))
+    return ScalarField(grid, grid.to_spectral(acc, grid.dealias_radius))
 
 
 # ---- commutator ----------------------------------------------------------------

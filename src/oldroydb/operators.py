@@ -5,25 +5,27 @@ exact Fourier multipliers on the stored half spectrum.  Quadratic
 expressions (advection, the objective stress term) are evaluated
 pseudo-spectrally through the grid's one transform pair: a real inverse
 transform (``TorusGrid.to_physical``, the passes of ``irfftn``) to physical
-space, pointwise products, a real forward transform (``rfftn``) back and
-the sharp 2/3-rule mask.  No full-grid complex transform is taken.  All
+space, pointwise products, and the real forward transform back
+(``TorusGrid.to_spectral``, the passes of ``rfftn`` pruned to the sharp
+2/3-rule band).  No full-grid complex transform is taken.  All
 inner products use Parseval's identity on the coefficient arrays, each
 stored mode weighted by the grid's ``multiplicity``, so no quadrature
 error enters them.
 
 The solver's quadratic terms go through ``quadratic_terms``: real inverse
 transforms of ``[u, grad u, tau, grad tau]`` (15 real fields in 2-d, 36 in
-3-d), componentwise algebra on the stored upper triangle, and one batched
-real forward transform of the ``d + d(d+1)/2`` products (5 in 2-d, 9 in
-3-d).  Each field's samples and gradient share their leading complex
-passes (``_samples_and_gradients``): 2 complex field-passes per field
-instead of 3 in 2-d, 5 instead of 8 in 3-d.  Composed from ``advect`` and
-``g_alpha``, the same terms take 19 real inverse and 8 real forward
-transforms in 2-d; those two stay as the per-term API and as the test
-oracle.  ``quadratic_terms`` transforms through buffers kept for the most
-recent grid (``_kernel_buffers``), so a step allocates and faults in none
-of them; two threads that call it on equal grids share them, so it is not
-safe to call concurrently.
+3-d), componentwise algebra on the stored upper triangle, and the
+band-pruned real forward transform (``TorusGrid.forward_band``) of the
+``d + d(d+1)/2`` products (5 in 2-d, 9 in 3-d) up to six at a time, which
+returns the terms on the band only.  Each field's samples and gradient
+share their leading complex passes (``_samples_and_gradients``): 2
+complex field-passes per field instead of 3 in 2-d, 5 instead of 8 in
+3-d.  Composed from ``advect`` and ``g_alpha``, the same terms take 19
+real inverse and 8 real forward transforms in 2-d; those two stay as the
+per-term API and as the test oracle.  ``quadratic_terms`` transforms
+through buffers kept for the most recent grid (``_kernel_buffers``), so a
+step allocates and faults in none of them; two threads that call it on
+equal grids share them, so it is not safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -50,28 +52,40 @@ def leray_project(v: VectorField, out: np.ndarray | None = None) -> VectorField:
     """Remove the gradient part: u(k) = (I - k k^T / |k|^2) v(k), zero at k=0.
 
     ``k`` and ``|k|^2`` (1 at k = 0) come complex from ``leray_tables``,
-    built once for the most recent grid, so no product casts a real table;
-    the quotient by a complex divisor with zero imaginary part has the bits
-    of the quotient by the real one.  ``k . v`` is summed component by
-    component from zero, in the order and to the bits of ``np.sum`` over
-    the components.  The result is written into ``out`` if given, which may
-    be ``v.coeffs`` itself (the solver projects its stacked state in place),
+    built once for the most recent grid (``leray_coeffs`` has the
+    arithmetic).  The result is written into ``out`` if given, which may be
+    ``v.coeffs`` itself (the solver projects its stacked state in place),
     else into a fresh array; a call holds two components beyond it.
     """
-    grid = v.grid
-    k, k2 = leray_tables(grid)
-    c = v.coeffs
+    k, k2 = leray_tables(v.grid)
+    return VectorField(v.grid, leray_coeffs(v.coeffs, k, k2, out))
+
+
+def leray_coeffs(c: np.ndarray, k: np.ndarray, k2: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The Leray projection of the ``d`` coefficient rows ``c`` into ``out``
+    (which may be ``c``; a fresh array if None), with complex tables ``k``
+    and ``|k|^2`` (1 at k = 0) on the same layout: the half spectrum or a
+    band.
+
+    No product casts a real table, and the quotient by a complex divisor
+    with zero imaginary part has the bits of the quotient by the real one.
+    ``k . v`` is summed component by component from zero, in the order and
+    to the bits of ``np.sum`` over the components.  The k = 0 mode, the
+    first of either layout, is set to zero.
+    """
+    d = len(c)
     kdotv = np.zeros_like(c[0])
     comp = np.empty_like(kdotv)
-    for i in range(grid.d):
+    for i in range(d):
         kdotv += np.multiply(k[i], c[i], out=comp)
     kdotv /= k2
     if out is None:
         out = np.empty_like(c)
-    for i in range(grid.d):
+    for i in range(d):
         np.subtract(c[i], np.multiply(k[i], kdotv, out=comp), out=out[i])
-    out[(slice(None),) + (0,) * grid.d] = 0.0
-    return VectorField(grid, out)
+    out[(slice(None),) + (0,) * d] = 0.0
+    return out
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -119,7 +133,7 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     grid = f.grid
     grid.require_same(g.grid)
     prod = grid.to_physical(f.coeffs) * grid.to_physical(g.coeffs)
-    return ScalarField(grid, grid.to_spectral(prod, grid.dealias_mask))
+    return ScalarField(grid, grid.to_spectral(prod, grid.dealias_radius))
 
 
 def advect(u: VectorField, f: SpectralField, u_phys: np.ndarray | None = None) -> SpectralField:
@@ -135,7 +149,7 @@ def advect(u: VectorField, f: SpectralField, u_phys: np.ndarray | None = None) -
     # d_j f_c for every component c and direction j, shape (ncomp, d, n, ..., n)
     grad_f = grid.to_physical(1j * grid.k * f.coeffs[:, None])
     transport = sum(u_phys[j] * grad_f[:, j] for j in range(grid.d))
-    return type(f)(grid, grid.to_spectral(transport, grid.dealias_mask))
+    return type(f)(grid, grid.to_spectral(transport, grid.dealias_radius))
 
 
 def g_alpha_pointwise(
@@ -165,7 +179,7 @@ def g_alpha(tau: SymTensorField, u: VectorField, alpha: float) -> SymTensorField
     w_m = vorticity(u).full_matrix_physical()
     g_m = g_alpha_pointwise(tau_m, d_m, w_m, alpha)
     comps = np.stack([g_m[..., i, j] for i, j in SymTensorField.pairs(grid.d)])
-    return SymTensorField(grid, grid.to_spectral(comps, grid.dealias_mask))
+    return SymTensorField(grid, grid.to_spectral(comps, grid.dealias_radius))
 
 
 #: fields whose samples and gradients share one chain of inverse passes
@@ -173,24 +187,20 @@ _GROUP = 3
 
 
 @functools.lru_cache(maxsize=1)
-def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scratch half spectrum of ``quadratic_terms``, its real samples and
-    the dealias mask as complex128.
+def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The scratch half spectrum of ``quadratic_terms`` and its real samples.
 
     The scratch holds two groups of fields, the pass chain and the
-    gradient in transform (6 fields); the samples hold ``[u, tau, grad u]``
+    gradient in transform (6 fields), and later the products' real
+    transform, up to 6 at a time; the samples hold ``[u, tau, grad u]``
     and the gradients of one stress group (15 fields in 2-d, 27 in 3-d).
-    Multiplying by the complex mask gives the bits of the boolean one,
-    which numpy would cast chunk by chunk.  Kept for the most recent grid
-    only, so runs on equal grids share them and a sweep over grids holds
-    one set.
+    Kept for the most recent grid only, so runs on equal grids share them
+    and a sweep over grids holds one set.
     """
     d = grid.d
     nt = d * (d + 1) // 2
-    mask = grid.dealias_mask.astype(np.complex128)
-    mask.flags.writeable = False
     return (np.empty((2 * _GROUP,) + grid.spec_shape, np.complex128),
-            np.empty((d + nt + d * d + _GROUP * d,) + grid.shape), mask)
+            np.empty((d + nt + d * d + _GROUP * d,) + grid.shape))
 
 
 def _samples_and_gradients(grid: TorusGrid, c: np.ndarray, spec: np.ndarray,
@@ -223,9 +233,11 @@ def _samples_and_gradients(grid: TorusGrid, c: np.ndarray, spec: np.ndarray,
 def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.ndarray:
     """((u.grad)u, (u.grad)tau + g_alpha(tau, grad u)) in one dealiased pass.
 
-    Returns one fresh ``(d + nt,) + grid.spec_shape`` array, velocity rows
-    first, in the layout of the solver's state; the rows equal ``advect(u,
-    u)`` and ``advect(u, tau) + g_alpha(tau, u, alpha)`` up to rounding.
+    Returns one fresh ``(d + nt,) + grid.band_shape(grid.dealias_radius)``
+    array, velocity rows first as in the solver's state, on the 2/3-rule
+    band, outside of which the dealiased terms vanish: added into zeros on
+    the half spectrum (``grid.add_band``) the rows equal ``advect(u, u)``
+    and ``advect(u, tau) + g_alpha(tau, u, alpha)`` up to rounding.
     With A_ij = d_j u_i, D = (A + A^T)/2 and W = (A - A^T)/2, symmetry of
     tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so each
     stored component is g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
@@ -240,14 +252,17 @@ def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.nda
     stress gradients serving as their own product scratch once read; ``B``
     is formed in place over ``grad u`` (``B_kk = -alpha A_kk``; each
     off-diagonal pair through two free stress-gradient rows), and the
-    ``g_alpha`` products are added to the rows one by one.
+    ``g_alpha`` products are added to the rows one by one.  The products
+    go through the band-pruned forward transform (``grid.forward_band``)
+    up to six fields at a time, their real pass into the scratch spectrum
+    and their band straight into the result.
     """
     grid = u.grid
     grid.require_same(tau.grid)
     d = grid.d
     pairs = SymTensorField.pairs(d)
     nt = len(pairs)
-    spec, phys, mask = _kernel_buffers(grid)
+    spec, phys = _kernel_buffers(grid)
     # sample rows: u_i | tau_c | d_j u_i (i-major) | d_m tau_c of one group
     vel, stress, grad_u, grad_tau = np.split(phys, (d, d + nt, d + nt + d * d))
     grad_u = grad_u.reshape((d, d) + grid.shape)
@@ -289,7 +304,13 @@ def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.nda
         for k in range(d):
             row += np.multiply(tau_at(i, k), grad_u[k, j], out=free[0])
             row += np.multiply(tau_at(j, k), grad_u[k, i], out=free[0])
-    return grid.to_spectral(out, mask)
+    radius = grid.dealias_radius
+    band = np.empty((d + nt,) + grid.band_shape(radius), np.complex128)
+    for c0 in range(0, d + nt, len(spec)):
+        rows = out[c0:c0 + len(spec)]
+        grid.forward_band(rows, radius, scratch=spec[:len(rows)],
+                          out=band[c0:c0 + len(rows)])
+    return band
 
 
 # ---- inner products and norms ------------------------------------------------

@@ -91,7 +91,7 @@ def read_field(path) -> SpectralField:
             raise SnapshotError("truncated snapshot payload")
         try:
             grid = TorusGrid(d, n, period)
-        except (GridError, OverflowError) as exc:
+        except GridError as exc:
             raise SnapshotError(f"bad snapshot grid: {exc}") from exc
         # straight into the array, with no bytes object in between
         raw = np.empty(count, dtype="<f8")

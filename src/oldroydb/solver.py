@@ -23,8 +23,9 @@ to machine precision.  An optional sharp frequency cutoff of radius
 
 The unknown (u, tau) is one stacked ``(d + nt,) + spec_shape`` array, the
 d velocity rows then the nt = d(d+1)/2 stress rows, passed whole from
-layer to layer: ``rhs_nonlinear`` returns the tendencies in that layout,
-``LinearPropagator.apply`` advances it, and ``Simulation`` holds it.
+layer to layer: ``rhs_nonlinear`` returns the tendencies in those rows on
+the 2/3-rule band, outside of which they vanish, ``LinearPropagator.apply``
+advances either layout, and ``Simulation`` holds the state.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SymTensorField, VectorField, random_sym_tensor, random_vector
-from .grid import TorusGrid
+from .grid import GridError, TorusGrid, leray_tables, period_scales
 from .littlewood_paley import hybrid_norm
-from .operators import leray_project, quadratic_terms
+from .operators import leray_coeffs, leray_project, quadratic_terms
 
 
 class ConfigError(ValueError):
@@ -135,6 +136,11 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.period < np.inf:
             raise ConfigError(f"period must be positive and finite, got {self.period}")
+        if self.d in (2, 3) and self.n >= 8:  # else the grid rejects d or n
+            try:
+                period_scales(self.d, self.n, self.period)
+            except GridError as exc:
+                raise ConfigError(str(exc)) from None
         if not 0.0 < self.dt < np.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.t_end < np.inf:
@@ -400,14 +406,24 @@ class LinearPropagator:
         self.grid = grid
         coeffs = block_coefficients(grid, params, dt)
         np.multiply(1j, coeffs[1:3].imag, out=coeffs[1:3])
-        self._e_uu, self._e_uz, self._g_u, self._g_z, self._decay = coeffs
+        self._coeffs = coeffs
         active = grid.mode_mask & (grid.k2 > 0.0)
         self._khat = np.zeros(grid.k.shape, np.complex128)
         np.divide(grid.k, grid.kmag, out=self._khat.real, where=active)
 
+    @functools.cached_property
+    def _band_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients and ``khat`` gathered to the 2/3-rule band, where
+        the tendencies live; built at the first band step, so a linear run
+        never holds them."""
+        radius = self.grid.dealias_radius
+        return self.grid.to_band(self._coeffs, radius), self.grid.to_band(self._khat, radius)
+
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance a stacked ``(d + nt,) + spec_shape`` array, the rows of
-        u then those of tau, by one linear step.
+        u then those of tau, by one linear step; or the same rows on the
+        2/3-rule band, ``(d + nt,) + grid.band_shape(grid.dealias_radius)``,
+        with the tables gathered to the band once (``_band_tables``).
 
         The velocity rows must be divergence-free at every mode: the update
         treats u as transverse to k.  Every state and every projected
@@ -418,12 +434,19 @@ class LinearPropagator:
         products are written through ``tk``, one velocity-sized and one
         single-component scratch that live for this call only.
         """
-        d = self.grid.d
+        grid = self.grid
+        d = grid.d
+        if x.shape[1:] == grid.spec_shape:
+            coeffs, khat = self._coeffs, self._khat
+        elif x.shape[1:] == grid.band_shape(grid.dealias_radius):
+            coeffs, khat = self._band_tables
+        else:
+            raise ValueError(f"no linear-step tables for rows of shape {x.shape[1:]}")
+        e_uu, e_uz, g_u, g_z, decay = coeffs
         u, tau = x[:d], x[d:]
         if out is None:
             out = np.empty_like(x)
         u_new, tau_new = out[:d], out[d:]
-        khat = self._khat
         pairs = SymTensorField.pairs(d)
         scratch = np.empty_like(u)
         comp = np.empty_like(u[0])
@@ -437,12 +460,12 @@ class LinearPropagator:
         tk -= np.multiply(khat, comp, out=scratch)
         zeta = tk
         # w = g_u u + g_z zeta, from u before u_new overwrites it
-        w = np.multiply(self._g_u, u, out=scratch)
-        np.multiply(self._e_uu, u, out=u_new)
+        w = np.multiply(g_u, u, out=scratch)
+        np.multiply(e_uu, u, out=u_new)
         for i in range(d):
-            u_new[i] += np.multiply(self._e_uz, zeta[i], out=comp)
-        w += np.multiply(self._g_z, zeta, out=zeta)
-        np.multiply(self._decay, tau, out=tau_new)
+            u_new[i] += np.multiply(e_uz, zeta[i], out=comp)
+        w += np.multiply(g_z, zeta, out=zeta)
+        np.multiply(decay, tau, out=tau_new)
         # tk is free again: its first row takes the second product of an
         # off-diagonal pair
         for c, (i, j) in enumerate(pairs):
@@ -465,19 +488,44 @@ def build_propagator(grid: TorusGrid, params: FluidParams, dt: float) -> LinearP
 # ---- right-hand side -----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _rhs_tables(grid: TorusGrid, friedrichs_n: float | None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The Leray tables of ``leray_tables`` and the Friedrichs multiplier
+    (None without a cutoff), complex and gathered to the 2/3-rule band, for
+    the most recent grid and cutoff.  A cast of the real multiplier gives
+    the same zero imaginary part, so the products keep their bits.
+    Read-only, since every step shares them."""
+    radius = grid.dealias_radius
+    k, k2 = (grid.to_band(t, radius) for t in leray_tables(grid))
+    cutoff = None if friedrichs_n is None else grid.to_band(
+        friedrichs_mask(grid, friedrichs_n).astype(np.complex128), radius)
+    for table in (k, k2, cutoff):
+        if table is not None:
+            table.flags.writeable = False
+    return k, k2, cutoff
+
+
 def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
                   friedrichs_n: float | None = None) -> np.ndarray:
     """Quadratic tendencies (-P[(u.grad)u], -(u.grad)tau - g_alpha), stacked
-    as one fresh array in the layout of ``quadratic_terms``."""
+    as one fresh array in the band layout of ``quadratic_terms``:
+    ``(d + nt,) + grid.band_shape(grid.dealias_radius)``.
+
+    The tendencies vanish outside the 2/3-rule band, so they are formed,
+    projected and cut there only (``grid.add_band`` adds them into a half
+    spectrum)."""
     grid = u.grid
+    d = grid.d
+    k, k2, cutoff = _rhs_tables(grid, friedrichs_n)
     x = quadratic_terms(u, tau, params.alpha)
-    leray_project(VectorField(grid, x[:grid.d]), out=x[:grid.d])
+    leray_coeffs(x[:d], k, k2, out=x[:d])
     # ``np.negative`` would give some zeros of the state the other sign
     # than ``x * -1.0`` does
     x *= -1.0
-    x[(slice(None),) + (0,) * grid.d] = 0.0
-    if friedrichs_n is not None:
-        x *= friedrichs_mask(grid, friedrichs_n)
+    x[(slice(None),) + (0,) * d] = 0.0
+    if cutoff is not None:
+        x *= cutoff
     return x
 
 
@@ -559,30 +607,38 @@ class Simulation:
     def advance(self) -> SolverState:
         """One step of the integrating-factor scheme.
 
-        The step's temporaries are the tendencies ``n`` and the AB2
-        midpoint, both fresh; each linear step runs in place on its own
-        temporary (``apply(mid, out=mid)``, ``apply(n, out=n)``), which
-        then holds the new state or the propagated tendencies.  None of
-        the state's arrays is written, since a returned state may be kept.
+        The tendencies ``n`` live on the 2/3-rule band (``rhs_nonlinear``),
+        and so do the AB2 increment, the propagated tendencies and the
+        ``_prev_rhs`` they are kept as.  The midpoint is a full copy of the
+        state with the increment added into the band's blocks; each linear
+        step runs in place on its own temporary (``apply(mid, out=mid)``,
+        ``apply(n, out=n)``), which then holds the new state or the
+        propagated tendencies.  None of the state's arrays is written, since
+        a returned state may be kept.
         """
         st = self.state
         dt = self.config.dt
         prop = self.propagator
+        grid = self.grid
         if self.config.nonlinear:
             n = rhs_nonlinear(st.u, st.tau, self.config.params, self.config.friedrichs_n)
             self._require_finite(n, ("nu", "ntau"))
             prev, self._prev_rhs = self._prev_rhs, None
+            # the midpoint before the increment: in the other order glibc's
+            # heap trimming faults the step's arrays in again every few
+            # steps at d=2, n=128
+            mid = self._x.copy()
             if prev is None:
-                mid = n * dt
+                inc = n * dt
             else:
-                # element by element the bits of s + dt * (1.5 n - 0.5 prev),
-                # through one fresh array
-                mid = n * 1.5
+                # element by element the bits of dt * (1.5 n - 0.5 prev)
+                inc = n * 1.5
                 prev *= 0.5
-                mid -= prev
+                inc -= prev
                 del prev
-                mid *= dt
-            mid += self._x
+                inc *= dt
+            grid.add_band(mid, inc, grid.dealias_radius)
+            del inc
             x = prop.apply(mid, out=mid)
             del mid
             self._prev_rhs = prop.apply(n, out=n)
@@ -590,8 +646,8 @@ class Simulation:
         else:
             x = prop.apply(self._x)
         self._require_finite(x, ("u", "tau"))
-        d = self.grid.d
-        leray_project(VectorField(self.grid, x[:d]), out=x[:d])
+        d = grid.d
+        leray_project(VectorField(grid, x[:d]), out=x[:d])
         self._set_state(st.t + dt, x, st.step_index + 1)
         return self.state
 

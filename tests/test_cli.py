@@ -101,6 +101,19 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("period", [1e300, 1e-300])
+def test_extreme_period_exits_2_without_warning(tmp_path, capsys, recwarn, period):
+    # 1e300 overflowed the box volume (OverflowError traceback), 1e-300 the
+    # wavenumbers (a RuntimeWarning, then an error that blamed dt)
+    cfg = _config(tmp_path, n=8, t_end=0.1, period=period)
+    assert main(["simulate", str(cfg)]) == 2
+    rec = _last_record(capsys)
+    assert rec["event"] == "error"
+    assert "period" in rec["message"]
+    assert not recwarn.list
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["norms", "{field}", "--s", "0", "--r", "abc"],
     ["norms", "{field}", "--s", "nan"],

@@ -79,3 +79,87 @@ def test_to_physical_is_irfftn_to_the_bit(d, n, rng):
     out = np.empty(want.shape)
     assert grid.to_physical(coeffs, overwrite_x=True, out=out) is out
     np.testing.assert_array_equal(out, want)
+
+
+def _rfftn_oracle(values, d, mask):
+    """``scipy.fft.rfftn`` with the m_last = 0 plane made exactly Hermitian
+    (the mean of c(k) and conj c(-k)), zero outside ``mask``."""
+    n = values.shape[-1]
+    c = scipy.fft.rfftn(values, axes=tuple(range(values.ndim - d, values.ndim)),
+                        norm="forward")
+    mirror = c[..., 0]
+    for ax in range(1 - d, 0):
+        mirror = np.take(mirror, (n - np.arange(n)) % n, axis=ax)
+    c[..., 0] = 0.5 * (c[..., 0] + np.conj(mirror))
+    return np.where(mask, c, 0.0)
+
+
+def _layouts(values):
+    """The samples C-ordered, Fortran-ordered and as a strided view."""
+    strided = np.empty(values.shape[:-1] + (2 * values.shape[-1],))[..., ::2]
+    strided[...] = values
+    return values, np.asfortranarray(values), strided
+
+
+class TestForwardBand:
+    """The band-pruned forward transform against ``rfftn``, to the bit."""
+
+    @pytest.mark.parametrize("d,n", [(2, 8), (2, 16), (2, 32), (2, 64),
+                                     (3, 8), (3, 16), (3, 32), (3, 64)])
+    def test_gives_the_bits_of_rfftn_on_the_band(self, d, n):
+        grid = TorusGrid(d, n)
+        values = np.random.default_rng(d * n).standard_normal((2,) + grid.shape)
+        scratch = np.empty((2,) + grid.spec_shape, complex)
+        for radius, mask in ((grid.dealias_radius, grid.dealias_mask),
+                             (grid.mode_radius, grid.mode_mask)):
+            want = _rfftn_oracle(values, d, mask)
+            for layout in _layouts(values):
+                kept = layout.copy()
+                out = np.empty((2,) + grid.band_shape(radius), complex)
+                assert grid.forward_band(layout, radius, scratch=scratch, out=out) is out
+                np.testing.assert_array_equal(out.view(np.uint64),
+                                              grid.to_band(want, radius).view(np.uint64))
+                np.testing.assert_array_equal(grid.to_spectral(layout, radius)
+                                              .view(np.uint64), want.view(np.uint64))
+                np.testing.assert_array_equal(layout, kept)
+
+    @pytest.mark.parametrize("d,n", [(2, 8), (2, 32), (3, 8), (3, 16)])
+    def test_band_support_is_the_mask(self, d, n):
+        grid = TorusGrid(d, n)
+        rng = np.random.default_rng(n)
+        for radius, mask in ((grid.dealias_radius, grid.dealias_mask),
+                             (grid.mode_radius, grid.mode_mask)):
+            shape = (1,) + grid.band_shape(radius)
+            assert grid.to_band(mask, radius).all()
+            assert np.count_nonzero(mask) == np.prod(shape)
+            # every band position lands on its own mode
+            band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            full = np.zeros((1,) + grid.spec_shape, complex)
+            grid.add_band(full, band, radius)
+            np.testing.assert_array_equal(grid.to_band(full, radius), band)
+            assert not np.any(full[:, ~mask])
+
+    def test_band_reflection_realizes_negation(self, grid3):
+        band = grid3.to_band(grid3.k_int, grid3.dealias_radius)
+        refl = np.stack([grid3.reflect(band[i]) for i in range(grid3.d)])
+        np.testing.assert_array_equal(refl, -band[..., 0])
+
+
+@pytest.mark.parametrize("period", [1e300, 1e-300, 1e160, 1e-160, 10**400, 0.0, -1.0,
+                                    float("nan"), float("inf")],
+                         ids=["1e300", "1e-300", "1e160", "1e-160", "10**400", "zero",
+                              "negative", "nan", "inf"])
+def test_period_out_of_range_is_a_grid_error(period):
+    # 1e160: a finite k_scale, but the 2-d box volume overflows; 1e-160:
+    # both volumes are nonzero (subnormal), but the largest |k|^2 overflows
+    with np.errstate(all="raise"):
+        with pytest.raises(GridError, match="period"):
+            TorusGrid(2, 8, period)
+
+
+def test_extreme_but_representable_periods(recwarn):
+    for d, period in ((2, 1e150), (3, 1e-90)):
+        grid = TorusGrid(d, 8, period)
+        assert 0.0 < grid.volume < np.inf and 0.0 < grid.cell_volume < np.inf
+        assert np.all(np.isfinite(grid.k2)) and np.all(grid.k2.ravel()[1:] > 0.0)
+    assert not recwarn.list

@@ -537,12 +537,14 @@ class TestKernelBuffers:
         u, tau = self._state(grid, 5)
         nt = d * (d + 1) // 2
         spec, phys = 16 * np.prod(grid.spec_shape), 8 * np.prod(grid.shape)
-        # buffers: a scratch spectrum of two 3-field groups, the complex
-        # mask, and the samples [u, tau, grad u] plus the gradients of one
-        # stress group; the algebra: the d + nt products and their spectrum,
-        # at most twice each
-        bound = ((2 * 3 + 1) * spec + (d + nt + d * d + 3 * d) * phys
-                 + 2 * (d + nt) * (spec + phys))
+        band = 16 * np.prod(grid.band_shape(grid.dealias_radius))
+        # buffers: a scratch spectrum of two 3-field groups and the samples
+        # [u, tau, grad u] plus the gradients of one stress group; the
+        # algebra: the d + nt products and their band; a margin of two
+        # spectrum fields for the transforms' own temporaries (1.4
+        # measured; the full-spectrum forward transform with its complex
+        # mask peaked 8.9 fields higher)
+        bound = (2 * 3 + 2) * spec + (d + nt + d * d + 3 * d) * phys + (d + nt) * (phys + band)
         _kernel_buffers.cache_clear()
         tracemalloc.start()
         try:
@@ -557,16 +559,6 @@ class TestKernelBuffers:
         for d, n in [(2, 8), (2, 16), (3, 8), (2, 8)]:
             quadratic_terms(*self._state(TorusGrid(d, n), 4), 1.0)
             assert _kernel_buffers.cache_info().currsize <= 1
-
-    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
-    def test_complex_mask_gives_the_bits_of_the_boolean_one(self, d, n):
-        grid = TorusGrid(d, n)
-        values = np.random.default_rng(d * n).standard_normal((4,) + grid.shape)
-        mask = _kernel_buffers(grid)[2]
-        assert mask.dtype == np.complex128
-        want = grid.to_spectral(values, grid.dealias_mask)
-        got = grid.to_spectral(values, mask)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSharedPasses:

@@ -129,9 +129,12 @@ def _without(key):
     {**GOOD_HEADER, "period": float("nan")},
     {**GOOD_HEADER, "period": "2pi"},
     {**GOOD_HEADER, "period": 10**400},
+    {**GOOD_HEADER, "period": 1e300},
+    {**GOOD_HEADER, "period": 1e-300},
 ], ids=["not-object", "missing-d", "string-d", "d-4", "missing-n", "fractional-n",
         "n-not-power-of-two", "huge-n", "missing-components", "fractional-components",
-        "inf-period", "nan-period", "string-period", "huge-period"])
+        "inf-period", "nan-period", "string-period", "huge-period",
+        "volume-overflows-period", "wavenumbers-overflow-period"])
 def test_malformed_header_rejected(tmp_path, header):
     path = tmp_path / "bad.field"
     path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * (2 * 256 * 8))
