@@ -14,8 +14,7 @@ pair: ``to_physical`` is one real inverse transform (``irfftn``) of all
 components, ``from_physical`` one real forward transform (``rfftn``).  No
 full-grid complex transform is taken.  Hermitian symmetry off the
 ``k_last = 0`` plane is structural; on that plane the forward transform
-makes it exact, and ``hermitian_residual`` measures it (``mean_residual``
-the mean-zero convention).
+makes it exact.
 """
 
 from __future__ import annotations
@@ -114,24 +113,6 @@ class SpectralField:
     def apply_multiplier(self, mult: np.ndarray) -> "SpectralField":
         """Apply a Fourier multiplier (broadcast over components)."""
         return type(self)(self.grid, self.coeffs * mult)
-
-    # ---- diagnostics ------------------------------------------------------
-
-    def hermitian_residual(self) -> float:
-        """Relative deviation from c(-k) == conj(c(k)) on the k_last = 0 plane.
-
-        Everywhere else the half-spectrum layout makes the symmetry structural.
-        """
-        scale = float(np.max(np.abs(self.coeffs)))
-        if scale == 0.0:
-            return 0.0
-        mirror = self.grid.reflect(self.coeffs)
-        return float(np.max(np.abs(mirror - np.conj(self.coeffs[..., 0]))) / scale)
-
-    def mean_residual(self) -> float:
-        scale = float(np.max(np.abs(self.coeffs)))
-        dc = np.abs(self.coeffs[(slice(None),) + (0,) * self.grid.d])
-        return float(np.max(dc) / scale) if scale else 0.0
 
     # ---- arithmetic (same kind, same grid) ---------------------------------
 

@@ -18,7 +18,7 @@ Both masks are bands: the modes with ``|m_i| <= M`` on every axis, M =
 (``n/2 - 1``) for the usable modes.  A band is also stored compactly, shape
 ``band_shape(M) = (2M+1, ..., 2M+1, M+1)``, FFT-ordered on each leading
 axis (rows 0..M, then -M..-1); ``band_slabs`` pairs its 2^(d-1) row blocks
-with theirs in the half spectrum (``to_band``, ``add_band``).
+with theirs in the half spectrum (``to_band``, ``from_band``).
 
 ``to_physical`` and ``to_spectral`` are the one transform pair.  The inverse
 runs as separate passes (``inverse_passes``), ``scipy.fft.ifft`` over each
@@ -132,11 +132,6 @@ class TorusGrid:
         # the shape of the inverse differs across numpy 2.0.x releases
         return k2, inverse.reshape(self.spec_shape)
 
-    def coords(self) -> tuple[np.ndarray, ...]:
-        """Physical coordinate meshes, one array per axis."""
-        x = np.arange(self.n) * (self.period / self.n)
-        return tuple(np.meshgrid(*([x] * self.d), indexing="ij"))
-
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
         """The m_last = 0 plane of a half-spectrum or band array, reindexed
         from k to -k.
@@ -180,10 +175,13 @@ class TorusGrid:
             out[band] = coeffs[full]
         return out
 
-    def add_band(self, coeffs: np.ndarray, band: np.ndarray, radius: int) -> None:
-        """Add a compact band into half-spectrum coefficients, in place."""
+    def from_band(self, band: np.ndarray, radius: int) -> np.ndarray:
+        """Fresh half-spectrum coefficients: a compact band of ``radius``
+        written into zeros."""
+        out = np.zeros(band.shape[:-self.d] + self.spec_shape, band.dtype)
         for full, compact in self.band_slabs(radius):
-            coeffs[full] += band[compact]
+            out[full] = band[compact]
+        return out
 
     def inverse_passes(self, x: np.ndarray, start: int = 0, stop: int | None = None, *,
                        overwrite_x: bool = False,

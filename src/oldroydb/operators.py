@@ -236,7 +236,7 @@ def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.nda
     Returns one fresh ``(d + nt,) + grid.band_shape(grid.dealias_radius)``
     array, velocity rows first as in the solver's state, on the 2/3-rule
     band, outside of which the dealiased terms vanish: added into zeros on
-    the half spectrum (``grid.add_band``) the rows equal ``advect(u, u)``
+    the half spectrum (``grid.from_band``) the rows equal ``advect(u, u)``
     and ``advect(u, tau) + g_alpha(tau, u, alpha)`` up to rounding.
     With A_ij = d_j u_i, D = (A + A^T)/2 and W = (A - A^T)/2, symmetry of
     tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so each
@@ -442,19 +442,13 @@ def _cancellation_sums(u: VectorField, tau: SymTensorField) -> tuple[float, floa
     return div_tau_u * grid.volume, def_u_tau * grid.volume
 
 
-def cancellation_residual(u: VectorField, tau: SymTensorField, *,
-                          scale: float | None = None) -> float:
-    """|(div tau | u) + (D(u) | tau)| scaled by ||tau|| ||grad u|| (0 if degenerate).
-
-    Pass ``scale`` when the caller already has ``||tau|| ||grad u||``;
-    otherwise it is formed here from the coefficients.
-    """
+def cancellation_residual(u: VectorField, tau: SymTensorField) -> float:
+    """|(div tau | u) + (D(u) | tau)| scaled by ||tau|| ||grad u|| (0 if degenerate)."""
     div_tau_u, def_u_tau = _cancellation_sums(u, tau)
-    if scale is None:
-        grid = u.grid
-        scale = grid.volume * float(np.sqrt(
-            _weighted_sq_sum(tau, grid.multiplicity)
-            * _weighted_sq_sum(u, grid.multiplicity * grid.k2)))
+    grid = u.grid
+    scale = grid.volume * float(np.sqrt(
+        _weighted_sq_sum(tau, grid.multiplicity)
+        * _weighted_sq_sum(u, grid.multiplicity * grid.k2)))
     if scale == 0.0:
         return 0.0
     return abs(div_tau_u + def_u_tau) / scale

@@ -23,9 +23,12 @@ to machine precision.  An optional sharp frequency cutoff of radius
 
 The unknown (u, tau) is one stacked ``(d + nt,) + spec_shape`` array, the
 d velocity rows then the nt = d(d+1)/2 stress rows, passed whole from
-layer to layer: ``rhs_nonlinear`` returns the tendencies in those rows on
-the 2/3-rule band, outside of which they vanish, ``LinearPropagator.apply``
-advances either layout, and ``Simulation`` holds the state.
+layer to layer.  The dealiased products are free of aliasing only while
+the state lies in the 2/3-rule band, and every step keeps it there, so a
+step runs on that band alone: ``rhs_nonlinear`` returns the tendencies
+in those rows on the band, ``LinearPropagator`` holds its tables there
+and ``apply`` advances the band, and ``Simulation`` holds the state on
+the half spectrum, zero outside the band.
 """
 
 from __future__ import annotations
@@ -349,15 +352,18 @@ def _real_generators(k2: np.ndarray, params: FluidParams) -> np.ndarray:
     return gen
 
 
-def block_coefficients(grid: TorusGrid, params: FluidParams, dt: float) -> np.ndarray:
-    """Per-mode coefficients (e_uu, e_uz, g_u, g_z, decay) of the linear step.
+def block_coefficients(k2: np.ndarray, params: FluidParams, dt: float) -> np.ndarray:
+    """Per-mode coefficients (e_uu, e_uz, g_u, g_z, decay) of the linear step
+    at the squared wavenumbers ``k2`` (any layout, e.g. the 2/3-rule band of
+    ``grid.k2``).
 
-    Shape ``(5,) + grid.spec_shape``, complex, zero at inactive modes (see
+    Shape ``(5,) + k2.shape``, complex, zero where ``k2 == 0`` (see
     ``LinearPropagator``).  A third row w' = u - b w carries the Duhamel
-    integral of the drive, so one 3x3 exponential per distinct |k|^2
-    (``grid.shells``) gives every coefficient (double root and a == b
-    included).  The stack is exponentiated by ``_expm_batch`` in the real
-    form D^-1 G D, D = diag(1, i, 1), of the generator
+    integral of the drive, so one 3x3 exponential per distinct |k|^2 gives
+    every coefficient (double root and a == b included); each matrix comes
+    out with the same bits whichever other shells share its batch.  The
+    stack is exponentiated by ``_expm_batch`` in the real form D^-1 G D,
+    D = diag(1, i, 1), of the generator
 
         G = [[-a, i|k|/Re, 0], [i omega |k|/We, -b, 0], [1, 0, -b]],
 
@@ -365,84 +371,76 @@ def block_coefficients(grid: TorusGrid, params: FluidParams, dt: float) -> np.nd
     imaginary.  Raises ``ConfigError`` if ``dt`` is so large that the
     generator or the coefficients are not finite.
     """
-    k2, inverse = grid.shells
-    # the first shell is k = 0, which stays zero: its generator has an
-    # eigenvalue 0, and a rounding error there would grow through every
-    # squaring
-    k2 = k2[1:]
+    shells, inverse = np.unique(k2, return_inverse=True)
+    # the k = 0 shell stays zero: its generator has an eigenvalue 0, and a
+    # rounding error there would grow through every squaring
+    zero = int(shells[0] == 0.0)
+    shells = shells[zero:]
     with np.errstate(over="ignore"):
-        gen = _real_generators(k2, params) * float(dt)
+        gen = _real_generators(shells, params) * float(dt)
     if not np.all(np.isfinite(gen)):
         raise ConfigError(f"dt = {dt} overflows the linear generator")
     with np.errstate(over="ignore", invalid="ignore"):
         ex = _expm_batch(gen)
     # exp(G)[r, c] = ex[r, c] D_r / D_c, and the drive is i omega |k|/We
-    drive = params.omega * np.sqrt(k2) / params.we
-    shell = np.zeros((5, k2.size + 1), dtype=np.complex128)
-    shell.real[[0, 3, 4], 1:] = (ex[:, 0, 0], drive * ex[:, 2, 1], ex[:, 2, 2])
-    shell.imag[[1, 2], 1:] = (-ex[:, 0, 1], drive * ex[:, 2, 0])
-    if not np.all(np.isfinite(shell)):
+    drive = params.omega * np.sqrt(shells) / params.we
+    table = np.zeros((5, zero + shells.size), dtype=np.complex128)
+    table.real[[0, 3, 4], zero:] = (ex[:, 0, 0], drive * ex[:, 2, 1], ex[:, 2, 2])
+    table.imag[[1, 2], zero:] = (-ex[:, 0, 1], drive * ex[:, 2, 0])
+    if not np.all(np.isfinite(table)):
         raise ConfigError(f"dt = {dt} gives non-finite linear-step coefficients")
-    coeffs = np.take(shell, inverse, axis=1)
-    coeffs[:, ~grid.mode_mask] = 0.0
-    return coeffs
+    # the shape of the inverse differs across numpy 2.0.x releases
+    return np.take(table, inverse.reshape(k2.shape), axis=1)
 
 
 class LinearPropagator:
-    """Exact linear update over dt for every resolved mode of a grid.
+    """Exact linear update over dt for every mode of a grid's 2/3-rule band.
 
     The velocity sees the stress only through zeta = P(tau k)/|k|, so per
     mode (u, zeta) evolve by [[-a, i|k|/Re], [i omega |k|/We, -b]], with
     a = (1-omega)|k|^2/Re and b = 1/We, and tau relaxes at rate b under the
-    drive (i omega/We) sym(k (x) u).  The five coefficients of
-    ``block_coefficients`` and the unit wavevector ``khat`` are stored as
-    complex128, so no product in ``apply`` makes numpy cast a real table to
-    complex chunk by chunk.  The exactly imaginary e_uz and g_u are stored
-    as ``1j * x`` of their imaginary parts x: the sign of that product's
-    zero real part (-0 where x < 0) fixes the signs of zeros in the results.
+    drive (i omega/We) sym(k (x) u).  The tables are held on the band,
+    ``(5,) + grid.band_shape(grid.dealias_radius)`` and ``(d,) + ...``, and
+    built from the band's own |k|^2 shells: every state ``Simulation``
+    steps lies there.  The five coefficients of ``block_coefficients`` and
+    the unit wavevector ``khat`` are stored as complex128, so no product in
+    ``apply`` makes numpy cast a real table to complex chunk by chunk.  The
+    exactly imaginary e_uz and g_u are stored as ``1j * x`` of their
+    imaginary parts x: the sign of that product's zero real part (-0 where
+    x < 0) fixes the signs of zeros in the results.
     """
 
     def __init__(self, grid: TorusGrid, params: FluidParams, dt: float):
         self.grid = grid
-        coeffs = block_coefficients(grid, params, dt)
+        radius = grid.dealias_radius
+        k2 = grid.to_band(grid.k2, radius)
+        coeffs = block_coefficients(k2, params, dt)
         np.multiply(1j, coeffs[1:3].imag, out=coeffs[1:3])
         self._coeffs = coeffs
-        active = grid.mode_mask & (grid.k2 > 0.0)
-        self._khat = np.zeros(grid.k.shape, np.complex128)
-        np.divide(grid.k, grid.kmag, out=self._khat.real, where=active)
-
-    @functools.cached_property
-    def _band_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficients and ``khat`` gathered to the 2/3-rule band, where
-        the tendencies live; built at the first band step, so a linear run
-        never holds them."""
-        radius = self.grid.dealias_radius
-        return self.grid.to_band(self._coeffs, radius), self.grid.to_band(self._khat, radius)
+        self._khat = np.zeros((grid.d,) + k2.shape, np.complex128)
+        np.divide(grid.to_band(grid.k, radius), np.sqrt(k2), out=self._khat.real,
+                  where=k2 > 0.0)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Advance a stacked ``(d + nt,) + spec_shape`` array, the rows of
-        u then those of tau, by one linear step; or the same rows on the
-        2/3-rule band, ``(d + nt,) + grid.band_shape(grid.dealias_radius)``,
-        with the tables gathered to the band once (``_band_tables``).
+        """Advance a stacked array on the 2/3-rule band, ``(d + nt,) +
+        grid.band_shape(grid.dealias_radius)``, the rows of u then those of
+        tau, by one linear step.
 
         The velocity rows must be divergence-free at every mode: the update
         treats u as transverse to k.  Every state and every projected
         tendency that ``Simulation.advance`` passes is.  The result is
         written into ``out`` if given, which may be ``x`` itself, else into
         a fresh array; each row of ``x`` is overwritten only after its last
-        read, so the bits are the same either way.  The
-        products are written through ``tk``, one velocity-sized and one
-        single-component scratch that live for this call only.
+        read, so the bits are the same either way.  The products are
+        written through ``tk``, one velocity-sized and one single-component
+        scratch that live for this call only.
         """
-        grid = self.grid
-        d = grid.d
-        if x.shape[1:] == grid.spec_shape:
-            coeffs, khat = self._coeffs, self._khat
-        elif x.shape[1:] == grid.band_shape(grid.dealias_radius):
-            coeffs, khat = self._band_tables
-        else:
-            raise ValueError(f"no linear-step tables for rows of shape {x.shape[1:]}")
-        e_uu, e_uz, g_u, g_z, decay = coeffs
+        e_uu, e_uz, g_u, g_z, decay = self._coeffs
+        khat = self._khat
+        if x.shape[1:] != khat.shape[1:]:
+            raise ValueError(f"the linear-step tables hold rows of shape {khat.shape[1:]}, "
+                             f"not {x.shape[1:]}")
+        d = self.grid.d
         u, tau = x[:d], x[d:]
         if out is None:
             out = np.empty_like(x)
@@ -457,23 +455,26 @@ class LinearPropagator:
                 tk[j] += np.multiply(tau[c], khat[i], out=comp)
         # zeta = tk - khat (khat . tk), formed in tk
         np.sum(np.multiply(khat, tk, out=scratch), axis=0, out=comp)
-        tk -= np.multiply(khat, comp, out=scratch)
-        zeta = tk
-        # w = g_u u + g_z zeta, from u before u_new overwrites it
-        w = np.multiply(g_u, u, out=scratch)
-        np.multiply(e_uu, u, out=u_new)
         for i in range(d):
+            tk[i] -= np.multiply(khat[i], comp, out=scratch[i])
+        zeta, w = tk, scratch
+        # row by row from here: numpy buffers a broadcasting product of a
+        # band's size.  w = g_u u + g_z zeta, from u before u_new
+        # overwrites it, the g_z product written over zeta
+        for i in range(d):
+            np.multiply(g_u, u[i], out=w[i])
+            np.multiply(e_uu, u[i], out=u_new[i])
             u_new[i] += np.multiply(e_uz, zeta[i], out=comp)
-        w += np.multiply(g_z, zeta, out=zeta)
-        np.multiply(decay, tau, out=tau_new)
-        # tk is free again: its first row takes the second product of an
+            w[i] += np.multiply(g_z, zeta[i], out=zeta[i])
+        # zeta is spent: its first row takes the second product of an
         # off-diagonal pair
         for c, (i, j) in enumerate(pairs):
             np.multiply(khat[i], w[j], out=comp)
             if i == j:
                 comp += comp  # a + a is exactly 2a: the bits of the second product
             else:
-                comp += np.multiply(khat[j], w[i], out=tk[0])
+                comp += np.multiply(khat[j], w[i], out=zeta[0])
+            np.multiply(decay, tau[c], out=tau_new[c])
             tau_new[c] += comp
         return out
 
@@ -493,7 +494,8 @@ def _rhs_tables(grid: TorusGrid, friedrichs_n: float | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The Leray tables of ``leray_tables`` and the Friedrichs multiplier
     (None without a cutoff), complex and gathered to the 2/3-rule band, for
-    the most recent grid and cutoff.  A cast of the real multiplier gives
+    the most recent grid and cutoff: the tendencies and each new state are
+    projected with them.  A cast of the real multiplier gives
     the same zero imaginary part, so the products keep their bits.
     Read-only, since every step shares them."""
     radius = grid.dealias_radius
@@ -513,8 +515,8 @@ def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
     ``(d + nt,) + grid.band_shape(grid.dealias_radius)``.
 
     The tendencies vanish outside the 2/3-rule band, so they are formed,
-    projected and cut there only (``grid.add_band`` adds them into a half
-    spectrum)."""
+    projected and cut there only (``grid.from_band`` writes them into a
+    half spectrum)."""
     grid = u.grid
     d = grid.d
     k, k2, cutoff = _rhs_tables(grid, friedrichs_n)
@@ -570,23 +572,30 @@ class Simulation:
     """Owns one trajectory; step with ``advance`` or drive via ``simulate``.
 
     The trajectory is held as one stacked ``(d + nt,) + spec_shape`` array,
-    the rows of u then those of tau; ``state.u`` and ``state.tau`` are views
-    of it, so a write through ``state.u.coeffs`` reaches the next step.  A
-    given ``state`` must lie on the config's grid (else ``GridError``); it
-    is stacked once into a copy and never written.
+    the rows of u then those of tau, zero outside the 2/3-rule band;
+    ``state.u`` and ``state.tau`` are views of it.  A step reads only the
+    band, so a write through ``state.u.coeffs`` inside the band reaches the
+    next step and one outside it is dropped.  A given ``state`` must lie on
+    the config's grid (else ``GridError``) and in the band (else
+    ``ConfigError``: the 2/3 rule would alias its products); it is stacked
+    once into a copy and never written.
     """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
         self.config = config
-        self.grid = TorusGrid(config.d, config.n, config.period)
+        self.grid = grid = TorusGrid(config.d, config.n, config.period)
         if state is None:
-            state = make_initial_state(config, self.grid)
+            state = make_initial_state(config, grid)
         else:
-            self.grid.require_same(state.u.grid)
-            self.grid.require_same(state.tau.grid)
-        self._set_state(state.t, np.concatenate((state.u.coeffs, state.tau.coeffs)),
-                        state.step_index)
-        self.propagator = build_propagator(self.grid, config.params, config.dt)
+            grid.require_same(state.u.grid)
+            grid.require_same(state.tau.grid)
+        x = np.concatenate((state.u.coeffs, state.tau.coeffs))
+        if np.count_nonzero(x) != np.count_nonzero(grid.to_band(x, grid.dealias_radius)):
+            raise ConfigError("the given state has modes outside the 2/3-rule band "
+                              f"|m_i| <= {grid.dealias_radius}, where the dealiased "
+                              "products would alias")
+        self._set_state(state.t, x, state.step_index)
+        self.propagator = build_propagator(grid, config.params, config.dt)
         self._prev_rhs: np.ndarray | None = None
 
     def _set_state(self, t: float, x: np.ndarray, step_index: int) -> None:
@@ -605,50 +614,53 @@ class Simulation:
             raise DivergenceError(st.step_index + 1, st.t + self.config.dt, name)
 
     def advance(self) -> SolverState:
-        """One step of the integrating-factor scheme.
+        """One step of the integrating-factor scheme, on the 2/3-rule band.
 
-        The tendencies ``n`` live on the 2/3-rule band (``rhs_nonlinear``),
-        and so do the AB2 increment, the propagated tendencies and the
-        ``_prev_rhs`` they are kept as.  The midpoint is a full copy of the
-        state with the increment added into the band's blocks; each linear
-        step runs in place on its own temporary (``apply(mid, out=mid)``,
-        ``apply(n, out=n)``), which then holds the new state or the
-        propagated tendencies.  None of the state's arrays is written, since
-        a returned state may be kept.
+        The state's band is gathered once into a compact stacked array,
+        which then takes the AB2 increment (the midpoint), the linear step
+        in place (``apply(mid, out=mid)``), the finiteness check and the
+        Leray projection; the tendencies ``n`` (``rhs_nonlinear``) are
+        propagated in place too and kept as ``_prev_rhs``.  The new state
+        is that band written into zeros.  None of the state's arrays is
+        written, since a returned state may be kept.  The step runs with
+        numpy's overflow and invalid-value warnings off: a diverging step
+        ends in ``DivergenceError`` from the finiteness checks alone.
         """
         st = self.state
         dt = self.config.dt
         prop = self.propagator
         grid = self.grid
-        if self.config.nonlinear:
-            n = rhs_nonlinear(st.u, st.tau, self.config.params, self.config.friedrichs_n)
-            self._require_finite(n, ("nu", "ntau"))
-            prev, self._prev_rhs = self._prev_rhs, None
-            # the midpoint before the increment: in the other order glibc's
-            # heap trimming faults the step's arrays in again every few
-            # steps at d=2, n=128
-            mid = self._x.copy()
-            if prev is None:
-                inc = n * dt
-            else:
-                # element by element the bits of dt * (1.5 n - 0.5 prev)
-                inc = n * 1.5
-                prev *= 0.5
-                inc -= prev
-                del prev
-                inc *= dt
-            grid.add_band(mid, inc, grid.dealias_radius)
-            del inc
-            x = prop.apply(mid, out=mid)
-            del mid
-            self._prev_rhs = prop.apply(n, out=n)
-            del n
-        else:
-            x = prop.apply(self._x)
-        self._require_finite(x, ("u", "tau"))
+        radius = grid.dealias_radius
         d = grid.d
-        leray_project(VectorField(grid, x[:d]), out=x[:d])
-        self._set_state(st.t + dt, x, st.step_index + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.config.nonlinear:
+                n = rhs_nonlinear(st.u, st.tau, self.config.params, self.config.friedrichs_n)
+                self._require_finite(n, ("nu", "ntau"))
+                prev, self._prev_rhs = self._prev_rhs, None
+                # the midpoint before the increment: in the other order
+                # glibc's heap trimming faults the step's arrays in again
+                # every few steps at d=2, n=128
+                x = grid.to_band(self._x, radius)
+                if prev is None:
+                    x += n * dt
+                else:
+                    # element by element the bits of dt * (1.5 n - 0.5 prev)
+                    inc = n * 1.5
+                    prev *= 0.5
+                    inc -= prev
+                    del prev
+                    inc *= dt
+                    x += inc
+                    del inc
+                self._prev_rhs = prop.apply(n, out=n)
+                del n
+            else:
+                x = grid.to_band(self._x, radius)
+            prop.apply(x, out=x)
+            self._require_finite(x, ("u", "tau"))
+            k, k2, _ = _rhs_tables(grid, self.config.friedrichs_n)
+            leray_coeffs(x[:d], k, k2, out=x[:d])
+        self._set_state(st.t + dt, grid.from_band(x, radius), st.step_index + 1)
         return self.state
 
 

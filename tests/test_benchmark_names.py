@@ -79,13 +79,11 @@ assert record["n_samples"] == 9 and len(record["C_hat"]) == 2, record
 #: spans of one warm (Adams-Bashforth) step at d=2: the kernel's two field
 #: groups (u, then the three stress components) take two complex and three
 #: real passes each, and its forward transform of the five products one
-#: real and one complex pass (pruned to the 2/3 band); the tendencies are
-#: projected on the band without ``leray_project``, the new state with it
+#: real and one complex pass (pruned to the 2/3 band); the tendencies and
+#: the new state are projected on the band without ``leray_project``
 NONLINEAR_STEP = {"solver.Simulation.advance": 1, "solver.rhs_nonlinear": 1,
-                  "solver.LinearPropagator.apply": 2, "operators.leray_project": 1,
-                  "fft": 12}
-LINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 1,
-               "operators.leray_project": 1}
+                  "solver.LinearPropagator.apply": 2, "fft": 12}
+LINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 1}
 #: spans of one warm ledger row: one block-norm call for all three series
 #: and no transform
 LEDGER_ROW = {"monitor.EnergyLedger.update": 1, "littlewood_paley.block_l2_norms": 1}

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from oldroydb.fields import SymTensorField, random_scalar, random_sym_tensor
 from oldroydb.grid import TorusGrid
 from oldroydb.littlewood_paley import besov_norm, build_partition, hybrid_norm
 from oldroydb.snapshots import read_field, write_field
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _config(tmp_path, **overrides):
@@ -254,6 +260,26 @@ def test_divergence_event_names_the_field(tmp_path, capsys, command):
     # overflowing state one step before the step does
     want = (7, "E") if command[0] == "simulate" else (7, "distance")
     assert (rec["step"], rec["field"]) == want
+
+
+def test_diverging_run_warns_nothing(tmp_path):
+    # the step's finiteness checks are the one divergence contract: under
+    # -W error::RuntimeWarning a numpy warning would end the run in a
+    # traceback before the diverged event
+    doc = verification.small_data_config(0, t_end=5.0, n=64, amplitude=400.0).to_dict()
+    doc["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = "import sys; from oldroydb.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                           "simulate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stderr == ""
+    assert proc.returncode == 3
+    rec = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (rec["event"], rec["step"], rec["field"]) == ("diverged", 11, "nu")
 
 
 def test_norms_takes_a_negative_s_in_exponent_form(tmp_path, capsys, rng):
