@@ -75,9 +75,14 @@ class SpectralField:
     def ncomp(self) -> int:
         return self.coeffs.shape[0]
 
+    @classmethod
+    def weights_for(cls, d: int) -> np.ndarray:
+        """Multiplicity of each stored component in the full pointwise
+        magnitude, in dimension ``d``."""
+        return np.ones(cls.ncomp_for(d))
+
     def component_weights(self) -> np.ndarray:
-        """Multiplicity of each stored component in the full pointwise magnitude."""
-        return np.ones(self.ncomp)
+        return self.weights_for(self.grid.d)
 
     # ---- constructors -----------------------------------------------------
 
@@ -156,23 +161,30 @@ class VectorField(SpectralField):
         return d
 
     def divergence_residual(self) -> float:
-        """max_k |k.u(k)| relative to max_k |u(k)| (0 for the zero field).
+        """max_k |k.u(k)| relative to max_k |u(k)| (0 for the zero field),
+        by ``divergence_residual_coeffs`` with the tables of ``leray_tables``."""
+        return divergence_residual_coeffs(self.coeffs, leray_tables(self.grid)[0])
 
-        ``k . u`` is summed component by component through one component
-        scratch, in the order of ``np.sum`` over the components, so its
-        moduli keep that form's bits; every modulus goes through one float
-        scratch.  A call holds two complex components and one float one.
-        """
-        c = self.coeffs
-        mag = np.empty(c.shape[1:])
-        scale = float(np.max([np.max(np.abs(ci, out=mag)) for ci in c]))
-        if scale == 0.0:
-            return 0.0
-        k, _ = leray_tables(self.grid)
-        div, comp = np.multiply(k[0], c[0]), np.empty_like(c[0])
-        for j in range(1, len(c)):
-            div += np.multiply(k[j], c[j], out=comp)
-        return float(np.max(np.abs(div, out=mag)) / scale)
+
+def divergence_residual_coeffs(c: np.ndarray, k: np.ndarray) -> float:
+    """max_k |k.c(k)| relative to max_k |c(k)| (0 if ``c`` is zero) of the
+    ``d`` coefficient rows ``c``, with the complex table ``k`` on the same
+    layout: the half spectrum or a band.  The modes outside a band are
+    zero, so both layouts give the same bits.
+
+    ``k . c`` is summed component by component through one component
+    scratch, in the order of ``np.sum`` over the components, so its moduli
+    keep that form's bits; every modulus goes through one float scratch.
+    A call holds two complex components and one float one.
+    """
+    mag = np.empty(c.shape[1:])
+    scale = float(np.max([np.max(np.abs(ci, out=mag)) for ci in c]))
+    if scale == 0.0:
+        return 0.0
+    div, comp = np.multiply(k[0], c[0]), np.empty_like(c[0])
+    for j in range(1, len(c)):
+        div += np.multiply(k[j], c[j], out=comp)
+    return float(np.max(np.abs(div, out=mag)) / scale)
 
 
 class SymTensorField(SpectralField):
@@ -188,8 +200,9 @@ class SymTensorField(SpectralField):
     def pairs(cls, d: int) -> tuple[tuple[int, int], ...]:
         return _sym_pairs(d)
 
-    def component_weights(self) -> np.ndarray:
-        return np.array([1.0 if i == j else 2.0 for i, j in _sym_pairs(self.grid.d)])
+    @classmethod
+    def weights_for(cls, d: int) -> np.ndarray:
+        return np.array([1.0 if i == j else 2.0 for i, j in _sym_pairs(d)])
 
     def component_index(self, i: int, j: int) -> int:
         return _sym_index(self.grid.d)[i, j]
@@ -218,8 +231,9 @@ class SkewTensorField(SpectralField):
     def pairs(cls, d: int) -> tuple[tuple[int, int], ...]:
         return _skew_pairs(d)
 
-    def component_weights(self) -> np.ndarray:
-        return np.full(self.ncomp, 2.0)
+    @classmethod
+    def weights_for(cls, d: int) -> np.ndarray:
+        return np.full(cls.ncomp_for(d), 2.0)
 
     def full_matrix_physical(self) -> np.ndarray:
         d = self.grid.d

@@ -167,18 +167,23 @@ class TorusGrid:
                  (...,) + tuple(band for _, band in blocks) + (cols,))
                 for blocks in itertools.product(rows, repeat=self.d - 1)]
 
-    def to_band(self, coeffs: np.ndarray, radius: int) -> np.ndarray:
-        """The band of ``radius`` of half-spectrum coefficients, a fresh
-        compact array."""
-        out = np.empty(coeffs.shape[:-self.d] + self.band_shape(radius), coeffs.dtype)
+    def to_band(self, coeffs: np.ndarray, radius: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """The band of ``radius`` of half-spectrum coefficients, written
+        into ``out`` if given, else into a fresh compact array."""
+        if out is None:
+            out = np.empty(coeffs.shape[:-self.d] + self.band_shape(radius), coeffs.dtype)
         for full, band in self.band_slabs(radius):
             out[band] = coeffs[full]
         return out
 
-    def from_band(self, band: np.ndarray, radius: int) -> np.ndarray:
-        """Fresh half-spectrum coefficients: a compact band of ``radius``
-        written into zeros."""
-        out = np.zeros(band.shape[:-self.d] + self.spec_shape, band.dtype)
+    def from_band(self, band: np.ndarray, radius: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum coefficients of a compact band of ``radius``: the
+        band written into zeros, a fresh array, or into the band of ``out``,
+        whose entries outside the band are left as they are."""
+        if out is None:
+            out = np.zeros(band.shape[:-self.d] + self.spec_shape, band.dtype)
         for full, compact in self.band_slabs(radius):
             out[full] = band[compact]
         return out
@@ -317,6 +322,21 @@ def leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     tables = (grid.k.astype(np.complex128),
               np.where(grid.k2 == 0.0, 1.0, grid.k2).astype(np.complex128))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=1)
+def band_leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of ``leray_tables`` gathered to the 2/3-rule band
+    (``grid.to_band`` at ``dealias_radius``), for the most recent grid.
+
+    The one band copy: the solver projects its tendencies and each new
+    state with it, and the ledger's band row takes its divergence residual
+    with it.  Read-only, since every caller shares them.
+    """
+    tables = tuple(grid.to_band(t, grid.dealias_radius) for t in leray_tables(grid))
     for table in tables:
         table.flags.writeable = False
     return tables

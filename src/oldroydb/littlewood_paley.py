@@ -90,7 +90,8 @@ class DyadicPartition:
     (``phi_mults``, ``phi_weights``), with the same values to the bit as an
     evaluation at every mode.  The one per-mode table kept is the squared
     multiplier times the Parseval weight, which ``block_l2_norms``
-    contracts with.
+    contracts with; ``layout_tables`` gathers it and ``|k|^2`` to the
+    2/3-rule band on first use.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -106,6 +107,25 @@ class DyadicPartition:
         # squared multipliers with the Parseval weight of each stored mode
         self._phi_sq = np.take(self.phi_shell**2, inverse, axis=1) * grid.multiplicity
         self._chi_cache: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def _band_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        grid = self.grid
+        radius = grid.dealias_radius
+        return grid.to_band(self._phi_sq, radius), grid.to_band(grid.k2, radius)
+
+    def layout_tables(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """``(phi^2 * multiplicity, |k|^2)`` on the layout of per-mode
+        arrays of trailing ``shape``: the half spectrum (``spec_shape``) or
+        the 2/3-rule band (``band_shape(dealias_radius)``), whose tables are
+        gathered from the half-spectrum ones once per partition."""
+        grid = self.grid
+        if shape == grid.spec_shape:
+            return self._phi_sq, grid.k2
+        if shape == grid.band_shape(grid.dealias_radius):
+            return self._band_tables
+        raise ValueError(f"per-mode arrays of shape {shape} are neither the half "
+                         f"spectrum {grid.spec_shape} nor the 2/3-rule band")
 
     @property
     def nq(self) -> int:
@@ -178,8 +198,12 @@ def block_l2_norms(f: SpectralField | np.ndarray,
     ``f`` may also be per-mode squared magnitudes (``operators.mode_sq``),
     shape ``spec_shape``, or a stack of them, shape ``(m,) + spec_shape``,
     giving shape ``(m, nq)``; the partition is then required.  A caller that
-    measures several series of one field so forms its magnitudes once.  A
-    field given with a partition of another grid is a ``GridError``.
+    measures several series of one field so forms its magnitudes once.
+    The magnitudes may also lie on the 2/3-rule band, shape
+    ``band_shape(dealias_radius)``, for a field that vanishes outside it:
+    the partition's tables on that layout (``layout_tables``) give the
+    same norms up to the summation order.  A field given with a partition
+    of another grid is a ``GridError``.
     """
     if isinstance(f, SpectralField):
         part = partition or build_partition(f.grid)
@@ -190,9 +214,10 @@ def block_l2_norms(f: SpectralField | np.ndarray,
     else:
         part, sq = partition, np.asarray(f)
     grid = part.grid
+    phi_sq, k2 = part.layout_tables(sq.shape[sq.ndim - grid.d:])
     if gradient_weight:
-        sq = sq * grid.k2
-    phi_sq = part._phi_sq.reshape(part.nq, -1)
+        sq = sq * k2
+    phi_sq = phi_sq.reshape(part.nq, -1)
     vals = sq.reshape(-1, phi_sq.shape[1]) @ phi_sq.T
     norms = np.sqrt(vals * grid.volume)
     return norms if sq.ndim > grid.d else norms[0]

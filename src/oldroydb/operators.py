@@ -329,7 +329,15 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
 
 def mode_sq(f: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
     """Squared pointwise (Frobenius) magnitude of every stored mode, shape
-    ``grid.spec_shape``: sum_c w_c |f_c(k)|^2 with the component weights.
+    ``grid.spec_shape``: sum_c w_c |f_c(k)|^2 with the component weights
+    (``mode_sq_coeffs`` of the field's coefficients)."""
+    return mode_sq_coeffs(f.coeffs, f.component_weights(), out)
+
+
+def mode_sq_coeffs(c: np.ndarray, weights: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """sum_c w_c |c_c|^2 per mode of the coefficient rows ``c``, on any
+    layout (the half spectrum or a band), with the component ``weights``.
 
     The result is written into ``out`` if given, else into a fresh array.
     Each component goes through one component-sized scratch: the squares
@@ -340,8 +348,6 @@ def mode_sq(f: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
     axes=(0, 0))``, so the magnitudes keep that form's bits (a second run
     occurs only for the six stress components in 3-d).
     """
-    c = f.coeffs
-    weights = f.component_weights()
     if out is None:
         out = np.empty(c.shape[1:])
     sq = np.empty((2,) + c.shape[1:])

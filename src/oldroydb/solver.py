@@ -21,14 +21,17 @@ coupling inside the exact part preserves the linear energy balance
 to machine precision.  An optional sharp frequency cutoff of radius
 ``friedrichs_n`` restricts the dynamics to a ball of modes.
 
-The unknown (u, tau) is one stacked ``(d + nt,) + spec_shape`` array, the
-d velocity rows then the nt = d(d+1)/2 stress rows, passed whole from
-layer to layer.  The dealiased products are free of aliasing only while
-the state lies in the 2/3-rule band, and every step keeps it there, so a
-step runs on that band alone: ``rhs_nonlinear`` returns the tendencies
-in those rows on the band, ``LinearPropagator`` holds its tables there
-and ``apply`` advances the band, and ``Simulation`` holds the state on
-the half spectrum, zero outside the band.
+The unknown (u, tau) is one stacked array, the d velocity rows then the
+nt = d(d+1)/2 stress rows, passed whole from layer to layer.  The
+dealiased products are free of aliasing only while the state lies in the
+2/3-rule band, and every step keeps it there, so the trajectory lives on
+that band alone, as the compact ``(d + nt,) + grid.band_shape(n // 3)``
+array: ``rhs_nonlinear`` returns the tendencies on the band,
+``LinearPropagator`` holds its tables there and ``apply`` advances the
+band, ``Simulation`` holds each state as a read-only band, and
+``simulate`` takes each ledger row from it (``EnergyLedger.update_band``).
+The half-spectrum fields ``u`` and ``tau`` of a state, zero outside the
+band, are formed only when read.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SymTensorField, VectorField, random_sym_tensor, random_vector
-from .grid import GridError, TorusGrid, leray_tables, period_scales
+from .grid import GridError, TorusGrid, band_leray_tables, period_scales
 from .littlewood_paley import hybrid_norm
 from .operators import leray_coeffs, leray_project, quadratic_terms
 
@@ -393,6 +396,11 @@ def block_coefficients(k2: np.ndarray, params: FluidParams, dt: float) -> np.nda
     return np.take(table, inverse.reshape(k2.shape), axis=1)
 
 
+#: rows of the propagator's coefficient table, in the order of
+#: ``block_coefficients``
+_E_UU, _E_UZ, _G_U, _G_Z, _DECAY = range(5)
+
+
 class LinearPropagator:
     """Exact linear update over dt for every mode of a grid's 2/3-rule band.
 
@@ -433,10 +441,11 @@ class LinearPropagator:
         a fresh array; each row of ``x`` is overwritten only after its last
         read, so the bits are the same either way.  The products are
         written through ``tk``, one velocity-sized and one single-component
-        scratch that live for this call only.
+        scratch that live for this call only.  The coefficient rows are
+        indexed where they are used, so no view of them outlives its
+        product.
         """
-        e_uu, e_uz, g_u, g_z, decay = self._coeffs
-        khat = self._khat
+        coeffs, khat = self._coeffs, self._khat
         if x.shape[1:] != khat.shape[1:]:
             raise ValueError(f"the linear-step tables hold rows of shape {khat.shape[1:]}, "
                              f"not {x.shape[1:]}")
@@ -462,10 +471,10 @@ class LinearPropagator:
         # band's size.  w = g_u u + g_z zeta, from u before u_new
         # overwrites it, the g_z product written over zeta
         for i in range(d):
-            np.multiply(g_u, u[i], out=w[i])
-            np.multiply(e_uu, u[i], out=u_new[i])
-            u_new[i] += np.multiply(e_uz, zeta[i], out=comp)
-            w[i] += np.multiply(g_z, zeta[i], out=zeta[i])
+            np.multiply(coeffs[_G_U], u[i], out=w[i])
+            np.multiply(coeffs[_E_UU], u[i], out=u_new[i])
+            u_new[i] += np.multiply(coeffs[_E_UZ], zeta[i], out=comp)
+            w[i] += np.multiply(coeffs[_G_Z], zeta[i], out=zeta[i])
         # zeta is spent: its first row takes the second product of an
         # off-diagonal pair
         for c, (i, j) in enumerate(pairs):
@@ -474,7 +483,7 @@ class LinearPropagator:
                 comp += comp  # a + a is exactly 2a: the bits of the second product
             else:
                 comp += np.multiply(khat[j], w[i], out=zeta[0])
-            np.multiply(decay, tau[c], out=tau_new[c])
+            np.multiply(coeffs[_DECAY], tau[c], out=tau_new[c])
             tau_new[c] += comp
         return out
 
@@ -492,20 +501,33 @@ def build_propagator(grid: TorusGrid, params: FluidParams, dt: float) -> LinearP
 @functools.lru_cache(maxsize=1)
 def _rhs_tables(grid: TorusGrid, friedrichs_n: float | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The Leray tables of ``leray_tables`` and the Friedrichs multiplier
-    (None without a cutoff), complex and gathered to the 2/3-rule band, for
-    the most recent grid and cutoff: the tendencies and each new state are
-    projected with them.  A cast of the real multiplier gives
-    the same zero imaginary part, so the products keep their bits.
+    """The band Leray tables (``band_leray_tables``) and the Friedrichs
+    multiplier (None without a cutoff), complex and gathered to the
+    2/3-rule band, for the most recent grid and cutoff: the tendencies and
+    each new state are projected with them.  A cast of the real multiplier
+    gives the same zero imaginary part, so the products keep their bits.
     Read-only, since every step shares them."""
-    radius = grid.dealias_radius
-    k, k2 = (grid.to_band(t, radius) for t in leray_tables(grid))
-    cutoff = None if friedrichs_n is None else grid.to_band(
-        friedrichs_mask(grid, friedrichs_n).astype(np.complex128), radius)
-    for table in (k, k2, cutoff):
-        if table is not None:
-            table.flags.writeable = False
-    return k, k2, cutoff
+    cutoff = None
+    if friedrichs_n is not None:
+        cutoff = grid.to_band(friedrichs_mask(grid, friedrichs_n).astype(np.complex128),
+                              grid.dealias_radius)
+        cutoff.flags.writeable = False
+    return band_leray_tables(grid) + (cutoff,)
+
+
+@functools.lru_cache(maxsize=1)
+def _step_input(grid: TorusGrid) -> tuple[np.ndarray, VectorField, SymTensorField]:
+    """A stacked ``(d + nt,) + spec_shape`` array, zero outside the 2/3-rule
+    band, and the fields on its rows, for the most recent grid.
+
+    A nonlinear step writes its state's band into it (``grid.from_band``
+    with ``out``) and hands the fields to ``rhs_nonlinear``, which reads
+    the half spectrum.  Nothing writes outside the band, so that part stays
+    zero; runs on equal grids share the array, each filling it before use.
+    """
+    d = grid.d
+    x = np.zeros((d + len(SymTensorField.pairs(d)),) + grid.spec_shape, np.complex128)
+    return x, VectorField(grid, x[:d]), SymTensorField(grid, x[d:])
 
 
 def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
@@ -534,12 +556,53 @@ def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
 # ---- state and stepping ----------------------------------------------------------
 
 
-@dataclass
 class SolverState:
-    t: float
-    u: VectorField
-    tau: SymTensorField
-    step_index: int = 0
+    """The trajectory at one instant: time ``t``, step ``step_index`` and
+    the fields ``u`` and ``tau``.
+
+    ``SolverState(t, u, tau, step_index)`` holds the given fields as they
+    are, and its ``band`` is None.  A state that ``Simulation`` holds or
+    returns is made by ``on_band`` from the trajectory's compact stacked
+    array ``band``, ``(d + nt,) + grid.band_shape(grid.dealias_radius)``,
+    read-only.  Its ``u`` and ``tau`` are formed from the band the first
+    time either is read, with one ``grid.from_band``, and cached: views of
+    one stacked half spectrum, read-only as well, so a write into them
+    raises ``ValueError`` rather than reaching, or silently not reaching,
+    a later step.  To step from changed fields, build a state from them
+    and a ``Simulation`` from that state.
+    """
+
+    def __init__(self, t: float, u: VectorField, tau: SymTensorField, step_index: int = 0):
+        self.t, self.step_index = t, step_index
+        self.band: np.ndarray | None = None
+        self._grid: TorusGrid | None = None
+        self._fields: tuple[VectorField, SymTensorField] | None = (u, tau)
+
+    @classmethod
+    def on_band(cls, t: float, grid: TorusGrid, band: np.ndarray,
+                step_index: int) -> "SolverState":
+        """The state of a read-only stacked band on ``grid``; its fields
+        are formed on first read."""
+        state = cls.__new__(cls)
+        state.t, state.step_index, state.band = t, step_index, band
+        state._grid, state._fields = grid, None
+        return state
+
+    def _formed(self) -> tuple[VectorField, SymTensorField]:
+        if self._fields is None:
+            grid, d = self._grid, self._grid.d
+            x = grid.from_band(self.band, grid.dealias_radius)
+            x.flags.writeable = False
+            self._fields = (VectorField(grid, x[:d]), SymTensorField(grid, x[d:]))
+        return self._fields
+
+    @property
+    def u(self) -> VectorField:
+        return self._formed()[0]
+
+    @property
+    def tau(self) -> SymTensorField:
+        return self._formed()[1]
 
 
 def random_pair(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
@@ -571,14 +634,16 @@ def make_initial_state(config: SolverConfig, grid: TorusGrid | None = None) -> S
 class Simulation:
     """Owns one trajectory; step with ``advance`` or drive via ``simulate``.
 
-    The trajectory is held as one stacked ``(d + nt,) + spec_shape`` array,
-    the rows of u then those of tau, zero outside the 2/3-rule band;
-    ``state.u`` and ``state.tau`` are views of it.  A step reads only the
-    band, so a write through ``state.u.coeffs`` inside the band reaches the
-    next step and one outside it is dropped.  A given ``state`` must lie on
-    the config's grid (else ``GridError``) and in the band (else
-    ``ConfigError``: the 2/3 rule would alias its products); it is stacked
-    once into a copy and never written.
+    The trajectory is held as one compact stacked array on the 2/3-rule
+    band, ``(d + nt,) + grid.band_shape(grid.dealias_radius)``, the rows
+    of u then those of tau: every mode outside the band stays zero, and a
+    step computes on the band alone.  Each step leaves a fresh read-only
+    band, and ``state`` is the ``SolverState.on_band`` of it, whose
+    half-spectrum ``u`` and ``tau`` are formed only when read.  A given
+    ``state`` must lie on the config's grid (else ``GridError``) and in the
+    band (else ``ConfigError``: the 2/3 rule would alias its products); its
+    band is gathered once into the trajectory's first array, and the state
+    is never written.
     """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
@@ -586,23 +651,24 @@ class Simulation:
         self.grid = grid = TorusGrid(config.d, config.n, config.period)
         if state is None:
             state = make_initial_state(config, grid)
-        else:
-            grid.require_same(state.u.grid)
-            grid.require_same(state.tau.grid)
-        x = np.concatenate((state.u.coeffs, state.tau.coeffs))
-        if np.count_nonzero(x) != np.count_nonzero(grid.to_band(x, grid.dealias_radius)):
+        u, tau = state.u, state.tau
+        grid.require_same(u.grid)
+        grid.require_same(tau.grid)
+        d, radius = grid.d, grid.dealias_radius
+        x = np.empty((d + tau.ncomp,) + grid.band_shape(radius), np.complex128)
+        grid.to_band(u.coeffs, radius, out=x[:d])
+        grid.to_band(tau.coeffs, radius, out=x[d:])
+        if np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) != np.count_nonzero(x):
             raise ConfigError("the given state has modes outside the 2/3-rule band "
-                              f"|m_i| <= {grid.dealias_radius}, where the dealiased "
+                              f"|m_i| <= {radius}, where the dealiased "
                               "products would alias")
         self._set_state(state.t, x, state.step_index)
         self.propagator = build_propagator(grid, config.params, config.dt)
         self._prev_rhs: np.ndarray | None = None
 
     def _set_state(self, t: float, x: np.ndarray, step_index: int) -> None:
-        d = self.grid.d
-        self._x = x
-        self.state = SolverState(t, VectorField(self.grid, x[:d]),
-                                 SymTensorField(self.grid, x[d:]), step_index)
+        x.flags.writeable = False
+        self.state = SolverState.on_band(t, self.grid, x, step_index)
 
     def _require_finite(self, x: np.ndarray, names: tuple[str, str]) -> None:
         # one reduction over the float64 view (a complex entry is finite when
@@ -616,12 +682,13 @@ class Simulation:
     def advance(self) -> SolverState:
         """One step of the integrating-factor scheme, on the 2/3-rule band.
 
-        The state's band is gathered once into a compact stacked array,
-        which then takes the AB2 increment (the midpoint), the linear step
-        in place (``apply(mid, out=mid)``), the finiteness check and the
-        Leray projection; the tendencies ``n`` (``rhs_nonlinear``) are
-        propagated in place too and kept as ``_prev_rhs``.  The new state
-        is that band written into zeros.  None of the state's arrays is
+        The new band starts as the AB2 increment of the tendencies ``n``
+        (``rhs_nonlinear`` of the fields of ``_step_input``, filled from
+        the band), to which the state's band is added: the midpoint.  It
+        then takes the linear step in place (``apply(mid, out=mid)``), the
+        finiteness check and the Leray projection; the tendencies are
+        propagated in place too and kept as ``_prev_rhs``.  A linear step
+        propagates the state's band into a fresh array.  No earlier band is
         written, since a returned state may be kept.  The step runs with
         numpy's overflow and invalid-value warnings off: a diverging step
         ends in ``DivergenceError`` from the finiteness checks alone.
@@ -630,37 +697,35 @@ class Simulation:
         dt = self.config.dt
         prop = self.propagator
         grid = self.grid
-        radius = grid.dealias_radius
         d = grid.d
         with np.errstate(over="ignore", invalid="ignore"):
             if self.config.nonlinear:
-                n = rhs_nonlinear(st.u, st.tau, self.config.params, self.config.friedrichs_n)
+                stacked, u, tau = _step_input(grid)
+                grid.from_band(st.band, grid.dealias_radius, out=stacked)
+                n = rhs_nonlinear(u, tau, self.config.params, self.config.friedrichs_n)
                 self._require_finite(n, ("nu", "ntau"))
                 prev, self._prev_rhs = self._prev_rhs, None
-                # the midpoint before the increment: in the other order
-                # glibc's heap trimming faults the step's arrays in again
-                # every few steps at d=2, n=128
-                x = grid.to_band(self._x, radius)
+                # the increment, then the state added to it: a + b and
+                # b + a have the same bits
                 if prev is None:
-                    x += n * dt
+                    x = n * dt
                 else:
                     # element by element the bits of dt * (1.5 n - 0.5 prev)
-                    inc = n * 1.5
+                    x = n * 1.5
                     prev *= 0.5
-                    inc -= prev
+                    x -= prev
                     del prev
-                    inc *= dt
-                    x += inc
-                    del inc
+                    x *= dt
+                x += st.band
                 self._prev_rhs = prop.apply(n, out=n)
                 del n
+                prop.apply(x, out=x)
             else:
-                x = grid.to_band(self._x, radius)
-            prop.apply(x, out=x)
+                x = prop.apply(st.band)
             self._require_finite(x, ("u", "tau"))
             k, k2, _ = _rhs_tables(grid, self.config.friedrichs_n)
             leray_coeffs(x[:d], k, k2, out=x[:d])
-        self._set_state(st.t + dt, grid.from_band(x, radius), st.step_index + 1)
+        self._set_state(st.t + dt, x, st.step_index + 1)
         return self.state
 
 
@@ -674,8 +739,11 @@ class SimulationResult:
 def simulate(config: SolverConfig, observer=None) -> SimulationResult:
     """Run a configuration to t_end, sampling the ledger every output stride.
 
-    ``observer(state)`` is invoked at every sampled instant (including t=0
-    and the final step) after the ledger row is appended.  A
+    Each ledger row is taken from the state's band
+    (``EnergyLedger.update_band``), so a run whose observer reads no
+    ``u`` or ``tau`` forms no half spectrum.  ``observer(state)`` is
+    invoked at every sampled instant (including t=0 and the final step)
+    after the ledger row is appended.  A
     ``DivergenceError`` carries the ledger of the rows before it
     (``exc.ledger``) and, for a non-finite row, that row's step.
     """
@@ -691,7 +759,7 @@ def simulate(config: SolverConfig, observer=None) -> SimulationResult:
             if step > 0:
                 sim.advance()
             if step % config.output_stride == 0 or step == n_steps:
-                ledger.update(sim.state.t, sim.state.u, sim.state.tau)
+                ledger.update_band(sim.state.t, sim.state.band)
                 if observer is not None:
                     observer(sim.state)
     except DivergenceError as exc:

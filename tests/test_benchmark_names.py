@@ -8,8 +8,9 @@ process is never patched.  The same subprocess counts the spans of one warm
 step and of one warm ledger row, the per-layer call counts the benchmark
 reports (a row that stopped calling ``block_l2_norms`` would empty its
 columns), and runs the
-benchmark's own operations at d=2, n=16 for eight steps: the off-path calls,
-two ``simulate`` workloads and the twin experiment.  A change to a signature
+benchmark's own operations at n=16 for eight steps: the off-path calls,
+three ``simulate`` workloads (one of them the 3-d ``box3d``) and the twin
+experiment.  A change to a signature
 they call (``EnergyLedger``, ``hs_norm``, ``stability_experiment``,
 ``check_global_bound``, the twin report's keys) then fails here.
 """
@@ -65,7 +66,7 @@ def small(workload):
 
 
 spans.off_path_calls(small("sd2d"), SCRATCH)
-for workload in ("sd2d", "linear2d"):
+for workload in ("sd2d", "box3d", "linear2d"):
     cfg = small(workload)
     record = workloads.run_simulate(workload, cfg, None, SCRATCH)
     assert record["failed"] == [], (workload, record["failed"])

@@ -8,7 +8,7 @@ import pytest
 from oldroydb import monitor
 from oldroydb.fields import SymTensorField, VectorField, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
-from oldroydb.littlewood_paley import build_partition
+from oldroydb.littlewood_paley import block_l2_norms, build_partition
 from oldroydb.monitor import (
     LEDGER_COLUMNS,
     EnergyLedger,
@@ -19,7 +19,7 @@ from oldroydb.monitor import (
     read_ledger_csv,
     stability_experiment,
 )
-from oldroydb.operators import leray_project
+from oldroydb.operators import leray_project, mode_sq, mode_sq_coeffs
 from oldroydb.solver import (
     DivergenceError,
     FluidParams,
@@ -212,6 +212,69 @@ class TestLedger:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_band_rows_match_half_spectrum_rows(self, d, n, nonlinear):
+        # simulate takes each row from the state's band; update takes it
+        # from the half spectrum of the same state.  The block sums run
+        # over fewer zero modes on the band, so only their rounding differs
+        cfg = SolverConfig(d=d, n=n, dt=0.05, t_end=0.5, params=PARAMS,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=3),
+                           nonlinear=nonlinear)
+        states = []
+        res = simulate(cfg, states.append)
+        ledger = EnergyLedger(res.ledger.grid, PARAMS, s=cfg.s_value, dt=cfg.dt)
+        for st in states:
+            ledger.update(st.t, st.u, st.tau)
+        assert len(ledger.rows) == len(res.ledger.rows) == 11
+        for band_row, row in zip(res.ledger.rows, ledger.rows):
+            assert band_row["t"] == row["t"]
+            assert band_row["div_residual"] == row["div_residual"]
+            for key in LEDGER_COLUMNS[1:-1]:
+                assert band_row[key] == pytest.approx(row[key], rel=1e-15, abs=0.0), key
+        part = ledger.partition
+        st = states[-1]
+        on_band = np.stack([mode_sq_coeffs(st.band[:d], np.ones(d)),
+                            mode_sq_coeffs(st.band[d:], SymTensorField.weights_for(d))])
+        on_half = np.stack([mode_sq(st.u), mode_sq(st.tau)])
+        want = block_l2_norms(on_half, part)
+        assert np.any(want > 0.0)
+        np.testing.assert_allclose(block_l2_norms(on_band, part), want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(block_l2_norms(on_band[0], part, gradient_weight=True),
+                                   block_l2_norms(on_half[0], part, gradient_weight=True),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_warm_band_row_peak_at_its_design_size(self):
+        # a band row holds its (3,) + band magnitudes (1.5 band components)
+        # and mode_sq_coeffs' scratch (1, and 0.5 more for the second run
+        # of the six 3-d stress components), then the divergence residual's
+        # 2.5: 3 band components by design.  The margin is a quarter
+        # component of small-object overhead, so one more array the size of
+        # a real half-spectrum component (1.6 band components at d=3, n=16)
+        # would exceed the bound
+        cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS, s=0.0,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=1))
+        sim = Simulation(cfg)
+        grid = sim.grid
+        band = sim.advance().band
+        ledger = EnergyLedger(grid, PARAMS, s=0.0, dt=0.05)
+        ledger.update_band(0.0, band)
+        ledger.update_band(0.1, band)
+        component = 16 * np.prod(grid.band_shape(grid.dealias_radius))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ledger.update_band(0.2, band)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (3.0 + 0.25) * component
+
+    def test_band_row_of_another_layout_is_an_error(self, grid2):
+        ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)
+        with pytest.raises(ValueError, match="2/3-rule band"):
+            ledger.update_band(0.0, np.zeros((5, 3, 3), complex))
 
     def test_non_monotone_time_rejected(self, grid2):
         ledger = EnergyLedger(grid2, PARAMS, s=-0.25, dt=0.1)

@@ -764,11 +764,14 @@ class TestStepping:
             prev = cur
 
     def test_divergence_error_carries_position(self):
+        # a non-finite coefficient goes in through a given state: a
+        # returned state is read-only
         cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=1.0, params=PARAMS,
                            init=InitSpec(kind="zero"))
-        sim = Simulation(cfg)
-        sim.advance()
-        sim.state.u.coeffs[0, 1, 0] = np.inf
+        grid = TorusGrid(2, 16)
+        u = VectorField.zero(grid)
+        u.coeffs[0, 1, 0] = np.inf
+        sim = Simulation(cfg, SolverState(0.1, u, SymTensorField.zero(grid), step_index=1))
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 sim.advance()
@@ -778,9 +781,10 @@ class TestStepping:
     def test_divergence_error_names_the_field(self):
         cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=1.0, params=PARAMS,
                            init=InitSpec(amplitude=0.1, band=(1.0, 4.0), seed=2))
-        sim = Simulation(cfg)
-        sim.advance()
-        sim.state.tau.coeffs[1, 2, 1] = np.nan
+        st = Simulation(cfg).advance()
+        tau = SymTensorField(st.tau.grid, st.tau.coeffs.copy())
+        tau.coeffs[1, 2, 1] = np.nan
+        sim = Simulation(cfg, SolverState(st.t, st.u, tau, step_index=1))
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 sim.advance()
@@ -850,12 +854,12 @@ class TestStepping:
 
     def test_warm_step_peak_below_1_8_stacked_states(self):
         # the step runs on the 2/3 band: the tendencies, the increment and
-        # the midpoint are band-sized, and the new state is the one
-        # half-spectrum array it allocates: 1.64 stacked states measured at
-        # d=3, n=16 (2.44 with a half-spectrum midpoint and linear step,
-        # 3.12 with the tendencies on the half spectrum too, 4.13 with
-        # fresh linear-step results); the margin is half of one band-sized
-        # stacked array (0.16)
+        # the midpoint are band-sized, and the new state is the midpoint
+        # itself: 1.35 stacked states measured at d=3, n=16 (1.64 with the
+        # new state written into a fresh half spectrum, 2.44 with a
+        # half-spectrum midpoint and linear step, 3.12 with the tendencies
+        # on the half spectrum too, 4.13 with fresh linear-step results);
+        # the margin is half of one band-sized stacked array (0.16)
         cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS,
                            init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=1))
         sim = Simulation(cfg)
@@ -871,6 +875,47 @@ class TestStepping:
         finally:
             tracemalloc.stop()
         assert peak < 1.8 * stacked
+
+    def test_warm_linear_step_allocates_band_arrays_only(self):
+        # a linear step propagates the band into a fresh band (9 band
+        # components at d=3) through apply's scratch (tk and the
+        # velocity-sized one, 3 each, and one component), then checks and
+        # projects it in place: 16 band components by design.  The margin is
+        # a quarter component of small-object overhead, so one more array
+        # the size of a half-spectrum component (3.2 band components at
+        # d=3, n=16, or 1.6 for a real one) would exceed the bound
+        cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=1),
+                           nonlinear=False)
+        sim = Simulation(cfg)
+        for _ in range(3):
+            sim.advance()
+        grid = sim.grid
+        component = 16 * np.prod(grid.band_shape(grid.dealias_radius))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim.advance()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 + 0.25) * component
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_returned_states_are_read_only(self, nonlinear):
+        cfg = SolverConfig(d=2, n=16, dt=0.05, t_end=1.0, params=PARAMS,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=5),
+                           nonlinear=nonlinear)
+        sim = Simulation(cfg)
+        for st in (sim.state, sim.advance(), sim.advance()):
+            assert st.band.shape == (5,) + sim.grid.band_shape(sim.grid.dealias_radius)
+            # the fields are formed once and kept
+            assert st.u is st.u and st.tau is st.tau
+            for a in (st.band, st.u.coeffs, st.tau.coeffs):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1.0
+        # the trajectory went on from the bands as they were
+        assert sim.state.step_index == 2
 
     def test_reality_preserved_along_trajectory(self):
         cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=0.25, params=PARAMS,
@@ -989,6 +1034,27 @@ class TestSimulate:
         assert r1.ledger.to_csv() == r2.ledger.to_csv()
         np.testing.assert_array_equal(r1.final.u.coeffs, r2.final.u.coeffs)
         np.testing.assert_array_equal(r1.final.tau.coeffs, r2.final.tau.coeffs)
+
+    def test_observer_that_reads_no_field_forms_no_half_spectrum(self, monkeypatch):
+        calls = []
+        from_band = TorusGrid.from_band
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return from_band(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusGrid, "from_band", counted)
+        cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=1.0, params=PARAMS,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 6.0), seed=4),
+                           nonlinear=False)
+        steps = []
+        res = simulate(cfg, lambda st: steps.append(st.step_index))
+        assert steps == list(range(21)) and len(res.ledger.rows) == 21
+        assert calls == []
+        # a state forms its half spectrum on the first read, once
+        res.final.u
+        res.final.tau
+        assert len(calls) == 1
 
     def test_random_pair_is_the_initial_state(self):
         cfg = SolverConfig(d=2, n=32, dt=0.1, t_end=1.0, params=PARAMS, s=-0.25,
