@@ -12,14 +12,18 @@ inner products use Parseval's identity on the coefficient arrays, each
 stored mode weighted by the grid's ``multiplicity``, so no quadrature
 error enters them.
 
-The solver's quadratic terms go through ``quadratic_terms``: real inverse
+The solver's quadratic terms go through ``quadratic_terms``, which reads
+the solver's stacked 2/3-rule band of ``(u, tau)``: real inverse
 transforms of ``[u, grad u, tau, grad tau]`` (15 real fields in 2-d, 36 in
-3-d), componentwise algebra on the stored upper triangle, and the
-band-pruned real forward transform (``TorusGrid.forward_band``) of the
-``d + d(d+1)/2`` products (5 in 2-d, 9 in 3-d) up to six at a time, which
-returns the terms on the band only.  Each field's samples and gradient
-share their leading complex passes (``_samples_and_gradients``): 2
-complex field-passes per field instead of 3 in 2-d, 5 instead of 8 in
+3-d), each field group's pass chain filled from its band
+(``grid.from_band``), componentwise algebra on the stored upper triangle,
+and the band-pruned real forward transform (``TorusGrid.forward_band``)
+of the ``d + d(d+1)/2`` products (5 in 2-d, 9 in 3-d), which returns the
+terms on the band only.  The products are formed in the kernel's sample
+rows, with no array of their own, so that those of one forward call lie
+together: 17 sample rows in 2-d, 30 in 3-d.  Each field's samples and
+gradient share their leading complex passes (``_samples_and_gradients``):
+2 complex field-passes per field instead of 3 in 2-d, 5 instead of 8 in
 3-d.  Composed from ``advect`` and ``g_alpha``, the same terms take 19
 real inverse and 8 real forward transforms in 2-d; those two stay as the
 per-term API and as the test oracle.  ``quadratic_terms`` transforms
@@ -41,6 +45,7 @@ from .fields import (
     SpectralField,
     SymTensorField,
     VectorField,
+    _sym_index,
 )
 from .grid import TorusGrid, leray_tables
 
@@ -186,103 +191,141 @@ def g_alpha(tau: SymTensorField, u: VectorField, alpha: float) -> SymTensorField
 _GROUP = 3
 
 
+def _waiting_rows(d: int) -> int:
+    """Sample rows where products wait for the last forward call beside
+    the last stress group's: the velocity rows in 2-d (2), the first
+    stress group's in 3-d (3)."""
+    return min(d + d * (d + 1) // 2, 2 * _GROUP) - _GROUP
+
+
 @functools.lru_cache(maxsize=1)
 def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """The scratch half spectrum of ``quadratic_terms`` and its real samples.
 
     The scratch holds two groups of fields, the pass chain and the
     gradient in transform (6 fields), and later the products' real
-    transform, up to 6 at a time; the samples hold ``[u, tau, grad u]``
-    and the gradients of one stress group (15 fields in 2-d, 27 in 3-d).
-    Kept for the most recent grid only, so runs on equal grids share them
-    and a sweep over grids holds one set.
+    transform, up to 6 at a time.  The samples hold ``[u, tau, grad u]``,
+    the rows that wait for the last forward call (``_waiting_rows``) and
+    the gradients of one stress group, direction by direction: 17 fields
+    in 2-d, 30 in 3-d.  Kept for the most recent grid only, so runs on
+    equal grids share them and a sweep over grids holds one set.
     """
     d = grid.d
     nt = d * (d + 1) // 2
+    rows = d + nt + d * d + _waiting_rows(d) + d * _GROUP
     return (np.empty((2 * _GROUP,) + grid.spec_shape, np.complex128),
-            np.empty((d + nt + d * d + _GROUP * d,) + grid.shape))
+            np.empty((rows,) + grid.shape))
 
 
 def _samples_and_gradients(grid: TorusGrid, c: np.ndarray, spec: np.ndarray,
-                           values: np.ndarray, grads: np.ndarray) -> None:
-    """Samples of the fields ``c`` into ``values`` and of their derivatives
-    ``d_j c`` into ``grads[:, j]``, through the scratch ``spec``.
+                           values: np.ndarray, grads) -> None:
+    """Samples of the fields whose 2/3-rule bands are ``c`` into ``values``
+    and of their derivatives ``d_j`` into ``grads[j]``, through the scratch
+    ``spec``.
 
-    The passes run as a prefix chain: ``A_0 = c`` and ``A_{j+1}`` is pass
-    ``j`` of ``A_j``, held in ``spec[:len(c)]``.  Multiplying by ``i k_j``
-    commutes with the passes over the other axes, so ``d_j c`` is the
-    passes ``j`` onward of ``i k_j A_j``, formed in the second half of
-    ``spec``, and the samples are the last pass of ``A_{d-1}``: 2 complex
-    field-passes instead of 3 in 2-d, 5 instead of 8 in 3-d.  The samples
-    and ``d_0 c`` take the passes of ``to_physical`` in its order, so they
-    are its bits; every other derivative agrees with it to rounding.
+    The passes run as a prefix chain: ``A_0`` is the half spectrum of
+    ``c``, zero outside the band (``spec[:len(c)]`` zeroed and filled by
+    ``grid.from_band``), and ``A_{j+1}`` is pass ``j`` of ``A_j``, held in
+    place.  Multiplying by ``i k_j`` commutes with the passes over the
+    other axes, so ``d_j`` of the fields is the passes ``j`` onward of
+    ``i k_j A_j``, formed in the second half of ``spec``, and the samples
+    are the last pass of ``A_{d-1}``: 2 complex field-passes instead of 3
+    in 2-d, 5 instead of 8 in 3-d.  The samples and ``d_0`` take the passes
+    of ``to_physical`` in its order, so they are its bits; every other
+    derivative agrees with it to rounding.
     """
     g = len(c)
     k = leray_tables(grid)[0]
     chain, scratch = spec[:g], spec[_GROUP:_GROUP + g]
-    chain[...] = c
+    chain[...] = 0.0
+    grid.from_band(c, grid.dealias_radius, out=chain)
     for j in range(grid.d):
         if j:
             chain = grid.inverse_passes(chain, j - 1, j, overwrite_x=True)
-        np.multiply(k[j], chain, out=scratch)
+        for f in range(g):  # row by row: a broadcasting product copies the rows
+            np.multiply(k[j], chain[f], out=scratch[f])
         scratch *= 1j
-        grid.inverse_passes(scratch, j, overwrite_x=True, out=grads[:, j])
+        grid.inverse_passes(scratch, j, overwrite_x=True, out=grads[j])
     grid.inverse_passes(chain, grid.d - 1, out=values)
 
 
-def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.ndarray:
-    """((u.grad)u, (u.grad)tau + g_alpha(tau, grad u)) in one dealiased pass.
+def quadratic_terms(grid: TorusGrid, x: np.ndarray, alpha: float) -> np.ndarray:
+    """((u.grad)u, (u.grad)tau + g_alpha(tau, grad u)) in one dealiased pass,
+    from the stacked 2/3-rule band ``x`` of ``(u, tau)``.
 
-    Returns one fresh ``(d + nt,) + grid.band_shape(grid.dealias_radius)``
-    array, velocity rows first as in the solver's state, on the 2/3-rule
-    band, outside of which the dealiased terms vanish: added into zeros on
-    the half spectrum (``grid.from_band``) the rows equal ``advect(u, u)``
-    and ``advect(u, tau) + g_alpha(tau, u, alpha)`` up to rounding.
-    With A_ij = d_j u_i, D = (A + A^T)/2 and W = (A - A^T)/2, symmetry of
-    tau gives g_alpha = tau B + (tau B)^T for B = W - alpha D, so each
-    stored component is g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
+    ``x`` is ``(d + nt,) + grid.band_shape(grid.dealias_radius)``, the
+    layout of the solver's state, velocity rows first.  Returns one fresh
+    array of that shape, on the band, outside of which the dealiased terms
+    vanish: added into zeros on the half spectrum (``grid.from_band``) the
+    rows equal ``advect(u, u)`` and ``advect(u, tau) + g_alpha(tau, u,
+    alpha)`` up to rounding.  With A_ij = d_j u_i, D = (A + A^T)/2 and
+    W = (A - A^T)/2, symmetry of tau gives g_alpha = tau B + (tau B)^T for
+    B = W - alpha D, so each stored component is
+    g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
 
     The inverse transforms run field group by field group through the
-    buffers of ``_kernel_buffers`` (``_samples_and_gradients``): ``u`` and
-    ``grad u`` into their own slices of the samples, then three stress
-    components at a time, their samples into the stress slice and their
-    gradients into the slice after it.  Every field's passes are
-    independent of the rest of its batch.  The algebra writes into the
-    product rows only: each transport sum goes straight into its row, the
-    stress gradients serving as their own product scratch once read; ``B``
-    is formed in place over ``grad u`` (``B_kk = -alpha A_kk``; each
-    off-diagonal pair through two free stress-gradient rows), and the
-    ``g_alpha`` products are added to the rows one by one.  The products
-    go through the band-pruned forward transform (``grid.forward_band``)
-    up to six fields at a time, their real pass into the scratch spectrum
-    and their band straight into the result.
+    buffers of ``_kernel_buffers`` (``_samples_and_gradients``), each
+    group's chain filled from its rows of ``x``.  The sample rows are
+
+        u_i | tau_c | d_j u_i (i-major) | waiting rows | d_m tau_c of one
+        stress group, direction-major (d rows of 3)
+
+    ``u`` and ``grad u`` go into their own rows, then three stress
+    components at a time, their samples into the stress rows and their
+    gradients into the last rows.  The products are formed in these rows,
+    with no array of their own.  The velocity transports come first, into
+    the waiting rows in 2-d and into the first-direction gradient rows in
+    3-d, where they are transformed at once.  Each stress transport
+    accumulates in place in its first-direction gradient row, the other
+    directions' rows serving as their own product scratch once read; in
+    3-d the first group's first-direction rows are the waiting rows.  So
+    the products of the last forward call (all five in 2-d, the six stress
+    rows in 3-d) lie in contiguous rows, the waiting rows then the last
+    group's first-direction rows.  ``B`` is formed in place over
+    ``grad u`` (``B_kk = -alpha A_kk``; each off-diagonal pair through two
+    spent gradient rows), and the ``g_alpha`` products are added to the
+    stress rows one by one.  The products go through the band-pruned
+    forward transform (``grid.forward_band``), their real pass into the
+    scratch spectrum and their band straight into the result.
     """
-    grid = u.grid
-    grid.require_same(tau.grid)
     d = grid.d
     pairs = SymTensorField.pairs(d)
     nt = len(pairs)
+    radius = grid.dealias_radius
+    if x.shape != (d + nt,) + grid.band_shape(radius):
+        raise ValueError(f"the kernel takes a stacked 2/3 band of shape "
+                         f"{(d + nt,) + grid.band_shape(radius)}, not {x.shape}")
     spec, phys = _kernel_buffers(grid)
-    # sample rows: u_i | tau_c | d_j u_i (i-major) | d_m tau_c of one group
-    vel, stress, grad_u, grad_tau = np.split(phys, (d, d + nt, d + nt + d * d))
+    wait = _waiting_rows(d)
+    offsets = np.cumsum((d, nt, d * d, wait))
+    vel, stress, grad_u, _, grad_tau = np.split(phys, offsets)
     grad_u = grad_u.reshape((d, d) + grid.shape)
-    grad_tau = grad_tau.reshape((_GROUP, d) + grid.shape)
-    free = grad_tau[0]  # d rows, free whenever no stress group is in flight
+    grad_tau = grad_tau.reshape((d, _GROUP) + grid.shape)
+    # the products of the last forward call: the waiting rows, then the
+    # last stress group's first-direction rows
+    last = phys[offsets[2]:offsets[3] + _GROUP]
+    free = grad_tau[1]  # 3 rows, free whenever no stress group is in flight
+    band = np.empty_like(x)
 
-    _samples_and_gradients(grid, u.coeffs, spec, vel, grad_u)
-    out = np.empty((d + nt,) + grid.shape)
+    _samples_and_gradients(grid, x[:d], spec, vel, grad_u.swapaxes(0, 1))
+    early = d + nt - len(last)  # velocity rows transformed on their own: d in 3-d
+    vel_out = grad_tau[0] if early else last[:d]
     for i in range(d):
-        np.multiply(vel[0], grad_u[i, 0], out=out[i])
+        np.multiply(vel[0], grad_u[i, 0], out=vel_out[i])
         for j in range(1, d):
-            out[i] += np.multiply(vel[j], grad_u[i, j], out=free[0])
+            vel_out[i] += np.multiply(vel[j], grad_u[i, j], out=free[0])
+    if early:
+        grid.forward_band(vel_out, radius, scratch=spec[:d], out=band[:d])
     for c0 in range(0, nt, _GROUP):  # _GROUP divides nt: 3 in 2-d, 6 in 3-d
-        _samples_and_gradients(grid, tau.coeffs[c0:c0 + _GROUP], spec,
-                               stress[c0:c0 + _GROUP], grad_tau)
+        first = grad_tau[0] if c0 + _GROUP == nt else last[:_GROUP]
+        grads = (first,) + tuple(grad_tau[1:])
+        _samples_and_gradients(grid, x[d + c0:d + c0 + _GROUP], spec,
+                               stress[c0:c0 + _GROUP], grads)
         for g in range(_GROUP):
-            row = out[d + c0 + g]
-            np.multiply(vel[0], grad_tau[g, 0], out=row)
+            row = first[g]
+            np.multiply(vel[0], row, out=row)
             for m in range(1, d):
-                row += np.multiply(vel[m], grad_tau[g, m], out=grad_tau[g, m])
+                row += np.multiply(vel[m], grads[m][g], out=grads[m][g])
 
     # B = W - alpha D over grad u: B_kj = a A_kj - b A_jk
     a, b = 0.5 * (1.0 - alpha), 0.5 * (1.0 + alpha)
@@ -296,20 +339,14 @@ def quadratic_terms(u: VectorField, tau: SymTensorField, alpha: float) -> np.nda
             grad_u[j, k] *= a
             grad_u[j, k] -= free[1]
 
-    def tau_at(i, j):
-        return stress[tau.component_index(i, j)]
-
+    index = _sym_index(d)
+    stress_out = last[len(last) - nt:]
     for c, (i, j) in enumerate(pairs):
-        row = out[d + c]
+        row = stress_out[c]
         for k in range(d):
-            row += np.multiply(tau_at(i, k), grad_u[k, j], out=free[0])
-            row += np.multiply(tau_at(j, k), grad_u[k, i], out=free[0])
-    radius = grid.dealias_radius
-    band = np.empty((d + nt,) + grid.band_shape(radius), np.complex128)
-    for c0 in range(0, d + nt, len(spec)):
-        rows = out[c0:c0 + len(spec)]
-        grid.forward_band(rows, radius, scratch=spec[:len(rows)],
-                          out=band[c0:c0 + len(rows)])
+            row += np.multiply(stress[index[i, k]], grad_u[k, j], out=free[0])
+            row += np.multiply(stress[index[j, k]], grad_u[k, i], out=free[0])
+    grid.forward_band(last, radius, scratch=spec[:len(last)], out=band[early:])
     return band
 
 

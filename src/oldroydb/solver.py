@@ -26,12 +26,15 @@ nt = d(d+1)/2 stress rows, passed whole from layer to layer.  The
 dealiased products are free of aliasing only while the state lies in the
 2/3-rule band, and every step keeps it there, so the trajectory lives on
 that band alone, as the compact ``(d + nt,) + grid.band_shape(n // 3)``
-array: ``rhs_nonlinear`` returns the tendencies on the band,
-``LinearPropagator`` holds its tables there and ``apply`` advances the
-band, ``Simulation`` holds each state as a read-only band, and
-``simulate`` takes each ledger row from it (``EnergyLedger.update_band``).
-The half-spectrum fields ``u`` and ``tau`` of a state, zero outside the
-band, are formed only when read.
+array: ``rhs_band`` forms the tendencies of a band on the band (the
+kernel, ``quadratic_terms``, reads the band itself, so no half spectrum
+of the state is formed for it), ``LinearPropagator`` holds its tables
+there and ``apply`` advances the band, ``Simulation`` holds each state as
+a read-only band, and ``simulate`` takes each ledger row from it
+(``EnergyLedger.update_band``).  ``rhs_nonlinear`` is the same tendency
+for half-spectrum fields, whose band it gathers first.  The half-spectrum
+fields ``u`` and ``tau`` of a state, zero outside the band, are formed
+only when read.
 """
 
 from __future__ import annotations
@@ -515,42 +518,57 @@ def _rhs_tables(grid: TorusGrid, friedrichs_n: float | None
     return band_leray_tables(grid) + (cutoff,)
 
 
-@functools.lru_cache(maxsize=1)
-def _step_input(grid: TorusGrid) -> tuple[np.ndarray, VectorField, SymTensorField]:
-    """A stacked ``(d + nt,) + spec_shape`` array, zero outside the 2/3-rule
-    band, and the fields on its rows, for the most recent grid.
+def _stacked_band(grid: TorusGrid, u: VectorField, tau: SymTensorField) -> np.ndarray:
+    """The 2/3-rule band of ``(u, tau)`` as one fresh stacked array, ``(d +
+    nt,) + grid.band_shape(grid.dealias_radius)``, velocity rows first.
 
-    A nonlinear step writes its state's band into it (``grid.from_band``
-    with ``out``) and hands the fields to ``rhs_nonlinear``, which reads
-    the half spectrum.  Nothing writes outside the band, so that part stays
-    zero; runs on equal grids share the array, each filling it before use.
+    Raises ``GridError`` for fields on another grid and ``ConfigError`` for
+    a nonzero mode outside the band, where the dealiased products would
+    alias.
     """
+    grid.require_same(u.grid)
+    grid.require_same(tau.grid)
+    d, radius = grid.d, grid.dealias_radius
+    x = np.empty((d + tau.ncomp,) + grid.band_shape(radius), np.complex128)
+    grid.to_band(u.coeffs, radius, out=x[:d])
+    grid.to_band(tau.coeffs, radius, out=x[d:])
+    if np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) != np.count_nonzero(x):
+        raise ConfigError("the given fields have modes outside the 2/3-rule band "
+                          f"|m_i| <= {radius}, where the dealiased "
+                          "products would alias")
+    return x
+
+
+def rhs_band(grid: TorusGrid, x: np.ndarray, params: FluidParams,
+             friedrichs_n: float | None = None) -> np.ndarray:
+    """Quadratic tendencies (-P[(u.grad)u], -(u.grad)tau - g_alpha) of the
+    stacked 2/3-rule band ``x`` of ``(u, tau)``, as one fresh array of its
+    layout: ``(d + nt,) + grid.band_shape(grid.dealias_radius)``.
+
+    The tendencies vanish outside the band, so they are formed
+    (``quadratic_terms`` reads ``x`` itself), projected and cut there
+    only; ``grid.from_band`` writes them into a half spectrum."""
     d = grid.d
-    x = np.zeros((d + len(SymTensorField.pairs(d)),) + grid.spec_shape, np.complex128)
-    return x, VectorField(grid, x[:d]), SymTensorField(grid, x[d:])
+    k, k2, cutoff = _rhs_tables(grid, friedrichs_n)
+    n = quadratic_terms(grid, x, params.alpha)
+    leray_coeffs(n[:d], k, k2, out=n[:d])
+    # ``np.negative`` would give some zeros of the state the other sign
+    # than ``n * -1.0`` does
+    n *= -1.0
+    n[(slice(None),) + (0,) * d] = 0.0
+    if cutoff is not None:
+        for row in n:  # row by row: a broadcasting product copies the rows
+            row *= cutoff
+    return n
 
 
 def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
                   friedrichs_n: float | None = None) -> np.ndarray:
-    """Quadratic tendencies (-P[(u.grad)u], -(u.grad)tau - g_alpha), stacked
-    as one fresh array in the band layout of ``quadratic_terms``:
-    ``(d + nt,) + grid.band_shape(grid.dealias_radius)``.
-
-    The tendencies vanish outside the 2/3-rule band, so they are formed,
-    projected and cut there only (``grid.from_band`` writes them into a
-    half spectrum)."""
+    """``rhs_band`` of the fields ``u`` and ``tau``: their band is gathered
+    into a fresh stacked array first (``_stacked_band``; ``ConfigError`` for
+    a mode outside it), so the tendencies have the same bits."""
     grid = u.grid
-    d = grid.d
-    k, k2, cutoff = _rhs_tables(grid, friedrichs_n)
-    x = quadratic_terms(u, tau, params.alpha)
-    leray_coeffs(x[:d], k, k2, out=x[:d])
-    # ``np.negative`` would give some zeros of the state the other sign
-    # than ``x * -1.0`` does
-    x *= -1.0
-    x[(slice(None),) + (0,) * d] = 0.0
-    if cutoff is not None:
-        x *= cutoff
-    return x
+    return rhs_band(grid, _stacked_band(grid, u, tau), params, friedrichs_n)
 
 
 # ---- state and stepping ----------------------------------------------------------
@@ -651,47 +669,45 @@ class Simulation:
         self.grid = grid = TorusGrid(config.d, config.n, config.period)
         if state is None:
             state = make_initial_state(config, grid)
-        u, tau = state.u, state.tau
-        grid.require_same(u.grid)
-        grid.require_same(tau.grid)
-        d, radius = grid.d, grid.dealias_radius
-        x = np.empty((d + tau.ncomp,) + grid.band_shape(radius), np.complex128)
-        grid.to_band(u.coeffs, radius, out=x[:d])
-        grid.to_band(tau.coeffs, radius, out=x[d:])
-        if np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) != np.count_nonzero(x):
-            raise ConfigError("the given state has modes outside the 2/3-rule band "
-                              f"|m_i| <= {radius}, where the dealiased "
-                              "products would alias")
-        self._set_state(state.t, x, state.step_index)
+        x = _stacked_band(grid, state.u, state.tau)
+        self._t0, self._step0 = state.t, state.step_index
+        self._set_state(x, state.step_index)
         self.propagator = build_propagator(grid, config.params, config.dt)
         self._prev_rhs: np.ndarray | None = None
 
-    def _set_state(self, t: float, x: np.ndarray, step_index: int) -> None:
+    def _time(self, step_index: int) -> float:
+        """The time of step ``step_index``: ``t0 + (step_index - step0) *
+        dt`` from the given state's time and step, not a running sum, so
+        11 steps of dt = 0.05 from 0 reach ``11 * 0.05`` exactly."""
+        return self._t0 + (step_index - self._step0) * self.config.dt
+
+    def _set_state(self, x: np.ndarray, step_index: int) -> None:
         x.flags.writeable = False
-        self.state = SolverState.on_band(t, self.grid, x, step_index)
+        self.state = SolverState.on_band(self._time(step_index), self.grid, x, step_index)
 
     def _require_finite(self, x: np.ndarray, names: tuple[str, str]) -> None:
         # one reduction over the float64 view (a complex entry is finite when
         # both its parts are, and the real loop is the faster one); the rows
         # are told apart only when it fails
         if not np.isfinite(x.view(np.float64)).all():
-            st = self.state
             name = names[0] if not np.isfinite(x[:self.grid.d]).all() else names[1]
-            raise DivergenceError(st.step_index + 1, st.t + self.config.dt, name)
+            step = self.state.step_index + 1
+            raise DivergenceError(step, self._time(step), name)
 
     def advance(self) -> SolverState:
         """One step of the integrating-factor scheme, on the 2/3-rule band.
 
         The new band starts as the AB2 increment of the tendencies ``n``
-        (``rhs_nonlinear`` of the fields of ``_step_input``, filled from
-        the band), to which the state's band is added: the midpoint.  It
+        (``rhs_band`` of the state's band, which the kernel reads as it
+        is), to which the state's band is added: the midpoint.  It
         then takes the linear step in place (``apply(mid, out=mid)``), the
         finiteness check and the Leray projection; the tendencies are
         propagated in place too and kept as ``_prev_rhs``.  A linear step
         propagates the state's band into a fresh array.  No earlier band is
         written, since a returned state may be kept.  The step runs with
         numpy's overflow and invalid-value warnings off: a diverging step
-        ends in ``DivergenceError`` from the finiteness checks alone.
+        ends in ``DivergenceError`` from the finiteness checks alone.  The
+        new state's time is ``_time`` of its step.
         """
         st = self.state
         dt = self.config.dt
@@ -700,9 +716,7 @@ class Simulation:
         d = grid.d
         with np.errstate(over="ignore", invalid="ignore"):
             if self.config.nonlinear:
-                stacked, u, tau = _step_input(grid)
-                grid.from_band(st.band, grid.dealias_radius, out=stacked)
-                n = rhs_nonlinear(u, tau, self.config.params, self.config.friedrichs_n)
+                n = rhs_band(grid, st.band, self.config.params, self.config.friedrichs_n)
                 self._require_finite(n, ("nu", "ntau"))
                 prev, self._prev_rhs = self._prev_rhs, None
                 # the increment, then the state added to it: a + b and
@@ -725,7 +739,7 @@ class Simulation:
             self._require_finite(x, ("u", "tau"))
             k, k2, _ = _rhs_tables(grid, self.config.friedrichs_n)
             leray_coeffs(x[:d], k, k2, out=x[:d])
-        self._set_state(st.t + dt, x, st.step_index + 1)
+        self._set_state(x, st.step_index + 1)
         return self.state
 
 

@@ -35,8 +35,9 @@ spans.Tracer().install().uninstall()
 after = [getattr(owner, attr) for owner, attr, _, _ in spans.TRACED]
 assert all(a is b for a, b in zip(before, after)), "uninstall left a wrapper"
 
-for nonlinear, want in ((True, NONLINEAR_STEP), (False, LINEAR_STEP)):
-    sim = Simulation(SolverConfig(d=2, n=16, dt=0.05, t_end=1.0, nonlinear=nonlinear,
+for d, nonlinear, want in ((2, True, NONLINEAR_STEP), (3, True, NONLINEAR_STEP_3D),
+                          (2, False, LINEAR_STEP)):
+    sim = Simulation(SolverConfig(d=d, n=16, dt=0.05, t_end=1.0, nonlinear=nonlinear,
                                   init=InitSpec(amplitude=0.5, band=(1.0, 4.0))))
     sim.advance()
     sim.advance()
@@ -46,7 +47,7 @@ for nonlinear, want in ((True, NONLINEAR_STEP), (False, LINEAR_STEP)):
     finally:
         tracer.uninstall()
     got = dict(collections.Counter(span[0] for span in tracer.spans))
-    assert got == want, (nonlinear, got)
+    assert got == want, (d, nonlinear, got)
 
 ledger = EnergyLedger(sim.grid, sim.config.params, sim.config.s_value, sim.config.dt)
 state = sim.state
@@ -81,9 +82,16 @@ assert record["n_samples"] == 9 and len(record["C_hat"]) == 2, record
 #: groups (u, then the three stress components) take two complex and three
 #: real passes each, and its forward transform of the five products one
 #: real and one complex pass (pruned to the 2/3 band); the tendencies and
-#: the new state are projected on the band without ``leray_project``
-NONLINEAR_STEP = {"solver.Simulation.advance": 1, "solver.rhs_nonlinear": 1,
-                  "solver.LinearPropagator.apply": 2, "fft": 12}
+#: the new state are projected on the band without ``leray_project``, and
+#: the step forms its tendencies from its band (``solver.rhs_band``), not
+#: through the field entry ``rhs_nonlinear``
+NONLINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 2,
+                  "fft": 12}
+#: the same at d=3: u and two stress groups take five complex and four real
+#: passes each (a real pass for the samples and for each derivative), and
+#: the forward transforms of the three velocity products, then of the six
+#: stress products, three passes each
+NONLINEAR_STEP_3D = {**NONLINEAR_STEP, "fft": 33}
 LINEAR_STEP = {"solver.Simulation.advance": 1, "solver.LinearPropagator.apply": 1}
 #: spans of one warm ledger row: one block-norm call for all three series
 #: and no transform
@@ -94,6 +102,7 @@ def test_tracer_installs_on_every_traced_name(tmp_path):
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     code = (f"import sys\nsys.path[:0] = {paths!r}\n"
             f"NONLINEAR_STEP = {NONLINEAR_STEP!r}\nLINEAR_STEP = {LINEAR_STEP!r}\n"
+            f"NONLINEAR_STEP_3D = {NONLINEAR_STEP_3D!r}\n"
             f"LEDGER_ROW = {LEDGER_ROW!r}\n"
             f"SCRATCH = {str(tmp_path)!r}\n"
             + SCRIPT)

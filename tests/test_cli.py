@@ -48,6 +48,15 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_simulate_reports_t_end_as_steps_times_dt(tmp_path, capsys):
+    # twenty steps of 0.05 summed one by one reach 1.0000000000000002
+    cfg = _config(tmp_path, t_end=1.0)
+    assert main(["simulate", str(cfg)]) == 0
+    rec = _last_record(capsys)
+    assert rec["steps"] == 20
+    assert rec["t_end"] == rec["steps"] * 0.05 == 1.0
+
+
 def test_simulate_zero_horizon(tmp_path, capsys):
     cfg = _config(tmp_path, t_end=0.0)
     assert main(["simulate", str(cfg)]) == 0
@@ -280,6 +289,8 @@ def test_diverging_run_warns_nothing(tmp_path):
     assert proc.returncode == 3
     rec = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (rec["event"], rec["step"], rec["field"]) == ("diverged", 11, "nu")
+    # the step's time, not a running sum (0.5499999999999999)
+    assert rec["t"] == 11 * 0.05
 
 
 def test_norms_takes_a_negative_s_in_exponent_form(tmp_path, capsys, rng):

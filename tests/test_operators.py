@@ -498,35 +498,60 @@ def test_multiply_matches_physical_product(grid2, rng):
 
 
 class TestKernelBuffers:
-    """``quadratic_terms`` reuses one grid's stacked-spectrum buffers."""
+    """``quadratic_terms`` reuses one grid's buffers and forms its products
+    in the sample rows."""
 
     @staticmethod
     def _state(grid, seed):
+        """The stacked 2/3 band of a random divergence-free u and a tau."""
         rng = np.random.default_rng(seed)
         u = leray_project(random_vector(grid, rng, band=(1.0, grid.n // 3)))
-        return u, random_sym_tensor(grid, rng, band=(1.0, grid.n // 3))
+        tau = random_sym_tensor(grid, rng, band=(1.0, grid.n // 3))
+        return grid.to_band(np.concatenate((u.coeffs, tau.coeffs)), grid.dealias_radius)
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_results_survive_the_next_call(self, d, n):
         grid = TorusGrid(d, n)
-        first = quadratic_terms(*self._state(grid, 1), 0.5)
+        x = self._state(grid, 1)
+        kept_x = x.copy()
+        first = quadratic_terms(grid, x, 0.5)
+        np.testing.assert_array_equal(x, kept_x)
         kept = first.copy()
-        second = quadratic_terms(*self._state(grid, 2), 0.5)
+        second = quadratic_terms(grid, self._state(grid, 2), 0.5)
         np.testing.assert_array_equal(first, kept)
         for f, s in zip(first, second):
             assert not np.array_equal(f, s)
 
+    @pytest.mark.parametrize("d,n,rows", [(2, 32, 17), (3, 16, 30)])
+    def test_products_live_in_the_sample_rows(self, d, n, rows):
+        # [u, tau, grad u] (9 and 18 rows), the waiting rows (the velocity
+        # products in 2-d, the first stress group's in 3-d) and one stress
+        # group's gradients: 15 + 5 and 27 + 9 rows with a products array
+        grid = TorusGrid(d, n)
+        quadratic_terms(grid, self._state(grid, 6), 1.0)
+        spec, phys = _kernel_buffers(grid)
+        assert spec.shape == (6,) + grid.spec_shape
+        assert phys.shape == (rows,) + grid.shape
+
+    def test_refuses_another_layout(self):
+        grid = TorusGrid(2, 16)
+        x = self._state(grid, 7)
+        with pytest.raises(ValueError, match="stacked 2/3 band"):
+            quadratic_terms(grid, x[:4], 1.0)
+        with pytest.raises(ValueError, match="stacked 2/3 band"):
+            quadratic_terms(grid, grid.from_band(x, grid.dealias_radius), 1.0)
+
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_warm_call_peak_below_stacked_spectrum_and_samples(self, d, n):
         grid = TorusGrid(d, n)
-        u, tau = self._state(grid, 3)
-        quadratic_terms(u, tau, 1.0)
+        x = self._state(grid, 3)
+        quadratic_terms(grid, x, 1.0)
         rows = (d + 1) * (d + d * (d + 1) // 2)
         bound = rows * (16 * np.prod(grid.spec_shape) + 8 * np.prod(grid.shape))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            quadratic_terms(u, tau, 1.0)
+            quadratic_terms(grid, x, 1.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -535,22 +560,22 @@ class TestKernelBuffers:
     def test_cold_call_peak_below_grouped_layout(self):
         d, n = 3, 16
         grid = TorusGrid(d, n)
-        u, tau = self._state(grid, 5)
+        x = self._state(grid, 5)
         nt = d * (d + 1) // 2
         spec, phys = 16 * np.prod(grid.spec_shape), 8 * np.prod(grid.shape)
         band = 16 * np.prod(grid.band_shape(grid.dealias_radius))
         # buffers: a scratch spectrum of two 3-field groups and the samples
-        # [u, tau, grad u] plus the gradients of one stress group; the
-        # algebra: the d + nt products and their band; a margin of two
-        # spectrum fields for the transforms' own temporaries (1.4
-        # measured; the full-spectrum forward transform with its complex
-        # mask peaked 8.9 fields higher)
-        bound = (2 * 3 + 2) * spec + (d + nt + d * d + 3 * d) * phys + (d + nt) * (phys + band)
+        # [u, tau, grad u], the 3 waiting rows and the gradients of one
+        # stress group, which hold the products too; the result: the band
+        # of the d + nt products; a margin of two spectrum fields for the
+        # transforms' own temporaries (1.4 measured; the full-spectrum
+        # forward transform with its complex mask peaked 8.9 fields higher)
+        bound = (2 * 3 + 2) * spec + (d + nt + d * d + 3 + 3 * d) * phys + (d + nt) * band
         _kernel_buffers.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            quadratic_terms(u, tau, 1.0)
+            quadratic_terms(grid, x, 1.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -558,38 +583,41 @@ class TestKernelBuffers:
 
     def test_buffers_held_for_one_grid_over_a_sweep(self):
         for d, n in [(2, 8), (2, 16), (3, 8), (2, 8)]:
-            quadratic_terms(*self._state(TorusGrid(d, n), 4), 1.0)
+            grid = TorusGrid(d, n)
+            quadratic_terms(grid, self._state(grid, 4), 1.0)
             assert _kernel_buffers.cache_info().currsize <= 1
 
 
 class TestSharedPasses:
     """``_samples_and_gradients`` against one ``to_physical`` per field and
-    per derivative."""
+    per derivative of the half spectrum of its band."""
 
     @staticmethod
-    def _coeffs(grid, rng, band):
-        if band is None:  # every stored mode, far beyond n // 3
-            shape = (3,) + grid.spec_shape
+    def _band(grid, rng, band):
+        radius = grid.dealias_radius
+        if band is None:  # every band mode
+            shape = (3,) + grid.band_shape(radius)
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return random_sym_tensor(grid, rng, band=band).coeffs[:3]
+        return grid.to_band(random_sym_tensor(grid, rng, band=band).coeffs[:3], radius)
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     @pytest.mark.parametrize("band", [(1.0, 5.0), None])
     def test_matches_one_transform_per_derivative(self, d, n, band):
         grid = TorusGrid(d, n)
-        c = self._coeffs(grid, np.random.default_rng(7 * d + n), band)
+        c = self._band(grid, np.random.default_rng(7 * d + n), band)
         kept = c.copy()
-        spec = np.empty((6,) + grid.spec_shape, np.complex128)
+        full = grid.from_band(c, grid.dealias_radius)
+        spec = np.full((6,) + grid.spec_shape, np.nan, np.complex128)
         values = np.empty((3,) + grid.shape)
-        grads = np.empty((3, d) + grid.shape)
+        grads = np.empty((d, 3) + grid.shape)
         _samples_and_gradients(grid, c, spec, values, grads)
         np.testing.assert_array_equal(c, kept)
         # the samples and d_0 take the passes of to_physical in its order
-        np.testing.assert_array_equal(values, grid.to_physical(c))
-        np.testing.assert_array_equal(grads[:, 0], grid.to_physical(1j * grid.k[0] * c))
+        np.testing.assert_array_equal(values, grid.to_physical(full))
+        np.testing.assert_array_equal(grads[0], grid.to_physical(1j * grid.k[0] * full))
         for j in range(1, d):
-            want = grid.to_physical(1j * grid.k[j] * c)
-            err = np.max(np.abs(grads[:, j] - want))
+            want = grid.to_physical(1j * grid.k[j] * full)
+            err = np.max(np.abs(grads[j] - want))
             assert err <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d,n,passes", [(2, 16, 10), (3, 8, 45)])
@@ -597,9 +625,7 @@ class TestSharedPasses:
         # one full chain of passes per field and per derivative would take
         # (d + nt) (d + 1) (d - 1): 15 in 2-d, 72 in 3-d
         grid = TorusGrid(d, n)
-        rng = np.random.default_rng(d)
-        u = leray_project(random_vector(grid, rng, band=(1.0, n // 3)))
-        tau = random_sym_tensor(grid, rng, band=(1.0, n // 3))
+        x = TestKernelBuffers._state(grid, d)
         field = np.prod(grid.spec_shape)
         counted = []
         ifft = scipy.fft.ifft
@@ -609,5 +635,5 @@ class TestSharedPasses:
             return ifft(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, "ifft", counting)
-        quadratic_terms(u, tau, 1.0)
+        quadratic_terms(grid, x, 1.0)
         assert sum(counted) == passes
