@@ -235,7 +235,13 @@ class TorusGrid:
             x = scipy.fft.fft(x, axis=axis, norm="forward", overwrite_x=True)
             x[_rows(axis, m + 1, 2 * m + 1)] = x[_rows(axis, n - m, n)]
             x = x[_rows(axis, 0, 2 * m + 1)]
-        x[..., 0] = 0.5 * (x[..., 0] + np.conj(self.reflect(x)))
+        # 0.5 (x + conj(mirror)) on the plane, formed in place in the
+        # mirror: one plane of temporaries beyond the reindexing's
+        mirror = self.reflect(x)
+        np.conjugate(mirror, out=mirror)
+        mirror += x[..., 0]
+        mirror *= 0.5
+        x[..., 0] = mirror
         return x
 
     def forward_band(self, values: np.ndarray, radius: int, *,

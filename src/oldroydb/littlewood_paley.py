@@ -37,7 +37,7 @@ import numpy as np
 
 from .fields import ScalarField, SpectralField, VectorField
 from .grid import TorusGrid
-from .operators import advect, l2_norm, mode_sq
+from .operators import advect, l2_norm, mode_sq, mode_sq_coeffs
 
 CHI_SUPPORT = (0.75, 4.0 / 3.0)
 PHI_SUPPORT = (0.75, 8.0 / 3.0)
@@ -223,6 +223,25 @@ def block_l2_norms(f: SpectralField | np.ndarray,
     return norms if sq.ndim > grid.d else norms[0]
 
 
+def band_block_l2_norms(c: np.ndarray, weights: np.ndarray, partition: DyadicPartition,
+                        gradient_weight: bool = False) -> np.ndarray:
+    """``block_l2_norms`` of the field whose coefficient rows on the
+    2/3-rule band are ``c``, with the component ``weights``, to the bits of
+    the norms of its half-spectrum field.
+
+    The per-mode magnitudes (``mode_sq_coeffs``) are written into zeros of
+    the half-spectrum layout and summed there, in its order:
+    ``block_l2_norms`` of band magnitudes sums in the band's order, which
+    agrees only to rounding.  A call holds one real half-spectrum array.
+    """
+    grid = partition.grid
+    sq = mode_sq_coeffs(c, weights)
+    full = np.zeros(grid.spec_shape)
+    for spec, band in grid.band_slabs(grid.dealias_radius):
+        full[spec] = sq[band]
+    return block_l2_norms(full, partition, gradient_weight)
+
+
 def hybrid_weights(q_values: np.ndarray, s: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Block weights of the hybrid norm and of the ledger's energy.
 
@@ -252,7 +271,13 @@ def besov_norm(f: SpectralField, s: float, r: float = 1.0) -> float:
     """Homogeneous Besov norm of ``B^s_{2,r}``: l^r over q of
     2^{qs} ||block_q f||_L2, for r = 1, 2 or inf."""
     part = build_partition(f.grid)
-    return _aggregate(2.0 ** (part.q_values * s) * block_l2_norms(f, part), r)
+    return besov_from_blocks(block_l2_norms(f, part), part.q_values, s, r)
+
+
+def besov_from_blocks(norms: np.ndarray, q_values: np.ndarray, s: float,
+                      r: float = 1.0) -> float:
+    """``besov_norm`` of a field from its block L2 norms at ``q_values``."""
+    return _aggregate(2.0 ** (q_values * s) * norms, r)
 
 
 def hs_norm(f: SpectralField, s: float, partition: DyadicPartition | None = None) -> float:
@@ -271,9 +296,15 @@ def hybrid_norm(f: SpectralField, s: float) -> tuple[float, float, float]:
     needs s < d/2; larger s still evaluates but loses that meaning.
     """
     part = build_partition(f.grid)
-    norms = block_l2_norms(f, part)
-    w_hs, w_high = hybrid_weights(part.q_values, s, f.grid.d)
-    low_sel = part.q_values < 0
+    return hybrid_from_blocks(block_l2_norms(f, part), part.q_values, s, f.grid.d)
+
+
+def hybrid_from_blocks(norms: np.ndarray, q_values: np.ndarray, s: float,
+                       d: int) -> tuple[float, float, float]:
+    """``hybrid_norm`` of a field in dimension ``d`` from its block L2
+    norms at ``q_values``."""
+    w_hs, w_high = hybrid_weights(q_values, s, d)
+    low_sel = q_values < 0
     low = float(np.sqrt(np.sum(w_hs[low_sel] * norms[low_sel] ** 2)))
     high = float(np.sum(w_high * norms))
     return low + high, low, high

@@ -36,7 +36,11 @@ The kappa constants are the parameter-dependent prefactors entering the
 closed energy inequality; ``check_global_bound`` compares max_t E(t)
 against the small-data threshold 2 kappa2 E(0).  ``stability_experiment``
 runs a twin pair of trajectories and fits the exponential envelope of
-their squared Hs distance against the measured Gronwall weight.
+their squared Hs distance against the measured Gronwall weight.  It draws
+its initial band and its perturbation direction once, on the 2/3-rule band
+(the direction cut at the config's Friedrichs radius like the initial
+data), starts both twin pairs from them, and samples the distance and the
+weight from the runs' bands, with the bits of the half-spectrum norms.
 """
 
 from __future__ import annotations
@@ -52,10 +56,10 @@ import numpy as np
 from .fields import SymTensorField, VectorField, divergence_residual_coeffs
 from .grid import TorusGrid, band_leray_tables, leray_tables
 from .littlewood_paley import (
-    besov_norm,
+    band_block_l2_norms,
+    besov_from_blocks,
     block_l2_norms,
     build_partition,
-    hs_norm,
     hybrid_weights,
 )
 from .operators import mode_sq_coeffs
@@ -65,8 +69,8 @@ from .solver import (
     FluidParams,
     Simulation,
     SolverState,
-    make_initial_state,
-    random_pair,
+    initial_band,
+    random_band,
 )
 
 LEDGER_COLUMNS = (
@@ -353,19 +357,29 @@ def check_global_bound(ledger: EnergyLedger) -> dict:
 # ---- twin-run stability experiment -----------------------------------------------
 
 
-def _distance_sq(u1, u2, tau1, tau2, s: float, params: FluidParams) -> float:
-    return (params.omega * params.re * hs_norm(u1 - u2, s) ** 2
-            + params.we * hs_norm(tau1 - tau2, s) ** 2)
+def _distance_sq(x1: np.ndarray, x2: np.ndarray, partition, s: float,
+                 params: FluidParams) -> float:
+    """omega Re ||u1 - u2||_Hs^2 + We ||tau1 - tau2||_Hs^2 of two stacked
+    bands, to the bits of ``hs_norm`` of the half-spectrum differences."""
+    d, q = partition.grid.d, partition.q_values
+    w_u, w_tau = VectorField.weights_for(d), SymTensorField.weights_for(d)
+    diff = x1 - x2
+    hs_u = besov_from_blocks(band_block_l2_norms(diff[:d], w_u, partition), q, s, 2.0)
+    hs_tau = besov_from_blocks(band_block_l2_norms(diff[d:], w_tau, partition), q, s, 2.0)
+    return params.omega * params.re * hs_u**2 + params.we * hs_tau**2
 
 
-def _gronwall_weight(u1, u2, tau2, params: FluidParams) -> float:
-    """Measured weight ||grad u1||_B + omega Re ||u2||_B^2 + We ||tau2||_B^2,
-    with B the l1 Besov space at regularity d/2."""
-    d = u1.grid.d
-    w = 2.0 ** (build_partition(u1.grid).q_values * d / 2.0)
-    gu1 = float(np.sum(w * block_l2_norms(u1, gradient_weight=True)))
-    bu2 = besov_norm(u2, d / 2.0)
-    btau2 = besov_norm(tau2, d / 2.0)
+def _gronwall_weight(x1: np.ndarray, x2: np.ndarray, partition,
+                     params: FluidParams) -> float:
+    """Measured weight ||grad u1||_B + omega Re ||u2||_B^2 + We ||tau2||_B^2
+    of two stacked bands, with B the l1 Besov space at regularity d/2, to
+    the bits of ``besov_norm`` and ``block_l2_norms`` of the fields."""
+    d, q = partition.grid.d, partition.q_values
+    w_u, w_tau = VectorField.weights_for(d), SymTensorField.weights_for(d)
+    w = 2.0 ** (q * d / 2.0)
+    gu1 = float(np.sum(w * band_block_l2_norms(x1[:d], w_u, partition, gradient_weight=True)))
+    bu2 = besov_from_blocks(band_block_l2_norms(x2[:d], w_u, partition), q, d / 2.0)
+    btau2 = besov_from_blocks(band_block_l2_norms(x2[d:], w_tau, partition), q, d / 2.0)
     return gu1 + params.omega * params.re * bu2**2 + params.we * btau2**2
 
 
@@ -387,15 +401,14 @@ def _fit_envelope(times: np.ndarray, dist: np.ndarray, weight: np.ndarray) -> di
     return {"C_hat": c_hat, "d0": float(d0), "weight_integral": float(cumw[-1])}
 
 
-def _run_pair(config, delta: float, direction, s: float):
-    """Step baseline and perturbed runs in lockstep; sample d(t) and m(t)."""
-    grid = TorusGrid(config.d, config.n, config.period)
-    base_state = make_initial_state(config, grid)
-    du, dtau = direction
-    pert_state = SolverState(0.0, base_state.u + du * delta,
-                             base_state.tau + dtau * delta)
-    sim1 = Simulation(config, base_state)
-    sim2 = Simulation(config, pert_state)
+def _run_pair(config, grid: TorusGrid, delta: float, base: np.ndarray,
+              direction: np.ndarray, s: float):
+    """Step the baseline run from the band ``base`` and the perturbed run
+    from ``base + delta * direction`` on ``grid`` in lockstep; sample d(t)
+    and m(t) from their bands."""
+    partition = build_partition(grid)
+    sim1 = Simulation(config, SolverState.on_band(0.0, grid, base, 0))
+    sim2 = Simulation(config, SolverState.on_band(0.0, grid, base + direction * delta, 0))
 
     times, dist, weight = [], [], []
     n_steps = config.n_steps
@@ -404,14 +417,14 @@ def _run_pair(config, delta: float, direction, s: float):
             sim1.advance()
             sim2.advance()
         if step % config.output_stride == 0 or step == n_steps:
-            st1, st2 = sim1.state, sim2.state
+            x1, x2 = sim1.state.band, sim2.state.band
             # a diverging pair overflows the squares; the sample is checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                d_sq = _distance_sq(st1.u, st2.u, st1.tau, st2.tau, s, config.params)
-                w = _gronwall_weight(st1.u, st2.u, st2.tau, config.params)
+                d_sq = _distance_sq(x1, x2, partition, s, config.params)
+                w = _gronwall_weight(x1, x2, partition, config.params)
             if not (math.isfinite(d_sq) and math.isfinite(w)):
-                raise DivergenceError(step, st1.t, "distance")
-            times.append(st1.t)
+                raise DivergenceError(step, sim1.state.t, "distance")
+            times.append(sim1.state.t)
             dist.append(d_sq)
             weight.append(w)
     identical = bool(np.array_equal(sim1.state.band, sim2.state.band))
@@ -422,9 +435,14 @@ def stability_experiment(config, delta: float) -> dict:
     """Twin-run stability report at perturbation sizes delta and delta/10.
 
     The perturbation direction is a fixed random divergence-free (u) /
-    symmetric (tau) pair of unit combined hybrid norm (``random_pair``, the
-    recipe of the initial data), drawn from the config seed plus 7919, so
-    rescaling delta rescales the initial distance exactly quadratically.
+    symmetric (tau) pair of unit combined hybrid norm, drawn by the recipe
+    of the initial data (``random_band``, cut at ``config.friedrichs_n``
+    like the initial data, so a perturbed run starts in the Friedrichs
+    ball) from the config seed plus 7919, so rescaling delta rescales the
+    initial distance exactly quadratically.  The initial band and the
+    direction are drawn once, on the 2/3-rule band, and both twin pairs
+    start from them; the runs are sampled from their bands, so no half
+    spectrum is formed.
     A sample whose distance or weight is not finite (a diverging pair
     overflows their squares) raises ``DivergenceError`` for ``distance``.
     """
@@ -432,10 +450,12 @@ def stability_experiment(config, delta: float) -> dict:
         raise ConfigError(f"delta must be nonnegative and finite, got {delta}")
     grid = TorusGrid(config.d, config.n, config.period)
     s = config.s_value
-    du, dtau = random_pair(grid, config.init.seed + 7919, config.init.band, s, 1.0)
+    base = initial_band(config, grid)
+    direction = random_band(grid, config.init.seed + 7919, config.init.band, s, 1.0,
+                            config.friedrichs_n)
 
     report = {"delta": delta, "s": s, "config": config.to_dict()}
-    times, dist, weight, identical = _run_pair(config, delta, (du, dtau), s)
+    times, dist, weight, identical = _run_pair(config, grid, delta, base, direction, s)
     report["bitwise_identical"] = identical
     report["times"] = times.tolist()
     report["distance_sq"] = dist.tolist()
@@ -445,7 +465,7 @@ def stability_experiment(config, delta: float) -> dict:
         return report
     report["fit"] = _fit_envelope(times, dist, weight)
 
-    _, dist10, weight10, _ = _run_pair(config, delta / 10.0, (du, dtau), s)
+    _, dist10, weight10, _ = _run_pair(config, grid, delta / 10.0, base, direction, s)
     report["fit_tenth"] = _fit_envelope(times, dist10, weight10)
     c1, c2 = report["fit"]["C_hat"], report["fit_tenth"]["C_hat"]
     if c1 is not None and c2 is not None:

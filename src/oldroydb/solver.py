@@ -34,7 +34,11 @@ a read-only band, and ``simulate`` takes each ledger row from it
 (``EnergyLedger.update_band``).  ``rhs_nonlinear`` is the same tendency
 for half-spectrum fields, whose band it gathers first.  The half-spectrum
 fields ``u`` and ``tau`` of a state, zero outside the band, are formed
-only when read.
+only when read.  Set-up is on the band as well: ``random_band`` draws the
+initial data straight onto it, one component at a time, to the bits of the
+band of the half-spectrum recipe, and ``Simulation(config)`` starts from
+that band (``initial_band``); ``make_initial_state`` and ``random_pair``
+are field views of the same draw.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SymTensorField, VectorField, random_sym_tensor, random_vector
+from .fields import SymTensorField, VectorField
 from .grid import GridError, TorusGrid, band_leray_tables, period_scales
-from .littlewood_paley import hybrid_norm
-from .operators import leray_coeffs, leray_project, quadratic_terms
+from .littlewood_paley import band_block_l2_norms, build_partition, hybrid_from_blocks
+from .operators import leray_coeffs, quadratic_terms
 
 
 class ConfigError(ValueError):
@@ -518,6 +522,12 @@ def _rhs_tables(grid: TorusGrid, friedrichs_n: float | None
     return band_leray_tables(grid) + (cutoff,)
 
 
+def _band_stack_shape(grid: TorusGrid) -> tuple[int, ...]:
+    """Shape of a stacked 2/3-rule band of ``(u, tau)``: ``(d + nt,) +
+    grid.band_shape(grid.dealias_radius)``."""
+    return (grid.d + len(SymTensorField.pairs(grid.d)),) + grid.band_shape(grid.dealias_radius)
+
+
 def _stacked_band(grid: TorusGrid, u: VectorField, tau: SymTensorField) -> np.ndarray:
     """The 2/3-rule band of ``(u, tau)`` as one fresh stacked array, ``(d +
     nt,) + grid.band_shape(grid.dealias_radius)``, velocity rows first.
@@ -529,7 +539,7 @@ def _stacked_band(grid: TorusGrid, u: VectorField, tau: SymTensorField) -> np.nd
     grid.require_same(u.grid)
     grid.require_same(tau.grid)
     d, radius = grid.d, grid.dealias_radius
-    x = np.empty((d + tau.ncomp,) + grid.band_shape(radius), np.complex128)
+    x = np.empty(_band_stack_shape(grid), np.complex128)
     grid.to_band(u.coeffs, radius, out=x[:d])
     grid.to_band(tau.coeffs, radius, out=x[d:])
     if np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) != np.count_nonzero(x):
@@ -608,10 +618,7 @@ class SolverState:
 
     def _formed(self) -> tuple[VectorField, SymTensorField]:
         if self._fields is None:
-            grid, d = self._grid, self._grid.d
-            x = grid.from_band(self.band, grid.dealias_radius)
-            x.flags.writeable = False
-            self._fields = (VectorField(grid, x[:d]), SymTensorField(grid, x[d:]))
+            self._fields = _fields_of(self._grid, self.band, writeable=False)
         return self._fields
 
     @property
@@ -623,30 +630,87 @@ class SolverState:
         return self._formed()[1]
 
 
+def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
+                size: float, friedrichs_n: float | None = None) -> np.ndarray:
+    """A random divergence-free u and symmetric tau in ``band``, drawn from
+    ``seed``, cut at ``friedrichs_n`` if given and scaled so that their
+    combined hybrid norm at index s is ``size`` (zero if both vanish), as
+    one fresh stacked 2/3-rule band, ``(d + nt,) + grid.band_shape(
+    grid.dealias_radius)``, velocity rows first.
+
+    The recipe of ``fields.random_field`` drawn on the band, one component
+    at a time: unit Gaussian samples (``rng.standard_normal(out=)``, the
+    draws of one ``(d + nt,) + grid.shape`` call in order) go through
+    ``grid.forward_band`` into their row, with the bits of ``rfftn``
+    there.  The mean is pinned, the mask of ``band`` applied (it lies in
+    the 2/3-rule band, as the dealiased products need), u projected
+    (``band_leray_tables``) and both cut; the hybrid norms sum the band's
+    magnitudes in the half-spectrum order (``band_block_l2_norms``).  So
+    the band has the bits of the band of that recipe on the half spectrum,
+    whose modes outside it are zero.  A call holds the band, one physical
+    component and one half-spectrum component.
+    """
+    rng = np.random.default_rng(seed)
+    d, radius = grid.d, grid.dealias_radius
+    x = np.empty(_band_stack_shape(grid), np.complex128)
+    values = np.empty(grid.shape)
+    scratch = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), np.complex128)
+    for row in x:
+        grid.forward_band(rng.standard_normal(out=values), radius, scratch=scratch, out=row)
+    del values, scratch
+    x[(slice(None),) + (0,) * d] = 0.0
+    # the 0/1 masks multiply as complex tables, row by row (a broadcasting
+    # product copies the rows); the cast of a real one gives the same zero
+    # imaginary part, so the products have the bits of ``apply_multiplier``
+    mag = grid.to_band(grid.kmag, radius) / grid.k_scale
+    keep = ((mag >= band[0]) & (mag <= band[1])).astype(np.complex128)
+    for row in x:
+        row *= keep
+    leray_coeffs(x[:d], *band_leray_tables(grid), out=x[:d])
+    if friedrichs_n is not None:
+        keep = (mag <= friedrichs_n).astype(np.complex128)
+        for row in x:
+            row *= keep
+    part = build_partition(grid)
+    norm = sum(hybrid_from_blocks(band_block_l2_norms(rows, w, part), part.q_values, s, d)[0]
+               for rows, w in ((x[:d], VectorField.weights_for(d)),
+                               (x[d:], SymTensorField.weights_for(d))))
+    x *= size / norm if norm > 0 else 0.0
+    return x
+
+
+def _fields_of(grid: TorusGrid, x: np.ndarray,
+               writeable: bool = True) -> tuple[VectorField, SymTensorField]:
+    """The half-spectrum fields ``(u, tau)`` of a stacked 2/3-rule band:
+    views of one fresh stacked half spectrum (``grid.from_band``)."""
+    c = grid.from_band(x, grid.dealias_radius)
+    c.flags.writeable = writeable
+    return VectorField(grid, c[:grid.d]), SymTensorField(grid, c[grid.d:])
+
+
 def random_pair(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
                 size: float, friedrichs_n: float | None = None
                 ) -> tuple[VectorField, SymTensorField]:
-    """Random divergence-free u and symmetric tau in ``band``, drawn from
-    ``seed``, cut at ``friedrichs_n`` if given and scaled so that their
-    combined hybrid norm at index s is ``size`` (zero if both vanish)."""
-    rng = np.random.default_rng(seed)
-    u = leray_project(random_vector(grid, rng, band=band))
-    tau = random_sym_tensor(grid, rng, band=band)
-    if friedrichs_n is not None:
-        u, tau = (friedrichs_truncate(f, friedrichs_n) for f in (u, tau))
-    norm = hybrid_norm(u, s)[0] + hybrid_norm(tau, s)[0]
-    scale = size / norm if norm > 0 else 0.0
-    return u * scale, tau * scale
+    """The fields of ``random_band``: writable views of one stacked half
+    spectrum, zero outside the 2/3-rule band."""
+    return _fields_of(grid, random_band(grid, seed, band, s, size, friedrichs_n))
+
+
+def initial_band(config: SolverConfig, grid: TorusGrid) -> np.ndarray:
+    """A configuration's initial data as one fresh stacked 2/3-rule band:
+    zeros, or ``random_band`` of its recipe."""
+    init = config.init
+    if init.kind == "zero":
+        return np.zeros(_band_stack_shape(grid), np.complex128)
+    return random_band(grid, init.seed, init.band, config.s_value, init.amplitude,
+                       config.friedrichs_n)
 
 
 def make_initial_state(config: SolverConfig, grid: TorusGrid | None = None) -> SolverState:
-    """Deterministic initial data for a configuration."""
+    """Deterministic initial data for a configuration: the fields of
+    ``initial_band``, writable."""
     grid = grid or TorusGrid(config.d, config.n, config.period)
-    if config.init.kind == "zero":
-        return SolverState(0.0, VectorField.zero(grid), SymTensorField.zero(grid))
-    init = config.init
-    return SolverState(0.0, *random_pair(grid, init.seed, init.band, config.s_value,
-                                         init.amplitude, config.friedrichs_n))
+    return SolverState(0.0, *_fields_of(grid, initial_band(config, grid)))
 
 
 class Simulation:
@@ -657,21 +721,32 @@ class Simulation:
     of u then those of tau: every mode outside the band stays zero, and a
     step computes on the band alone.  Each step leaves a fresh read-only
     band, and ``state`` is the ``SolverState.on_band`` of it, whose
-    half-spectrum ``u`` and ``tau`` are formed only when read.  A given
-    ``state`` must lie on the config's grid (else ``GridError``) and in the
-    band (else ``ConfigError``: the 2/3 rule would alias its products); its
-    band is gathered once into the trajectory's first array, and the state
-    is never written.
+    half-spectrum ``u`` and ``tau`` are formed only when read.
+
+    ``Simulation(config)`` starts from the config's initial data drawn on
+    the band (``initial_band``), with no half spectrum formed.  A given
+    ``state`` must lie on the config's grid (else ``GridError``).  The band
+    of a band state (``SolverState.on_band``, as ``state`` returns) is the
+    first state as it is: no field is formed, nothing gathered or checked.
+    A field state must lie in the band (else ``ConfigError``: the 2/3 rule
+    would alias its products); its band is gathered once into the
+    trajectory's first array.  A given state is never written.
     """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
         self.config = config
         self.grid = grid = TorusGrid(config.d, config.n, config.period)
         if state is None:
-            state = make_initial_state(config, grid)
-        x = _stacked_band(grid, state.u, state.tau)
-        self._t0, self._step0 = state.t, state.step_index
-        self._set_state(x, state.step_index)
+            self._t0, self._step0 = 0.0, 0
+            x = initial_band(config, grid)
+        else:
+            self._t0, self._step0 = state.t, state.step_index
+            if state.band is not None:
+                grid.require_same(state._grid)
+                x = state.band
+            else:
+                x = _stacked_band(grid, state.u, state.tau)
+        self._set_state(x, self._step0)
         self.propagator = build_propagator(grid, config.params, config.dt)
         self._prev_rhs: np.ndarray | None = None
 

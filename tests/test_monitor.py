@@ -8,7 +8,7 @@ import pytest
 from oldroydb import monitor
 from oldroydb.fields import SymTensorField, VectorField, random_sym_tensor, random_vector
 from oldroydb.grid import TorusGrid
-from oldroydb.littlewood_paley import block_l2_norms, build_partition
+from oldroydb.littlewood_paley import besov_norm, block_l2_norms, build_partition, hs_norm
 from oldroydb.monitor import (
     LEDGER_COLUMNS,
     EnergyLedger,
@@ -26,6 +26,10 @@ from oldroydb.solver import (
     InitSpec,
     Simulation,
     SolverConfig,
+    SolverState,
+    friedrichs_mask,
+    make_initial_state,
+    random_pair,
     simulate,
 )
 from oldroydb.verification import small_data_config
@@ -439,6 +443,24 @@ class TestGlobalBound:
         assert np.max(e) <= kappa2 * e[0] * (1.0 + 1e-8)
 
 
+def _distance_sq_of_fields(u1, u2, tau1, tau2, s, params):
+    """The twin distance from half-spectrum fields: the oracle of the band
+    form that ``stability_experiment`` samples."""
+    return (params.omega * params.re * hs_norm(u1 - u2, s) ** 2
+            + params.we * hs_norm(tau1 - tau2, s) ** 2)
+
+
+def _gronwall_weight_of_fields(u1, u2, tau2, params):
+    """The Gronwall weight from half-spectrum fields, the oracle of the band
+    form: ||grad u1||_B + omega Re ||u2||_B^2 + We ||tau2||_B^2."""
+    d = u1.grid.d
+    w = 2.0 ** (build_partition(u1.grid).q_values * d / 2.0)
+    gu1 = float(np.sum(w * block_l2_norms(u1, gradient_weight=True)))
+    bu2 = besov_norm(u2, d / 2.0)
+    btau2 = besov_norm(tau2, d / 2.0)
+    return gu1 + params.omega * params.re * bu2**2 + params.we * btau2**2
+
+
 class TestStability:
     def _tiny_config(self, seed=0):
         return SolverConfig(d=2, n=16, dt=0.05, t_end=0.3, params=PARAMS, s=-0.25,
@@ -469,3 +491,68 @@ class TestStability:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             stability_experiment(self._tiny_config(), -1.0)
+
+    @pytest.mark.parametrize("d,n,friedrichs_n,nonlinear",
+                             [(2, 16, None, False), (2, 16, None, True), (3, 8, 2.5, True)])
+    def test_twin_samples_are_the_field_formulas_bitwise(self, monkeypatch, d, n,
+                                                         friedrichs_n, nonlinear):
+        # the pair is sampled from its bands, forming no half spectrum, with
+        # the bits of the field formulas on the fields of both runs
+        cfg = SolverConfig(d=d, n=n, dt=0.05, t_end=0.2, params=PARAMS, s=-0.25,
+                           friedrichs_n=friedrichs_n, output_stride=2, nonlinear=nonlinear,
+                           init=InitSpec(amplitude=1e-2, band=(1.0, 4.0), seed=3))
+        delta = 1e-3
+        calls = []
+        from_band = TorusGrid.from_band
+        monkeypatch.setattr(TorusGrid, "from_band",
+                            lambda self, *a, **k: calls.append(1) or from_band(self, *a, **k))
+        rep = stability_experiment(cfg, delta)
+        twin_calls = len(calls)
+        # set-up and samples add none: every call is a nonlinear step's,
+        # which fills its kernel's pass chains with ``from_band(out=)``
+        sim = Simulation(cfg)
+        calls.clear()
+        for _ in range(4 * cfg.n_steps):  # two pairs of runs
+            sim.advance()
+        assert twin_calls == len(calls) and (nonlinear or twin_calls == 0)
+        monkeypatch.undo()
+
+        grid = TorusGrid(d, n)
+        base = make_initial_state(cfg, grid)
+        du, dtau = random_pair(grid, 3 + 7919, (1.0, 4.0), -0.25, 1.0, friedrichs_n)
+        sims = (Simulation(cfg, base),
+                Simulation(cfg, SolverState(0.0, base.u + du * delta,
+                                            base.tau + dtau * delta)))
+        dist, weight = [], []
+        for step in range(cfg.n_steps + 1):
+            if step:
+                for sim in sims:
+                    sim.advance()
+            if step % cfg.output_stride == 0 or step == cfg.n_steps:
+                st1, st2 = (sim.state for sim in sims)
+                dist.append(_distance_sq_of_fields(st1.u, st2.u, st1.tau, st2.tau,
+                                                   -0.25, PARAMS))
+                weight.append(_gronwall_weight_of_fields(st1.u, st2.u, st2.tau, PARAMS))
+        assert rep["distance_sq"] == dist and dist[0] > 0.0
+        assert rep["gronwall_weight"] == weight
+
+    def test_perturbed_run_starts_in_the_friedrichs_ball(self, monkeypatch):
+        # the direction is cut like the initial data, so with a cutoff both
+        # runs of every pair start with no mode outside the ball
+        cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=0.1, params=PARAMS, friedrichs_n=3.0,
+                           init=InitSpec(amplitude=1e-3, band=(1.0, 8.0), seed=0))
+        first = []
+
+        class Recorded(Simulation):
+            def __init__(self, config, state=None):
+                super().__init__(config, state)
+                first.append(self.state.band)
+
+        monkeypatch.setattr(monitor, "Simulation", Recorded)
+        stability_experiment(cfg, 1e-2)
+        grid = TorusGrid(2, 32)
+        outside = grid.to_band(friedrichs_mask(grid, 3.0), grid.dealias_radius) == 0.0
+        assert len(first) == 4
+        for band in first:
+            assert np.any(band != 0.0) and not np.any(band[:, outside])
+        assert not np.array_equal(first[0], first[1])

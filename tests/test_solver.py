@@ -17,6 +17,7 @@ from oldroydb.fields import (
     random_vector,
 )
 from oldroydb.grid import GridError, TorusGrid
+from oldroydb.littlewood_paley import hybrid_norm
 from oldroydb.operators import advect, g_alpha, inner_product, l2_norm, leray_project
 from oldroydb.solver import (
     ConfigError,
@@ -31,9 +32,12 @@ from oldroydb.solver import (
     _real_generators,
     block_coefficients,
     build_propagator,
+    default_s,
     friedrichs_mask,
     friedrichs_truncate,
+    initial_band,
     make_initial_state,
+    random_band,
     random_pair,
     rhs_nonlinear,
     simulate,
@@ -1066,6 +1070,33 @@ class TestGivenState:
         with pytest.raises(GridError, match=r"\(2,32,.*\) vs \(2,16,"):
             Simulation(cfg, state)
 
+    def test_band_state_is_taken_as_it_is(self, monkeypatch):
+        # the band and grid of a band state are held as they are: no field
+        # is formed, no band gathered and no outside-band check made
+        cfg = small_data_config(0, t_end=0.5, n=32)
+        first = Simulation(cfg).advance()
+        calls = []
+        for name in ("from_band", "to_band"):
+            method = getattr(TorusGrid, name)
+            monkeypatch.setattr(TorusGrid, name,
+                                lambda self, *a, _m=method, _n=name, **k:
+                                calls.append(_n) or _m(self, *a, **k))
+        sim = Simulation(cfg, first)
+        assert calls == [] and first._fields is None
+        assert sim.state.band is first.band
+        assert (sim.state.t, sim.state.step_index) == (first.t, 1)
+        monkeypatch.undo()
+        # the same step as from the fields of that state
+        fields = Simulation(cfg, SolverState(first.t, first.u, first.tau, step_index=1))
+        np.testing.assert_array_equal(sim.advance().band.view(np.uint64),
+                                      fields.advance().band.view(np.uint64))
+
+    def test_band_state_on_another_grid_is_a_grid_error(self):
+        cfg = small_data_config(0, t_end=0.5, n=32)
+        state = Simulation(replace(cfg, n=16)).state
+        with pytest.raises(GridError, match=r"\(2,32,.*\) vs \(2,16,"):
+            Simulation(cfg, state)
+
     def test_stress_on_another_grid_is_a_grid_error(self):
         cfg = small_data_config(0, t_end=0.5, n=32)
         state = make_initial_state(cfg)
@@ -1136,3 +1167,89 @@ class TestSimulate:
         state = make_initial_state(cfg)
         total = hybrid_norm(state.u, -0.25)[0] + hybrid_norm(state.tau, -0.25)[0]
         assert total == pytest.approx(0.07, rel=1e-12)
+
+
+def _field_recipe(grid, seed, band, s, size, friedrichs_n=None):
+    """The initial-data recipe on the half spectrum, the oracle of the band
+    draw: Gaussian samples of every component at once, ``from_physical``
+    near the usable radius, mean pinned, band mask, Leray projection,
+    Friedrichs cut, then scaled to a combined hybrid norm of ``size``."""
+    rng = np.random.default_rng(seed)
+    u = leray_project(random_vector(grid, rng, band=band))
+    tau = random_sym_tensor(grid, rng, band=band)
+    if friedrichs_n is not None:
+        u, tau = (friedrichs_truncate(f, friedrichs_n) for f in (u, tau))
+    norm = hybrid_norm(u, s)[0] + hybrid_norm(tau, s)[0]
+    scale = size / norm if norm > 0 else 0.0
+    return u * scale, tau * scale
+
+
+class TestBandDraw:
+    """The initial data is drawn on the 2/3 band, to the bits of the band
+    of the half-spectrum recipe (``_field_recipe``)."""
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (2, 32), (2, 64), (3, 8), (3, 16)])
+    @pytest.mark.parametrize("friedrichs_n", [None, 2.5])
+    def test_band_draw_is_the_field_recipe_bytewise(self, d, n, friedrichs_n):
+        grid = TorusGrid(d, n)
+        radius = grid.dealias_radius
+        s = default_s(d)
+        # an empty band, and at n = 16 a band past the 2/3 radius
+        bands = [(1.0, 8.0), (2.0, 3.0), (20.0, 30.0)] + ([(0.0, 16.0)] if n == 16 else [])
+        for seed in (0, 5, 11):
+            for band in bands:
+                u, tau = _field_recipe(grid, seed, band, s, 0.3, friedrichs_n)
+                want = np.concatenate((grid.to_band(u.coeffs, radius),
+                                       grid.to_band(tau.coeffs, radius)))
+                got = random_band(grid, seed, band, s, 0.3, friedrichs_n)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                # the recipe's modes outside the band are zero
+                assert np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) \
+                    == np.count_nonzero(want)
+
+    def test_fields_are_writable_views_of_the_band_draw(self):
+        cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS, friedrichs_n=2.5,
+                           init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=3))
+        grid = TorusGrid(3, 16)
+        x = initial_band(cfg, grid)
+        state = make_initial_state(cfg, grid)
+        u, tau = random_pair(grid, 3, (1.0, 4.0), 0.0, 0.5, 2.5)
+        for pair in ((state.u, state.tau), (u, tau)):
+            got = np.concatenate([grid.to_band(f.coeffs, grid.dealias_radius) for f in pair])
+            np.testing.assert_array_equal(got.view(np.uint64), x.view(np.uint64))
+            for f in pair:
+                assert f.coeffs.flags.writeable
+        zero = initial_band(replace(cfg, init=InitSpec(kind="zero")), grid)
+        assert zero.shape == x.shape and not np.any(zero.view(np.uint64))
+
+    def test_run_starts_from_the_drawn_band(self, monkeypatch):
+        cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=1.0, params=PARAMS, friedrichs_n=5.0,
+                           init=InitSpec(amplitude=0.07, band=(1.0, 6.0), seed=8))
+        called = []
+        monkeypatch.setattr(solver, "make_initial_state", lambda *a: called.append(a))
+        sim = Simulation(cfg)
+        assert called == []
+        want = initial_band(cfg, sim.grid)
+        np.testing.assert_array_equal(sim.state.band.view(np.uint64), want.view(np.uint64))
+        assert (sim.state.t, sim.state.step_index) == (0.0, 0)
+
+    def test_warm_draw_peak_is_one_band_one_sample_and_one_spectrum(self):
+        # the draw holds the stacked band, one physical component of
+        # samples and the forward transform's half-spectrum scratch; the
+        # masks, the projection and the norms run after the two are
+        # dropped.  The margin is a quarter half-spectrum component: the
+        # half-spectrum draw held 9 physical and 9 half-spectrum components
+        grid = TorusGrid(3, 16)
+        draw = lambda: random_band(grid, 4, (1.0, 8.0), 0.0, 0.5, 2.5)
+        draw()
+        band = 16 * 9 * np.prod(grid.band_shape(grid.dealias_radius))
+        sample = 8 * np.prod(grid.shape)
+        spectrum = 16 * np.prod(grid.spec_shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            draw()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= band + sample + 1.25 * spectrum
