@@ -69,7 +69,7 @@ from .solver import (
     FluidParams,
     Simulation,
     SolverState,
-    initial_band,
+    make_initial_state,
     random_band,
 )
 
@@ -401,14 +401,13 @@ def _fit_envelope(times: np.ndarray, dist: np.ndarray, weight: np.ndarray) -> di
     return {"C_hat": c_hat, "d0": float(d0), "weight_integral": float(cumw[-1])}
 
 
-def _run_pair(config, grid: TorusGrid, delta: float, base: np.ndarray,
-              direction: np.ndarray, s: float):
-    """Step the baseline run from the band ``base`` and the perturbed run
-    from ``base + delta * direction`` on ``grid`` in lockstep; sample d(t)
+def _run_pair(config, base: SolverState, direction: np.ndarray, delta: float, s: float):
+    """Step the baseline run from the state ``base`` and the perturbed run
+    from the band ``base.band + delta * direction`` in lockstep; sample d(t)
     and m(t) from their bands."""
-    partition = build_partition(grid)
-    sim1 = Simulation(config, SolverState.on_band(0.0, grid, base, 0))
-    sim2 = Simulation(config, SolverState.on_band(0.0, grid, base + direction * delta, 0))
+    partition = build_partition(base.grid)
+    sim1 = Simulation(config, base)
+    sim2 = Simulation(config, SolverState(0.0, base.grid, base.band + direction * delta))
 
     times, dist, weight = [], [], []
     n_steps = config.n_steps
@@ -448,14 +447,13 @@ def stability_experiment(config, delta: float) -> dict:
     """
     if not 0.0 <= delta < np.inf:
         raise ConfigError(f"delta must be nonnegative and finite, got {delta}")
-    grid = TorusGrid(config.d, config.n, config.period)
     s = config.s_value
-    base = initial_band(config, grid)
-    direction = random_band(grid, config.init.seed + 7919, config.init.band, s, 1.0,
+    base = make_initial_state(config)
+    direction = random_band(base.grid, config.init.seed + 7919, config.init.band, s, 1.0,
                             config.friedrichs_n)
 
     report = {"delta": delta, "s": s, "config": config.to_dict()}
-    times, dist, weight, identical = _run_pair(config, grid, delta, base, direction, s)
+    times, dist, weight, identical = _run_pair(config, base, direction, delta, s)
     report["bitwise_identical"] = identical
     report["times"] = times.tolist()
     report["distance_sq"] = dist.tolist()
@@ -465,7 +463,7 @@ def stability_experiment(config, delta: float) -> dict:
         return report
     report["fit"] = _fit_envelope(times, dist, weight)
 
-    _, dist10, weight10, _ = _run_pair(config, grid, delta / 10.0, base, direction, s)
+    _, dist10, weight10, _ = _run_pair(config, base, direction, delta / 10.0, s)
     report["fit_tenth"] = _fit_envelope(times, dist10, weight10)
     c1, c2 = report["fit"]["C_hat"], report["fit_tenth"]["C_hat"]
     if c1 is not None and c2 is not None:

@@ -29,22 +29,22 @@ that band alone, as the compact ``(d + nt,) + grid.band_shape(n // 3)``
 array: ``rhs_band`` forms the tendencies of a band on the band (the
 kernel, ``quadratic_terms``, reads the band itself, so no half spectrum
 of the state is formed for it), ``LinearPropagator`` holds its tables
-there and ``apply`` advances the band, ``Simulation`` holds each state as
-a read-only band, and ``simulate`` takes each ledger row from it
+there and ``apply`` advances the band, a state (``SolverState``) is its
+read-only band, and ``simulate`` takes each ledger row from it
 (``EnergyLedger.update_band``).  ``rhs_nonlinear`` is the same tendency
 for half-spectrum fields, whose band it gathers first.  The half-spectrum
 fields ``u`` and ``tau`` of a state, zero outside the band, are formed
 only when read.  Set-up is on the band as well: ``random_band`` draws the
 initial data straight onto it, one component at a time, to the bits of the
 band of the half-spectrum recipe, and ``Simulation(config)`` starts from
-that band (``initial_band``); ``make_initial_state`` and ``random_pair``
-are field views of the same draw.
+the state of that band (``make_initial_state``).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +121,7 @@ class InitSpec:
         if not 0.0 <= self.amplitude < np.inf:
             raise ConfigError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
         try:
-            lo, hi = (float(x) for x in self.band)
+            lo, hi = (_as_float("band", x) for x in self.band)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"band must be two numbers, got {self.band!r}") from None
         if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 <= lo < hi):
@@ -159,9 +159,10 @@ class SolverConfig:
         if not 0.0 <= self.t_end < np.inf:
             raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
         steps = self.t_end / self.dt
-        if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
-            raise ConfigError(f"t_end = {self.t_end} is not a whole number of "
-                              f"steps dt = {self.dt}")
+        # above 2**53 every double is whole, so the count must stay below it
+        if not (steps <= 2**53 and abs(steps - round(steps)) <= 1e-9):
+            raise ConfigError(f"t_end = {self.t_end} is not a whole number of at most "
+                              f"2**53 steps dt = {self.dt}")
         if self.output_stride < 1:
             raise ConfigError("output_stride must be at least 1")
         if self.friedrichs_n is not None and not 0.0 <= self.friedrichs_n <= self.n // 2:
@@ -211,13 +212,13 @@ class SolverConfig:
         if "nonlinear" in doc and not isinstance(doc["nonlinear"], bool):
             raise ConfigError(f"nonlinear must be true or false, got {doc['nonlinear']!r}")
         try:
-            params = FluidParams(**_given(doc, re=float, we=float, omega=float, alpha=float))
-            init = InitSpec(**_given(init_doc, kind=None, amplitude=float, band=tuple,
-                                     seed=functools.partial(_as_int, "init.seed")))
-            kwargs = _given(doc, d=functools.partial(_as_int, "d"),
-                            n=functools.partial(_as_int, "n"), period=float, dt=float,
-                            t_end=float, friedrichs_n=_optional_float, s=_optional_float,
-                            nonlinear=None)
+            params = FluidParams(**_given(doc, "", re=_as_float, we=_as_float,
+                                          omega=_as_float, alpha=_as_float))
+            init = InitSpec(**_given(init_doc, "init.", kind=None, amplitude=_as_float,
+                                     band=None, seed=_as_int))
+            kwargs = _given(doc, "", d=_as_int, n=_as_int, period=_as_float, dt=_as_float,
+                            t_end=_as_float, friedrichs_n=_optional_float,
+                            s=_optional_float, nonlinear=None)
             if "stride" in out:
                 kwargs["output_stride"] = _as_int("output.stride", out["stride"])
             return cls(params=params, init=init, out_dir=out_dir, **kwargs)
@@ -238,10 +239,6 @@ class SolverConfig:
         return cls.from_dict(doc)
 
 
-#: every key ``from_dict`` accepts, at each level: those ``to_dict`` writes
-_SCHEMA = SolverConfig().to_dict()
-
-
 def _reject_unknown(doc: dict, allowed: dict, prefix: str) -> None:
     unknown = sorted(set(doc) - set(allowed), key=str)
     if unknown:
@@ -258,24 +255,34 @@ def _section(doc: dict, key: str) -> dict:
     return value
 
 
-def _given(doc: dict, **convert) -> dict:
+def _given(doc: dict, prefix: str, **convert) -> dict:
     """Keyword arguments for the keys of ``convert`` that ``doc`` holds, each
-    value passed through its conversion (``None``: as it is).  An absent key
-    keeps the dataclass default."""
-    return {key: doc[key] if fn is None else fn(doc[key])
+    value passed through its conversion ``fn(prefix + key, value)``
+    (``None``: as it is).  An absent key keeps the dataclass default."""
+    return {key: doc[key] if fn is None else fn(prefix + key, doc[key])
             for key, fn in convert.items() if key in doc}
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+def _as_float(name: str, value) -> float:
+    """A real number; "2", " 2 " and true are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _optional_float(name: str, value) -> float | None:
+    return None if value is None else _as_float(name, value)
 
 
 def _as_int(name: str, value) -> int:
-    """An integer-valued JSON number; 2.0 is accepted, 2.7 and "2" are not."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
+    """An integer-valued number; 2.0 is accepted, 2.7 and "2" are not."""
+    if not _as_float(name, value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+#: every key ``from_dict`` accepts, at each level: those ``to_dict`` writes
+_SCHEMA = SolverConfig().to_dict()
 
 
 # ---- Friedrichs cutoff -------------------------------------------------------
@@ -528,27 +535,6 @@ def _band_stack_shape(grid: TorusGrid) -> tuple[int, ...]:
     return (grid.d + len(SymTensorField.pairs(grid.d)),) + grid.band_shape(grid.dealias_radius)
 
 
-def _stacked_band(grid: TorusGrid, u: VectorField, tau: SymTensorField) -> np.ndarray:
-    """The 2/3-rule band of ``(u, tau)`` as one fresh stacked array, ``(d +
-    nt,) + grid.band_shape(grid.dealias_radius)``, velocity rows first.
-
-    Raises ``GridError`` for fields on another grid and ``ConfigError`` for
-    a nonzero mode outside the band, where the dealiased products would
-    alias.
-    """
-    grid.require_same(u.grid)
-    grid.require_same(tau.grid)
-    d, radius = grid.d, grid.dealias_radius
-    x = np.empty(_band_stack_shape(grid), np.complex128)
-    grid.to_band(u.coeffs, radius, out=x[:d])
-    grid.to_band(tau.coeffs, radius, out=x[d:])
-    if np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) != np.count_nonzero(x):
-        raise ConfigError("the given fields have modes outside the 2/3-rule band "
-                          f"|m_i| <= {radius}, where the dealiased "
-                          "products would alias")
-    return x
-
-
 def rhs_band(grid: TorusGrid, x: np.ndarray, params: FluidParams,
              friedrichs_n: float | None = None) -> np.ndarray:
     """Quadratic tendencies (-P[(u.grad)u], -(u.grad)tau - g_alpha) of the
@@ -575,10 +561,9 @@ def rhs_band(grid: TorusGrid, x: np.ndarray, params: FluidParams,
 def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
                   friedrichs_n: float | None = None) -> np.ndarray:
     """``rhs_band`` of the fields ``u`` and ``tau``: their band is gathered
-    into a fresh stacked array first (``_stacked_band``; ``ConfigError`` for
-    a mode outside it), so the tendencies have the same bits."""
-    grid = u.grid
-    return rhs_band(grid, _stacked_band(grid, u, tau), params, friedrichs_n)
+    first (``SolverState.from_fields``; ``ConfigError`` for a mode outside
+    it), so the tendencies have the same bits."""
+    return rhs_band(u.grid, SolverState.from_fields(0.0, u, tau).band, params, friedrichs_n)
 
 
 # ---- state and stepping ----------------------------------------------------------
@@ -586,48 +571,63 @@ def rhs_nonlinear(u: VectorField, tau: SymTensorField, params: FluidParams,
 
 class SolverState:
     """The trajectory at one instant: time ``t``, step ``step_index`` and
-    the fields ``u`` and ``tau``.
+    the stacked 2/3-rule band ``band`` of ``(u, tau)`` on ``grid``, ``(d +
+    nt,) + grid.band_shape(grid.dealias_radius)``, velocity rows first.
 
-    ``SolverState(t, u, tau, step_index)`` holds the given fields as they
-    are, and its ``band`` is None.  A state that ``Simulation`` holds or
-    returns is made by ``on_band`` from the trajectory's compact stacked
-    array ``band``, ``(d + nt,) + grid.band_shape(grid.dealias_radius)``,
-    read-only.  Its ``u`` and ``tau`` are formed from the band the first
-    time either is read, with one ``grid.from_band``, and cached: views of
-    one stacked half spectrum, read-only as well, so a write into them
-    raises ``ValueError`` rather than reaching, or silently not reaching,
-    a later step.  To step from changed fields, build a state from them
-    and a ``Simulation`` from that state.
+    Every state, given or returned, is its band: ``SolverState(t, grid,
+    band, step_index)`` checks the band's shape against the grid (else
+    ``GridError``) and makes it read-only, and ``from_fields`` gathers the
+    band of half-spectrum fields.  ``u`` and ``tau`` are formed from the
+    band the first time either is read, with one ``grid.from_band``, and
+    cached: views of one stacked half spectrum, zero outside the band and
+    read-only as well, so a write into them raises ``ValueError`` rather
+    than reaching, or silently not reaching, a later step.  To step from
+    changed fields, gather a state from copies of them.
     """
 
-    def __init__(self, t: float, u: VectorField, tau: SymTensorField, step_index: int = 0):
-        self.t, self.step_index = t, step_index
-        self.band: np.ndarray | None = None
-        self._grid: TorusGrid | None = None
-        self._fields: tuple[VectorField, SymTensorField] | None = (u, tau)
+    def __init__(self, t: float, grid: TorusGrid, band: np.ndarray, step_index: int = 0):
+        shape = _band_stack_shape(grid)
+        if band.shape != shape:
+            raise GridError(f"a state's band on this grid has shape {shape}, not {band.shape}")
+        band.flags.writeable = False
+        self.t, self.grid, self.band, self.step_index = t, grid, band, step_index
 
     @classmethod
-    def on_band(cls, t: float, grid: TorusGrid, band: np.ndarray,
-                step_index: int) -> "SolverState":
-        """The state of a read-only stacked band on ``grid``; its fields
-        are formed on first read."""
-        state = cls.__new__(cls)
-        state.t, state.step_index, state.band = t, step_index, band
-        state._grid, state._fields = grid, None
-        return state
+    def from_fields(cls, t: float, u: VectorField, tau: SymTensorField,
+                    step_index: int = 0) -> "SolverState":
+        """The state of the half-spectrum fields ``u`` and ``tau``, whose
+        band is gathered into a fresh stacked array.
 
-    def _formed(self) -> tuple[VectorField, SymTensorField]:
-        if self._fields is None:
-            self._fields = _fields_of(self._grid, self.band, writeable=False)
-        return self._fields
+        Raises ``GridError`` for fields on two grids and ``ConfigError`` for
+        a nonzero mode outside the band, where the dealiased products would
+        alias.
+        """
+        grid = u.grid
+        grid.require_same(tau.grid)
+        d, radius = grid.d, grid.dealias_radius
+        x = np.empty(_band_stack_shape(grid), np.complex128)
+        grid.to_band(u.coeffs, radius, out=x[:d])
+        grid.to_band(tau.coeffs, radius, out=x[d:])
+        if np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) != np.count_nonzero(x):
+            raise ConfigError("the given fields have modes outside the 2/3-rule band "
+                              f"|m_i| <= {radius}, where the dealiased "
+                              "products would alias")
+        return cls(t, grid, x, step_index)
+
+    @functools.cached_property
+    def _fields(self) -> tuple[VectorField, SymTensorField]:
+        grid = self.grid
+        c = grid.from_band(self.band, grid.dealias_radius)
+        c.flags.writeable = False
+        return VectorField(grid, c[:grid.d]), SymTensorField(grid, c[grid.d:])
 
     @property
     def u(self) -> VectorField:
-        return self._formed()[0]
+        return self._fields[0]
 
     @property
     def tau(self) -> SymTensorField:
-        return self._formed()[1]
+        return self._fields[1]
 
 
 def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
@@ -679,38 +679,17 @@ def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
     return x
 
 
-def _fields_of(grid: TorusGrid, x: np.ndarray,
-               writeable: bool = True) -> tuple[VectorField, SymTensorField]:
-    """The half-spectrum fields ``(u, tau)`` of a stacked 2/3-rule band:
-    views of one fresh stacked half spectrum (``grid.from_band``)."""
-    c = grid.from_band(x, grid.dealias_radius)
-    c.flags.writeable = writeable
-    return VectorField(grid, c[:grid.d]), SymTensorField(grid, c[grid.d:])
-
-
-def random_pair(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
-                size: float, friedrichs_n: float | None = None
-                ) -> tuple[VectorField, SymTensorField]:
-    """The fields of ``random_band``: writable views of one stacked half
-    spectrum, zero outside the 2/3-rule band."""
-    return _fields_of(grid, random_band(grid, seed, band, s, size, friedrichs_n))
-
-
-def initial_band(config: SolverConfig, grid: TorusGrid) -> np.ndarray:
-    """A configuration's initial data as one fresh stacked 2/3-rule band:
-    zeros, or ``random_band`` of its recipe."""
+def make_initial_state(config: SolverConfig, grid: TorusGrid | None = None) -> SolverState:
+    """A configuration's deterministic initial data at t = 0, step 0: the
+    state of zeros, or of ``random_band`` of its recipe."""
+    grid = grid or TorusGrid(config.d, config.n, config.period)
     init = config.init
     if init.kind == "zero":
-        return np.zeros(_band_stack_shape(grid), np.complex128)
-    return random_band(grid, init.seed, init.band, config.s_value, init.amplitude,
-                       config.friedrichs_n)
-
-
-def make_initial_state(config: SolverConfig, grid: TorusGrid | None = None) -> SolverState:
-    """Deterministic initial data for a configuration: the fields of
-    ``initial_band``, writable."""
-    grid = grid or TorusGrid(config.d, config.n, config.period)
-    return SolverState(0.0, *_fields_of(grid, initial_band(config, grid)))
+        x = np.zeros(_band_stack_shape(grid), np.complex128)
+    else:
+        x = random_band(grid, init.seed, init.band, config.s_value, init.amplitude,
+                        config.friedrichs_n)
+    return SolverState(0.0, grid, x)
 
 
 class Simulation:
@@ -720,33 +699,20 @@ class Simulation:
     band, ``(d + nt,) + grid.band_shape(grid.dealias_radius)``, the rows
     of u then those of tau: every mode outside the band stays zero, and a
     step computes on the band alone.  Each step leaves a fresh read-only
-    band, and ``state`` is the ``SolverState.on_band`` of it, whose
-    half-spectrum ``u`` and ``tau`` are formed only when read.
+    band, and ``state`` is the ``SolverState`` of it, whose half-spectrum
+    ``u`` and ``tau`` are formed only when read.
 
-    ``Simulation(config)`` starts from the config's initial data drawn on
-    the band (``initial_band``), with no half spectrum formed.  A given
-    ``state`` must lie on the config's grid (else ``GridError``).  The band
-    of a band state (``SolverState.on_band``, as ``state`` returns) is the
-    first state as it is: no field is formed, nothing gathered or checked.
-    A field state must lie in the band (else ``ConfigError``: the 2/3 rule
-    would alias its products); its band is gathered once into the
-    trajectory's first array.  A given state is never written.
+    The first state is the given ``state``, which must lie on the config's
+    grid (else ``GridError``), or ``make_initial_state`` of the config.  It
+    is held as it is: no field is formed and its band is never written.
     """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
         self.config = config
         self.grid = grid = TorusGrid(config.d, config.n, config.period)
-        if state is None:
-            self._t0, self._step0 = 0.0, 0
-            x = initial_band(config, grid)
-        else:
-            self._t0, self._step0 = state.t, state.step_index
-            if state.band is not None:
-                grid.require_same(state._grid)
-                x = state.band
-            else:
-                x = _stacked_band(grid, state.u, state.tau)
-        self._set_state(x, self._step0)
+        self.state = make_initial_state(config, grid) if state is None else state
+        grid.require_same(self.state.grid)
+        self._t0, self._step0 = self.state.t, self.state.step_index
         self.propagator = build_propagator(grid, config.params, config.dt)
         self._prev_rhs: np.ndarray | None = None
 
@@ -755,10 +721,6 @@ class Simulation:
         dt`` from the given state's time and step, not a running sum, so
         11 steps of dt = 0.05 from 0 reach ``11 * 0.05`` exactly."""
         return self._t0 + (step_index - self._step0) * self.config.dt
-
-    def _set_state(self, x: np.ndarray, step_index: int) -> None:
-        x.flags.writeable = False
-        self.state = SolverState.on_band(self._time(step_index), self.grid, x, step_index)
 
     def _require_finite(self, x: np.ndarray, names: tuple[str, str]) -> None:
         # one reduction over the float64 view (a complex entry is finite when
@@ -814,7 +776,8 @@ class Simulation:
             self._require_finite(x, ("u", "tau"))
             k, k2, _ = _rhs_tables(grid, self.config.friedrichs_n)
             leray_coeffs(x[:d], k, k2, out=x[:d])
-        self._set_state(x, st.step_index + 1)
+        step = st.step_index + 1
+        self.state = SolverState(self._time(step), grid, x, step)
         return self.state
 
 

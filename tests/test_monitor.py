@@ -29,7 +29,7 @@ from oldroydb.solver import (
     SolverState,
     friedrichs_mask,
     make_initial_state,
-    random_pair,
+    random_band,
     simulate,
 )
 from oldroydb.verification import small_data_config
@@ -100,7 +100,7 @@ class TestLedger:
                            init=InitSpec(kind="zero"), nonlinear=False)
         from oldroydb.solver import SolverState
 
-        sim = Simulation(cfg, SolverState(0.0, u0, tau0))
+        sim = Simulation(cfg, SolverState.from_fields(0.0, u0, tau0))
         ledger = EnergyLedger(grid, PARAMS, s=s, dt=dt)
         ledger.update(0.0, sim.state.u, sim.state.tau)
         nsteps = int(round(t_end / dt))
@@ -519,10 +519,11 @@ class TestStability:
 
         grid = TorusGrid(d, n)
         base = make_initial_state(cfg, grid)
-        du, dtau = random_pair(grid, 3 + 7919, (1.0, 4.0), -0.25, 1.0, friedrichs_n)
+        direction = SolverState(0.0, grid, random_band(grid, 3 + 7919, (1.0, 4.0), -0.25,
+                                                       1.0, friedrichs_n))
         sims = (Simulation(cfg, base),
-                Simulation(cfg, SolverState(0.0, base.u + du * delta,
-                                            base.tau + dtau * delta)))
+                Simulation(cfg, SolverState.from_fields(0.0, base.u + direction.u * delta,
+                                                        base.tau + direction.tau * delta)))
         dist, weight = [], []
         for step in range(cfg.n_steps + 1):
             if step:

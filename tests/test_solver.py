@@ -35,10 +35,8 @@ from oldroydb.solver import (
     default_s,
     friedrichs_mask,
     friedrichs_truncate,
-    initial_band,
     make_initial_state,
     random_band,
-    random_pair,
     rhs_nonlinear,
     simulate,
 )
@@ -102,6 +100,11 @@ class TestParamsAndConfig:
         {"friedrichs_n": -1.0}, {"init": {"amplitude": np.nan}},
         {"t_end": 0.12}, {"dt": 10**400}, {"init": {"band": [1, 10**400]}},
         {"init": {"seed": -1}}, {"s": 0.0}, {"d": 3, "s": -1.5},
+        # float keys take JSON numbers only
+        {"dt": "0.05"}, {"re": " 2 "}, {"init": {"amplitude": True}},
+        {"init": {"band": ["1", "4"]}},
+        # 1e300 steps: above 2**53 every step count looks whole
+        {"dt": 1e-300, "t_end": 1.0},
     ])
     def test_from_dict_rejects(self, doc):
         with pytest.raises(ConfigError):
@@ -780,7 +783,7 @@ class TestExactTime:
         cfg = SolverConfig(d=2, n=16, dt=0.05, t_end=1.0, params=PARAMS, nonlinear=False,
                            init=InitSpec(amplitude=0.5, band=(1.0, 4.0)))
         first = make_initial_state(cfg)
-        sim = Simulation(cfg, SolverState(0.3, first.u, first.tau, step_index=4))
+        sim = Simulation(cfg, SolverState(0.3, first.grid, first.band, step_index=4))
         assert (sim.state.step_index, sim.state.t) == (4, 0.3)
         for _ in range(11):
             st = sim.advance()
@@ -830,7 +833,8 @@ class TestStepping:
         grid = TorusGrid(2, 16)
         u = VectorField.zero(grid)
         u.coeffs[0, 1, 0] = np.inf
-        sim = Simulation(cfg, SolverState(0.1, u, SymTensorField.zero(grid), step_index=1))
+        sim = Simulation(cfg, SolverState.from_fields(0.1, u, SymTensorField.zero(grid),
+                                                      step_index=1))
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 sim.advance()
@@ -843,7 +847,7 @@ class TestStepping:
         st = Simulation(cfg).advance()
         tau = SymTensorField(st.tau.grid, st.tau.coeffs.copy())
         tau.coeffs[1, 2, 1] = np.nan
-        sim = Simulation(cfg, SolverState(st.t, st.u, tau, step_index=1))
+        sim = Simulation(cfg, SolverState.from_fields(st.t, st.u, tau, step_index=1))
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 sim.advance()
@@ -1028,8 +1032,8 @@ def test_step_takes_no_complex_full_grid_transform(monkeypatch, d, n):
 class TestGivenState:
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_state_outside_the_band_is_a_config_error(self, d, n):
-        # the 2/3 rule dealiases the products of band states only, so a
-        # given state with a mode outside the band is refused
+        # the 2/3 rule dealiases the products of band states only, so fields
+        # with a mode outside the band are refused
         cfg = SolverConfig(d=d, n=n, dt=0.05, t_end=1.0, params=PARAMS)
         grid = TorusGrid(d, n)
         rng = np.random.default_rng(d * n)
@@ -1038,18 +1042,18 @@ class TestGivenState:
         tau = SymTensorField.from_physical(
             grid, 0.1 * rng.standard_normal((len(SymTensorField.pairs(d)),) + grid.shape))
         with pytest.raises(ConfigError, match="2/3-rule band"):
-            Simulation(cfg, SolverState(0.0, u, tau))
-        # one tiny coefficient just outside the band, in u or in tau
+            SolverState.from_fields(0.0, u, tau)
+        # one tiny coefficient just outside the band, in u or in tau, of
+        # copies of a drawn state's fields (a state's fields are read-only)
         state = make_initial_state(cfg)
         m = grid.dealias_radius + 1
-        for field, at in ((state.u, (0, m) + (0,) * (d - 1)),
-                          (state.tau, (1,) + (0,) * (d - 1) + (m,))):
-            kept = field.coeffs[at]
-            field.coeffs[at] = 1e-300
+        for row, at in ((0, (0, m) + (0,) * (d - 1)), (1, (1,) + (0,) * (d - 1) + (m,))):
+            fields = [state.u.copy(), state.tau.copy()]
+            fields[row].coeffs[at] = 1e-300
             with pytest.raises(ConfigError, match="2/3-rule band"):
-                Simulation(cfg, state)
-            field.coeffs[at] = kept
-        Simulation(cfg, state)
+                SolverState.from_fields(0.0, *fields)
+        back = SolverState.from_fields(0.0, state.u.copy(), state.tau.copy())
+        np.testing.assert_array_equal(back.band.view(np.uint64), state.band.view(np.uint64))
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("friedrichs_n", [None, 2.5])
@@ -1060,7 +1064,7 @@ class TestGivenState:
                                init=InitSpec(amplitude=0.5, band=band, seed=seed))
             given = make_initial_state(cfg)
             assert np.any(given.u.coeffs != 0.0)
-            sim = Simulation(cfg, given)
+            sim = Simulation(cfg, SolverState.from_fields(0.0, given.u, given.tau))
             np.testing.assert_array_equal(sim.state.u.coeffs, given.u.coeffs)
             np.testing.assert_array_equal(sim.state.tau.coeffs, given.tau.coeffs)
 
@@ -1071,8 +1075,8 @@ class TestGivenState:
             Simulation(cfg, state)
 
     def test_band_state_is_taken_as_it_is(self, monkeypatch):
-        # the band and grid of a band state are held as they are: no field
-        # is formed, no band gathered and no outside-band check made
+        # a given state is held as it is: no field is formed and no band
+        # gathered
         cfg = small_data_config(0, t_end=0.5, n=32)
         first = Simulation(cfg).advance()
         calls = []
@@ -1082,27 +1086,32 @@ class TestGivenState:
                                 lambda self, *a, _m=method, _n=name, **k:
                                 calls.append(_n) or _m(self, *a, **k))
         sim = Simulation(cfg, first)
-        assert calls == [] and first._fields is None
-        assert sim.state.band is first.band
+        assert calls == []
+        assert sim.state is first
         assert (sim.state.t, sim.state.step_index) == (first.t, 1)
         monkeypatch.undo()
-        # the same step as from the fields of that state
-        fields = Simulation(cfg, SolverState(first.t, first.u, first.tau, step_index=1))
+        # the same step as from the gathered fields of that state
+        fields = Simulation(cfg, SolverState.from_fields(first.t, first.u, first.tau,
+                                                         step_index=1))
         np.testing.assert_array_equal(sim.advance().band.view(np.uint64),
                                       fields.advance().band.view(np.uint64))
 
     def test_band_state_on_another_grid_is_a_grid_error(self):
-        cfg = small_data_config(0, t_end=0.5, n=32)
-        state = Simulation(replace(cfg, n=16)).state
-        with pytest.raises(GridError, match=r"\(2,32,.*\) vs \(2,16,"):
-            Simulation(cfg, state)
+        # a band of another grid's shape is no state of this grid
+        grid = TorusGrid(2, 32)
+        band = make_initial_state(small_data_config(0, t_end=0.5, n=16)).band
+        with pytest.raises(GridError, match="band"):
+            SolverState(0.0, grid, band)
+        with pytest.raises(GridError, match="band"):
+            SolverState(0.0, grid, np.zeros((4,) + grid.band_shape(grid.dealias_radius),
+                                             np.complex128))
 
     def test_stress_on_another_grid_is_a_grid_error(self):
         cfg = small_data_config(0, t_end=0.5, n=32)
         state = make_initial_state(cfg)
         other = make_initial_state(replace(cfg, n=16))
         with pytest.raises(GridError):
-            Simulation(cfg, SolverState(0.0, state.u, other.tau))
+            SolverState.from_fields(0.0, state.u, other.tau)
 
 
 class TestSimulate:
@@ -1144,20 +1153,19 @@ class TestSimulate:
         res.final.tau
         assert len(calls) == 1
 
-    def test_random_pair_is_the_initial_state(self):
+    def test_random_band_is_the_initial_state(self):
         cfg = SolverConfig(d=2, n=32, dt=0.1, t_end=1.0, params=PARAMS, s=-0.25,
                            friedrichs_n=5.0,
                            init=InitSpec(amplitude=0.07, band=(1.0, 6.0), seed=8))
         state = make_initial_state(cfg)
-        u, tau = random_pair(TorusGrid(2, 32), 8, (1.0, 6.0), -0.25, 0.07, 5.0)
-        np.testing.assert_array_equal(u.coeffs, state.u.coeffs)
-        np.testing.assert_array_equal(tau.coeffs, state.tau.coeffs)
+        x = random_band(TorusGrid(2, 32), 8, (1.0, 6.0), -0.25, 0.07, 5.0)
+        np.testing.assert_array_equal(x.view(np.uint64), state.band.view(np.uint64))
         outside = TorusGrid(2, 32).kmag > 5.0
         assert np.max(np.abs(state.u.coeffs[:, outside])) == 0.0
 
-    def test_random_pair_in_an_empty_band_is_zero(self):
-        u, tau = random_pair(TorusGrid(2, 16), 0, (20.0, 30.0), -0.25, 1.0)
-        assert np.max(np.abs(u.coeffs)) == 0.0 and np.max(np.abs(tau.coeffs)) == 0.0
+    def test_random_band_in_an_empty_band_is_zero(self):
+        x = random_band(TorusGrid(2, 16), 0, (20.0, 30.0), -0.25, 1.0)
+        assert np.max(np.abs(x)) == 0.0
 
     def test_initial_amplitude_prescription(self):
         from oldroydb.littlewood_paley import hybrid_norm
@@ -1207,29 +1215,37 @@ class TestBandDraw:
                 assert np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) \
                     == np.count_nonzero(want)
 
-    def test_fields_are_writable_views_of_the_band_draw(self):
+    def test_initial_state_is_the_read_only_band_draw(self):
         cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS, friedrichs_n=2.5,
                            init=InitSpec(amplitude=0.5, band=(1.0, 4.0), seed=3))
         grid = TorusGrid(3, 16)
-        x = initial_band(cfg, grid)
         state = make_initial_state(cfg, grid)
-        u, tau = random_pair(grid, 3, (1.0, 4.0), 0.0, 0.5, 2.5)
-        for pair in ((state.u, state.tau), (u, tau)):
-            got = np.concatenate([grid.to_band(f.coeffs, grid.dealias_radius) for f in pair])
-            np.testing.assert_array_equal(got.view(np.uint64), x.view(np.uint64))
-            for f in pair:
-                assert f.coeffs.flags.writeable
-        zero = initial_band(replace(cfg, init=InitSpec(kind="zero")), grid)
+        assert (state.t, state.step_index, state.grid) == (0.0, 0, grid)
+        np.testing.assert_array_equal(state.band.view(np.uint64),
+                                      Simulation(cfg).state.band.view(np.uint64))
+        x = random_band(grid, 3, (1.0, 4.0), 0.0, 0.5, 2.5)
+        np.testing.assert_array_equal(state.band.view(np.uint64), x.view(np.uint64))
+        for a in (state.band, state.u.coeffs, state.tau.coeffs):
+            assert not a.flags.writeable
+        # its fields are the band's, zero outside it
+        got = np.concatenate([grid.to_band(f.coeffs, grid.dealias_radius)
+                              for f in (state.u, state.tau)])
+        np.testing.assert_array_equal(got.view(np.uint64), x.view(np.uint64))
+        zero = make_initial_state(replace(cfg, init=InitSpec(kind="zero")), grid).band
         assert zero.shape == x.shape and not np.any(zero.view(np.uint64))
 
     def test_run_starts_from_the_drawn_band(self, monkeypatch):
         cfg = SolverConfig(d=2, n=32, dt=0.05, t_end=1.0, params=PARAMS, friedrichs_n=5.0,
                            init=InitSpec(amplitude=0.07, band=(1.0, 6.0), seed=8))
-        called = []
-        monkeypatch.setattr(solver, "make_initial_state", lambda *a: called.append(a))
+        calls = []
+        from_band = TorusGrid.from_band
+        monkeypatch.setattr(TorusGrid, "from_band",
+                            lambda self, *a, **k: calls.append(1) or from_band(self, *a, **k))
         sim = Simulation(cfg)
-        assert called == []
-        want = initial_band(cfg, sim.grid)
+        # no field is formed on the way to the first state
+        assert calls == []
+        monkeypatch.undo()
+        want = random_band(sim.grid, 8, (1.0, 6.0), -0.25, 0.07, 5.0)
         np.testing.assert_array_equal(sim.state.band.view(np.uint64), want.view(np.uint64))
         assert (sim.state.t, sim.state.step_index) == (0.0, 0)
 
