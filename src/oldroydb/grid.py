@@ -319,10 +319,14 @@ def leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """``grid.k`` and ``where(grid.k2 == 0, 1, grid.k2)`` as complex128, for
     the most recent grid.
 
-    The multipliers of the Leray projection and of the divergence residual.
-    Held complex, the products and the quotient with complex coefficients
-    run without numpy casting a real table chunk by chunk, to the same bits:
-    a cast gives the same zero imaginary part.  Kept for one grid only, in
+    The multipliers of the Leray projection and of the divergence residual
+    of half-spectrum fields (``leray_project``,
+    ``VectorField.divergence_residual``, ``EnergyLedger.update``).  No run
+    reaches them: its band tables (``band_leray_tables``) and its kernel's
+    derivative tables (``derivative_tables``) are built from the grid
+    itself.  Held complex, the products and the quotient with complex
+    coefficients run without numpy casting a real table chunk by chunk, to
+    the same bits: a cast gives the same zero imaginary part.  Kept for one grid only, in
     this cache rather than on the grid, so the many equal grids of a twin
     run or a sweep share one set; read-only, since every caller shares them.
     """
@@ -335,14 +339,45 @@ def leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=1)
 def band_leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of ``leray_tables`` gathered to the 2/3-rule band
-    (``grid.to_band`` at ``dealias_radius``), for the most recent grid.
+    """The tables of ``leray_tables`` on the 2/3-rule band (``grid.to_band``
+    at ``dealias_radius``), for the most recent grid.
 
-    The one band copy: the solver projects its tendencies and each new
-    state with it, and the ledger's band row takes its divergence residual
-    with it.  Read-only, since every caller shares them.
+    Gathered straight from ``grid.k`` and ``grid.k2``, to the bits of the
+    band of ``leray_tables`` (k = 0, the one mode with ``|k|^2 = 0``, lies
+    in the band), so a run holds no half-spectrum table.  The one band
+    copy: the solver projects its tendencies and each new state with it,
+    and the ledger's band row takes its divergence residual with it.
+    Read-only, since every caller shares them.
     """
-    tables = tuple(grid.to_band(t, grid.dealias_radius) for t in leray_tables(grid))
+    radius = grid.dealias_radius
+    k2 = grid.to_band(grid.k2, radius)
+    tables = (grid.to_band(grid.k, radius).astype(np.complex128),
+              np.where(k2 == 0.0, 1.0, k2).astype(np.complex128))
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def derivative_tables(grid: TorusGrid) -> tuple[np.ndarray, ...]:
+    """``grid.k[j]`` as complex128 for each axis ``j``, each the smallest
+    table that broadcasts against ``grid.spec_shape`` in long inner loops.
+
+    ``k_j`` varies along axis ``j`` only.  On a leading axis before the
+    last two (axis 0 in 3-d) its table is ``(n, 1, 1)``: the other axes
+    coalesce into one loop.  On the last two axes it is a table over those
+    two, ``(n, n//2 + 1)``: a 1-D table over the last axis alone leaves
+    loops of ``n//2 + 1`` and runs slower.  A product with a complex
+    coefficient has the bits of the product with ``grid.k[j]``, which
+    numpy casts to the same complex values.  Not cached: the kernel
+    scratch that uses them holds them (``operators.kernel_scratch``), a
+    few KB each in 3-d (34 KB at n = 64) and 133 KB at d=2, n=128.
+    """
+    d = grid.d
+    tables = []
+    for j in range(d):
+        if j < d - 2:
+            index = tuple(slice(None) if a == j else slice(0, 1) for a in range(d))
+        else:
+            index = (0,) * (d - 2)
+        tables.append(grid.k[j][index].astype(np.complex128))
+    return tuple(tables)

@@ -21,20 +21,23 @@ and the band-pruned real forward transform (``TorusGrid.forward_band``)
 of the ``d + d(d+1)/2`` products (5 in 2-d, 9 in 3-d), which returns the
 terms on the band only.  The products are formed in the kernel's sample
 rows, with no array of their own, so that those of one forward call lie
-together: 17 sample rows in 2-d, 30 in 3-d.  Each field's samples and
+together: 17 sample rows in 2-d, 27 in 3-d, each stress group's
+gradients streamed one direction at a time.  Each field's samples and
 gradient share their leading complex passes (``_samples_and_gradients``):
 2 complex field-passes per field instead of 3 in 2-d, 5 instead of 8 in
 3-d.  Composed from ``advect`` and ``g_alpha``, the same terms take 19
 real inverse and 8 real forward transforms in 2-d; those two stay as the
 per-term API and as the test oracle.  ``quadratic_terms`` transforms
-through buffers kept for the most recent grid (``_kernel_buffers``), so a
-step allocates and faults in none of them; two threads that call it on
-equal grids share them, so it is not safe to call concurrently.
+through a ``KernelScratch`` of its grid, held while a run holds it
+(``kernel_scratch``): a step allocates and faults in none of it, and
+nothing of it is held once the last run on the grid is dropped.  Two
+threads must not run the kernel on equal grids at once.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .fields import (
     VectorField,
     _sym_index,
 )
-from .grid import TorusGrid, leray_tables
+from .grid import TorusGrid, derivative_tables, leray_tables
 
 
 # ---- linear operators -------------------------------------------------------
@@ -191,37 +194,61 @@ def g_alpha(tau: SymTensorField, u: VectorField, alpha: float) -> SymTensorField
 _GROUP = 3
 
 
-def _waiting_rows(d: int) -> int:
-    """Sample rows where products wait for the last forward call beside
-    the last stress group's: the velocity rows in 2-d (2), the first
-    stress group's in 3-d (3)."""
-    return min(d + d * (d + 1) // 2, 2 * _GROUP) - _GROUP
-
-
-@functools.lru_cache(maxsize=1)
-def _kernel_buffers(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The scratch half spectrum of ``quadratic_terms`` and its real samples.
-
-    The scratch holds two groups of fields, the pass chain and the
-    gradient in transform (6 fields), and later the products' real
-    transform, up to 6 at a time.  The samples hold ``[u, tau, grad u]``,
-    the rows that wait for the last forward call (``_waiting_rows``) and
-    the gradients of one stress group, direction by direction: 17 fields
-    in 2-d, 30 in 3-d.  Kept for the most recent grid only, so runs on
-    equal grids share them and a sweep over grids holds one set.
-    """
-    d = grid.d
+def _row_blocks(d: int) -> tuple[int, ...]:
+    """Row counts of the kernel's sample blocks: ``u``, ``tau``, ``grad u``,
+    the products of the last forward call (all ``d + nt`` in 2-d, the
+    ``nt`` stress products in 3-d) and one group of scratch rows."""
     nt = d * (d + 1) // 2
-    rows = d + nt + d * d + _waiting_rows(d) + d * _GROUP
-    return (np.empty((2 * _GROUP,) + grid.spec_shape, np.complex128),
-            np.empty((rows,) + grid.shape))
+    return d, nt, d * d, min(d + nt, 2 * _GROUP), _GROUP
 
 
-def _samples_and_gradients(grid: TorusGrid, c: np.ndarray, spec: np.ndarray,
-                           values: np.ndarray, grads) -> None:
+class KernelScratch:
+    """The working memory of ``quadratic_terms`` on one grid.
+
+    ``spec`` is a scratch half spectrum of two field groups, the pass chain
+    and the derivative in transform (6 fields), and later the products'
+    real transform, up to 6 at a time.  ``phys`` holds the real sample
+    rows of ``_row_blocks``: 17 in 2-d, 27 in 3-d.  ``k`` holds the
+    per-axis derivative tables (``grid.derivative_tables``).
+    """
+
+    __slots__ = ("spec", "phys", "k", "__weakref__")
+
+    def __init__(self, grid: TorusGrid):
+        self.spec = np.empty((2 * _GROUP,) + grid.spec_shape, np.complex128)
+        self.phys = np.empty((sum(_row_blocks(grid.d)),) + grid.shape)
+        self.k = derivative_tables(grid)
+
+
+#: the scratch that something holds for each grid; equal grids share it
+_held_scratch: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def kernel_scratch(grid: TorusGrid) -> KernelScratch:
+    """The kernel scratch of ``grid`` for a holder to keep: the one already
+    held for an equal grid, else a new one, which the kernel finds as long
+    as something holds it.
+
+    A nonlinear ``Simulation`` holds its grid's scratch, so the runs alive
+    on equal grids (a twin pair in lockstep) share one set, and it is freed
+    with the last of them.
+    """
+    scratch = _held_scratch.get(grid)
+    if scratch is None:
+        scratch = _held_scratch[grid] = KernelScratch(grid)
+    return scratch
+
+
+def _samples_and_gradients(grid: TorusGrid, k: tuple[np.ndarray, ...], c: np.ndarray,
+                           spec: np.ndarray, values: np.ndarray, grads):
     """Samples of the fields whose 2/3-rule bands are ``c`` into ``values``
     and of their derivatives ``d_j`` into ``grads[j]``, through the scratch
-    ``spec``.
+    ``spec``, with the derivative tables ``k`` (``grid.derivative_tables``).
+
+    A generator: it yields ``j`` once ``d_j`` is in ``grads[j]``, so the
+    caller may consume those rows before the next direction lands (two
+    directions may share rows); the samples are written after the last
+    direction, when the caller asks for one more.
 
     The passes run as a prefix chain: ``A_0`` is the half spectrum of
     ``c``, zero outside the band (``spec[:len(c)]`` zeroed and filled by
@@ -235,7 +262,6 @@ def _samples_and_gradients(grid: TorusGrid, c: np.ndarray, spec: np.ndarray,
     derivative agrees with it to rounding.
     """
     g = len(c)
-    k = leray_tables(grid)[0]
     chain, scratch = spec[:g], spec[_GROUP:_GROUP + g]
     chain[...] = 0.0
     grid.from_band(c, grid.dealias_radius, out=chain)
@@ -246,6 +272,7 @@ def _samples_and_gradients(grid: TorusGrid, c: np.ndarray, spec: np.ndarray,
             np.multiply(k[j], chain[f], out=scratch[f])
         scratch *= 1j
         grid.inverse_passes(scratch, j, overwrite_x=True, out=grads[j])
+        yield j
     grid.inverse_passes(chain, grid.d - 1, out=values)
 
 
@@ -264,29 +291,31 @@ def quadratic_terms(grid: TorusGrid, x: np.ndarray, alpha: float) -> np.ndarray:
     g_ij = sum_k tau_ik B_kj + tau_jk B_ki.
 
     The inverse transforms run field group by field group through the
-    buffers of ``_kernel_buffers`` (``_samples_and_gradients``), each
-    group's chain filled from its rows of ``x``.  The sample rows are
+    grid's ``KernelScratch`` (``_samples_and_gradients``), each group's
+    chain filled from its rows of ``x``: the scratch something holds for
+    the grid (``kernel_scratch``; a nonlinear ``Simulation`` holds one),
+    else one of this call's own.  Two threads must not run the kernel on
+    equal grids at once.  The sample rows are
 
-        u_i | tau_c | d_j u_i (i-major) | waiting rows | d_m tau_c of one
-        stress group, direction-major (d rows of 3)
+        u_i | tau_c | d_j u_i (i-major, then B) | products of the last
+        forward call | 3 scratch rows
 
-    ``u`` and ``grad u`` go into their own rows, then three stress
-    components at a time, their samples into the stress rows and their
-    gradients into the last rows.  The products are formed in these rows,
-    with no array of their own.  The velocity transports come first, into
-    the waiting rows in 2-d and into the first-direction gradient rows in
-    3-d, where they are transformed at once.  Each stress transport
-    accumulates in place in its first-direction gradient row, the other
-    directions' rows serving as their own product scratch once read; in
-    3-d the first group's first-direction rows are the waiting rows.  So
-    the products of the last forward call (all five in 2-d, the six stress
-    rows in 3-d) lie in contiguous rows, the waiting rows then the last
-    group's first-direction rows.  ``B`` is formed in place over
-    ``grad u`` (``B_kk = -alpha A_kk``; each off-diagonal pair through two
-    spent gradient rows), and the ``g_alpha`` products are added to the
-    stress rows one by one.  The products go through the band-pruned
-    forward transform (``grid.forward_band``), their real pass into the
-    scratch spectrum and their band straight into the result.
+    17 in 2-d, 27 in 3-d.  ``u`` and ``grad u`` go into their own rows,
+    then three stress components at a time.  The products are formed in
+    these rows, with no array of their own.  The velocity transports come
+    first, into the first product rows, where in 3-d they are transformed
+    at once.  Each stress group's gradients stream one direction at a
+    time: ``d_0`` lands in the group's product rows, where its transport
+    starts (``row = u_0 d_0 tau_c``), and each later direction lands in
+    the scratch rows and is added in at once (``row += u_m d_m tau_c``),
+    the order of the sum over ``m``.  So the products of the last forward
+    call (all five in 2-d, the six stress rows in 3-d) lie in contiguous
+    rows.  ``B`` is formed in place over ``grad u`` (``B_kk = -alpha
+    A_kk``; each off-diagonal pair through two scratch rows), and the
+    ``g_alpha`` products are added to the stress rows one by one.  The
+    products go through the band-pruned forward transform
+    (``grid.forward_band``), their real pass into the scratch spectrum and
+    their band straight into the result.
     """
     d = grid.d
     pairs = SymTensorField.pairs(d)
@@ -295,37 +324,32 @@ def quadratic_terms(grid: TorusGrid, x: np.ndarray, alpha: float) -> np.ndarray:
     if x.shape != (d + nt,) + grid.band_shape(radius):
         raise ValueError(f"the kernel takes a stacked 2/3 band of shape "
                          f"{(d + nt,) + grid.band_shape(radius)}, not {x.shape}")
-    spec, phys = _kernel_buffers(grid)
-    wait = _waiting_rows(d)
-    offsets = np.cumsum((d, nt, d * d, wait))
-    vel, stress, grad_u, _, grad_tau = np.split(phys, offsets)
+    scratch = _held_scratch.get(grid) or KernelScratch(grid)
+    spec, tables = scratch.spec, scratch.k
+    vel, stress, grad_u, last, free = np.split(
+        scratch.phys, np.cumsum(_row_blocks(d))[:-1])
     grad_u = grad_u.reshape((d, d) + grid.shape)
-    grad_tau = grad_tau.reshape((d, _GROUP) + grid.shape)
-    # the products of the last forward call: the waiting rows, then the
-    # last stress group's first-direction rows
-    last = phys[offsets[2]:offsets[3] + _GROUP]
-    free = grad_tau[1]  # 3 rows, free whenever no stress group is in flight
     band = np.empty_like(x)
 
-    _samples_and_gradients(grid, x[:d], spec, vel, grad_u.swapaxes(0, 1))
-    early = d + nt - len(last)  # velocity rows transformed on their own: d in 3-d
-    vel_out = grad_tau[0] if early else last[:d]
+    for _ in _samples_and_gradients(grid, tables, x[:d], spec, vel, grad_u.swapaxes(0, 1)):
+        pass
     for i in range(d):
-        np.multiply(vel[0], grad_u[i, 0], out=vel_out[i])
+        np.multiply(vel[0], grad_u[i, 0], out=last[i])
         for j in range(1, d):
-            vel_out[i] += np.multiply(vel[j], grad_u[i, j], out=free[0])
+            last[i] += np.multiply(vel[j], grad_u[i, j], out=free[0])
+    early = d + nt - len(last)  # velocity rows transformed on their own: d in 3-d
     if early:
-        grid.forward_band(vel_out, radius, scratch=spec[:d], out=band[:d])
+        grid.forward_band(last[:d], radius, scratch=spec[:d], out=band[:d])
+    stress_out = last[len(last) - nt:]
     for c0 in range(0, nt, _GROUP):  # _GROUP divides nt: 3 in 2-d, 6 in 3-d
-        first = grad_tau[0] if c0 + _GROUP == nt else last[:_GROUP]
-        grads = (first,) + tuple(grad_tau[1:])
-        _samples_and_gradients(grid, x[d + c0:d + c0 + _GROUP], spec,
-                               stress[c0:c0 + _GROUP], grads)
-        for g in range(_GROUP):
-            row = first[g]
-            np.multiply(vel[0], row, out=row)
-            for m in range(1, d):
-                row += np.multiply(vel[m], grads[m][g], out=grads[m][g])
+        rows = stress_out[c0:c0 + _GROUP]
+        for m in _samples_and_gradients(grid, tables, x[d + c0:d + c0 + _GROUP], spec,
+                                        stress[c0:c0 + _GROUP], (rows,) + (free,) * (d - 1)):
+            for g, row in enumerate(rows):
+                if m == 0:
+                    np.multiply(vel[0], row, out=row)
+                else:
+                    row += np.multiply(vel[m], free[g], out=free[g])
 
     # B = W - alpha D over grad u: B_kj = a A_kj - b A_jk
     a, b = 0.5 * (1.0 - alpha), 0.5 * (1.0 + alpha)
@@ -340,7 +364,6 @@ def quadratic_terms(grid: TorusGrid, x: np.ndarray, alpha: float) -> np.ndarray:
             grad_u[j, k] -= free[1]
 
     index = _sym_index(d)
-    stress_out = last[len(last) - nt:]
     for c, (i, j) in enumerate(pairs):
         row = stress_out[c]
         for k in range(d):

@@ -52,7 +52,7 @@ import numpy as np
 from .fields import SymTensorField, VectorField
 from .grid import GridError, TorusGrid, band_leray_tables, period_scales
 from .littlewood_paley import band_block_l2_norms, build_partition, hybrid_from_blocks
-from .operators import leray_coeffs, quadratic_terms
+from .operators import kernel_scratch, leray_coeffs, quadratic_terms
 
 
 class ConfigError(ValueError):
@@ -575,8 +575,10 @@ class SolverState:
     nt,) + grid.band_shape(grid.dealias_radius)``, velocity rows first.
 
     Every state, given or returned, is its band: ``SolverState(t, grid,
-    band, step_index)`` checks the band's shape against the grid (else
-    ``GridError``) and makes it read-only, and ``from_fields`` gathers the
+    band, step_index)`` checks the band's shape against the grid and its
+    dtype, complex128 (else ``GridError``: a real band would fail in the
+    first step and a complex64 one round every later state to single
+    precision), and makes it read-only, and ``from_fields`` gathers the
     band of half-spectrum fields.  ``u`` and ``tau`` are formed from the
     band the first time either is read, with one ``grid.from_band``, and
     cached: views of one stacked half spectrum, zero outside the band and
@@ -589,6 +591,8 @@ class SolverState:
         shape = _band_stack_shape(grid)
         if band.shape != shape:
             raise GridError(f"a state's band on this grid has shape {shape}, not {band.shape}")
+        if band.dtype != np.complex128:
+            raise GridError(f"a state's band must be complex128, not {band.dtype}")
         band.flags.writeable = False
         self.t, self.grid, self.band, self.step_index = t, grid, band, step_index
 
@@ -705,6 +709,12 @@ class Simulation:
     The first state is the given ``state``, which must lie on the config's
     grid (else ``GridError``), or ``make_initial_state`` of the config.  It
     is held as it is: no field is formed and its band is never written.
+
+    A nonlinear run holds its grid's kernel scratch
+    (``operators.kernel_scratch``: 27 sample rows and 6 half-spectrum
+    fields in 3-d, 17 and 6 in 2-d) for as long as it lives, shared with
+    every live run on an equal grid; the kernel finds it by grid, and it
+    is freed with the last of those runs.
     """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
@@ -715,6 +725,8 @@ class Simulation:
         self._t0, self._step0 = self.state.t, self.state.step_index
         self.propagator = build_propagator(grid, config.params, config.dt)
         self._prev_rhs: np.ndarray | None = None
+        # held, not read: the kernel finds it by grid
+        self._kernel_scratch = kernel_scratch(grid) if config.nonlinear else None
 
     def _time(self, step_index: int) -> float:
         """The time of step ``step_index``: ``t0 + (step_index - step0) *

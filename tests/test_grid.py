@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from oldroydb.grid import GridError, TorusGrid
+from oldroydb.grid import GridError, TorusGrid, band_leray_tables, leray_tables
 from spectral_checks import coords
 
 
@@ -42,6 +42,18 @@ def test_mode_mask_drops_nyquist_lines(grid2):
     on_nyquist = np.any(np.abs(grid2.k_int) == nyq, axis=0)
     assert not np.any(grid2.mode_mask & on_nyquist)
     assert np.all(grid2.mode_mask | on_nyquist)
+
+
+@pytest.mark.parametrize("d,n,period", [(2, 32, 2 * np.pi), (3, 16, 2 * np.pi), (3, 8, 3.7)])
+def test_band_leray_tables_are_the_band_of_the_half_spectrum_tables(d, n, period):
+    # built from the grid itself, with the bits of the band of leray_tables
+    grid = TorusGrid(d, n, period)
+    band_leray_tables.cache_clear()
+    got = band_leray_tables(grid)
+    for table, full in zip(got, leray_tables(grid)):
+        want = grid.to_band(full, grid.dealias_radius)
+        assert table.dtype == want.dtype and not table.flags.writeable
+        np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
 
 
 def test_dealias_mask_is_two_thirds_rule(grid2):

@@ -1,4 +1,6 @@
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from oldroydb.fields import (
     random_sym_tensor,
     random_vector,
 )
-from oldroydb.grid import TorusGrid, leray_tables
+from oldroydb import monitor, operators
+from oldroydb.grid import TorusGrid, derivative_tables, leray_tables
 from oldroydb.operators import (
     _cancellation_sums,
-    _kernel_buffers,
     _samples_and_gradients,
     advect,
     cancellation_residual,
@@ -26,6 +28,7 @@ from oldroydb.operators import (
     grad_l2_norm,
     gradient,
     inner_product,
+    kernel_scratch,
     l2_norm,
     leray_project,
     lp_norm,
@@ -34,6 +37,8 @@ from oldroydb.operators import (
     quadratic_terms,
     vorticity,
 )
+from oldroydb.solver import Simulation, simulate
+from oldroydb.verification import small_data_config
 from spectral_checks import coords
 
 
@@ -498,8 +503,8 @@ def test_multiply_matches_physical_product(grid2, rng):
 
 
 class TestKernelBuffers:
-    """``quadratic_terms`` reuses one grid's buffers and forms its products
-    in the sample rows."""
+    """``quadratic_terms`` forms its products in the sample rows of a
+    scratch that lives while a run holds it."""
 
     @staticmethod
     def _state(grid, seed):
@@ -522,16 +527,21 @@ class TestKernelBuffers:
         for f, s in zip(first, second):
             assert not np.array_equal(f, s)
 
-    @pytest.mark.parametrize("d,n,rows", [(2, 32, 17), (3, 16, 30)])
+    @pytest.mark.parametrize("d,n,rows", [(2, 32, 17), (3, 16, 27)])
     def test_products_live_in_the_sample_rows(self, d, n, rows):
-        # [u, tau, grad u] (9 and 18 rows), the waiting rows (the velocity
-        # products in 2-d, the first stress group's in 3-d) and one stress
-        # group's gradients: 15 + 5 and 27 + 9 rows with a products array
+        # [u, tau, grad u] (9 and 18 rows), the products of the last
+        # forward call (5 and 6) and 3 scratch rows that take each stress
+        # group's later gradient directions one at a time: 15 + 5 and
+        # 27 + 9 rows with a products array, 30 in 3-d with a stress
+        # group's gradients held in every direction at once
         grid = TorusGrid(d, n)
+        scratch = kernel_scratch(grid)
+        scratch.phys.fill(np.nan)
         quadratic_terms(grid, self._state(grid, 6), 1.0)
-        spec, phys = _kernel_buffers(grid)
-        assert spec.shape == (6,) + grid.spec_shape
-        assert phys.shape == (rows,) + grid.shape
+        assert scratch.spec.shape == (6,) + grid.spec_shape
+        assert scratch.phys.shape == (rows,) + grid.shape
+        # the call ran in the held scratch
+        assert not np.isnan(scratch.phys).any()
 
     def test_refuses_another_layout(self):
         grid = TorusGrid(2, 16)
@@ -545,6 +555,7 @@ class TestKernelBuffers:
     def test_warm_call_peak_below_stacked_spectrum_and_samples(self, d, n):
         grid = TorusGrid(d, n)
         x = self._state(grid, 3)
+        held = kernel_scratch(grid)  # as a run holds it, so the second call is warm
         quadratic_terms(grid, x, 1.0)
         rows = (d + 1) * (d + d * (d + 1) // 2)
         bound = rows * (16 * np.prod(grid.spec_shape) + 8 * np.prod(grid.shape))
@@ -556,6 +567,7 @@ class TestKernelBuffers:
         finally:
             tracemalloc.stop()
         assert peak < bound
+        assert kernel_scratch(grid) is held
 
     def test_cold_call_peak_below_grouped_layout(self):
         d, n = 3, 16
@@ -569,9 +581,10 @@ class TestKernelBuffers:
         # stress group, which hold the products too; the result: the band
         # of the d + nt products; a margin of two spectrum fields for the
         # transforms' own temporaries (1.4 measured; the full-spectrum
-        # forward transform with its complex mask peaked 8.9 fields higher)
+        # forward transform with its complex mask peaked 8.9 fields higher).
+        # The kernel takes 27 sample rows, 3 below this layout's 30
+        assert grid not in operators._held_scratch  # no run holds one: a cold call
         bound = (2 * 3 + 2) * spec + (d + nt + d * d + 3 + 3 * d) * phys + (d + nt) * band
-        _kernel_buffers.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -581,11 +594,62 @@ class TestKernelBuffers:
             tracemalloc.stop()
         assert peak < bound
 
-    def test_buffers_held_for_one_grid_over_a_sweep(self):
+    def test_twin_pair_shares_one_scratch(self, monkeypatch):
+        # both runs of each lockstep pair step through one scratch, and
+        # each pair's scratch is gone before the next pair steps
+        cfg = small_data_config(0, t_end=0.2, n=16)
+        sims, refs, alive = [], [], []
+        advance = Simulation.advance
+
+        def recording(sim):
+            sims.append(id(sim))
+            refs.append(weakref.ref(sim._kernel_scratch))
+            alive.append(len({id(ref()) for ref in refs if ref() is not None}))
+            return advance(sim)
+
+        monkeypatch.setattr(Simulation, "advance", recording)
+        monitor.stability_experiment(cfg, 1e-6)
+        monkeypatch.undo()
+        per_pair = 2 * cfg.n_steps
+        assert len(sims) == 2 * per_pair  # the pairs at delta and delta / 10
+        for start in (0, per_pair):
+            assert len(set(sims[start:start + per_pair])) == 2
+        assert alive == [1] * len(alive)
+        assert all(ref() is None for ref in refs)
+
+    def test_nothing_held_once_a_run_returns(self, monkeypatch):
+        refs = []
+        advance = Simulation.advance
+
+        def recording(sim):
+            refs.append(weakref.ref(sim._kernel_scratch))
+            return advance(sim)
+
+        monkeypatch.setattr(Simulation, "advance", recording)
+        for d, n in [(2, 16), (3, 8)]:
+            cfg = small_data_config(0, t_end=0.2, n=n)
+            if d == 3:
+                cfg = replace(cfg, d=3, s=0.0)
+            simulate(cfg)
+            monitor.stability_experiment(cfg, 1e-6)
+        assert refs and all(ref() is None for ref in refs)
+
+    def test_sweep_holds_only_the_live_runs_scratch(self):
+        refs = []
         for d, n in [(2, 8), (2, 16), (3, 8), (2, 8)]:
-            grid = TorusGrid(d, n)
-            quadratic_terms(grid, self._state(grid, 4), 1.0)
-            assert _kernel_buffers.cache_info().currsize <= 1
+            cfg = replace(small_data_config(0, t_end=0.2, n=n), d=d, s=None)
+            sim = Simulation(cfg)
+            sim.advance()
+            refs.append(weakref.ref(sim._kernel_scratch))
+            assert [ref() is not None for ref in refs] == [False] * (len(refs) - 1) + [True]
+        # two live runs on equal grids share one; a linear run holds none
+        other = Simulation(cfg)
+        assert other._kernel_scratch is sim._kernel_scratch
+        assert Simulation(replace(cfg, nonlinear=False))._kernel_scratch is None
+        del sim
+        assert refs[-1]() is other._kernel_scratch
+        del other
+        assert refs[-1]() is None
 
 
 class TestSharedPasses:
@@ -610,7 +674,9 @@ class TestSharedPasses:
         spec = np.full((6,) + grid.spec_shape, np.nan, np.complex128)
         values = np.empty((3,) + grid.shape)
         grads = np.empty((d, 3) + grid.shape)
-        _samples_and_gradients(grid, c, spec, values, grads)
+        directions = list(_samples_and_gradients(grid, derivative_tables(grid), c, spec,
+                                                 values, grads))
+        assert directions == list(range(d))
         np.testing.assert_array_equal(c, kept)
         # the samples and d_0 take the passes of to_physical in its order
         np.testing.assert_array_equal(values, grid.to_physical(full))
@@ -619,6 +685,24 @@ class TestSharedPasses:
             want = grid.to_physical(1j * grid.k[j] * full)
             err = np.max(np.abs(grads[j] - want))
             assert err <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("band", [(1.0, 5.0), None])
+    def test_axis_tables_give_the_bits_of_the_full_multiplier(self, d, n, band):
+        # the kernel's derivative i k_j c, formed with the table of axis j,
+        # has the bits of the product with the half-spectrum k_j
+        grid = TorusGrid(d, n)
+        full = grid.from_band(self._band(grid, np.random.default_rng(7 * d + n), band),
+                              grid.dealias_radius)
+        for j, table in enumerate(derivative_tables(grid)):
+            assert table.dtype == np.complex128
+            assert table.size <= n * (n // 2 + 1)
+            got = np.empty_like(full)
+            for f in range(len(full)):
+                np.multiply(table, full[f], out=got[f])
+            got *= 1j
+            want = grid.k[j] * full * 1j
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("d,n,passes", [(2, 16, 10), (3, 8, 45)])
     def test_complex_field_passes_per_kernel_call(self, monkeypatch, d, n, passes):

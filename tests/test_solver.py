@@ -16,7 +16,7 @@ from oldroydb.fields import (
     random_sym_tensor,
     random_vector,
 )
-from oldroydb.grid import GridError, TorusGrid
+from oldroydb.grid import GridError, TorusGrid, leray_tables
 from oldroydb.littlewood_paley import hybrid_norm
 from oldroydb.operators import advect, g_alpha, inner_product, l2_norm, leray_project
 from oldroydb.solver import (
@@ -1106,6 +1106,14 @@ class TestGivenState:
             SolverState(0.0, grid, np.zeros((4,) + grid.band_shape(grid.dealias_radius),
                                              np.complex128))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    def test_band_of_another_dtype_is_a_grid_error(self, dtype):
+        # a real band would fail in the first step's kernel, and a complex64
+        # one would round every later state to single precision
+        band = make_initial_state(small_data_config(0, t_end=0.5, n=16)).band
+        with pytest.raises(GridError, match="complex128"):
+            SolverState(0.0, TorusGrid(2, 16), band.real.astype(dtype))
+
     def test_stress_on_another_grid_is_a_grid_error(self):
         cfg = small_data_config(0, t_end=0.5, n=32)
         state = make_initial_state(cfg)
@@ -1115,6 +1123,14 @@ class TestGivenState:
 
 
 class TestSimulate:
+    def test_nonlinear_run_builds_no_half_spectrum_tables(self):
+        # the run's Leray tables and the kernel's derivative tables are
+        # built from the grid itself, not from the half-spectrum tables
+        leray_tables.cache_clear()
+        cfg = replace(small_data_config(0, t_end=0.2, n=16), d=3, s=0.0)
+        simulate(cfg)
+        assert leray_tables.cache_info().currsize == 0
+
     def test_zero_horizon_single_row(self):
         cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=0.0, params=PARAMS,
                            init=InitSpec(amplitude=0.1, seed=1, band=(1.0, 5.0)))
