@@ -326,9 +326,10 @@ def leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     derivative tables (``derivative_tables``) are built from the grid
     itself.  Held complex, the products and the quotient with complex
     coefficients run without numpy casting a real table chunk by chunk, to
-    the same bits: a cast gives the same zero imaginary part.  Kept for one grid only, in
-    this cache rather than on the grid, so the many equal grids of a twin
-    run or a sweep share one set; read-only, since every caller shares them.
+    the same bits: a cast gives the same zero imaginary part.  Kept for one
+    grid only, in this cache rather than on the grid, so the many equal
+    grids of a twin run or a sweep share one set; read-only, since every
+    caller shares them.
     """
     tables = (grid.k.astype(np.complex128),
               np.where(grid.k2 == 0.0, 1.0, grid.k2).astype(np.complex128))

@@ -29,9 +29,10 @@ gradient share their leading complex passes (``_samples_and_gradients``):
 real inverse and 8 real forward transforms in 2-d; those two stay as the
 per-term API and as the test oracle.  ``quadratic_terms`` transforms
 through a ``KernelScratch`` of its grid, held while a run holds it
-(``kernel_scratch``): a step allocates and faults in none of it, and
-nothing of it is held once the last run on the grid is dropped.  Two
-threads must not run the kernel on equal grids at once.
+(``kernel_scratch``): made in a run's first step, no later step
+allocates or faults in any of it, and nothing of it is held once the
+last run on the grid is dropped.  Two threads must not run the kernel on
+equal grids at once.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ def _row_blocks(d: int) -> tuple[int, ...]:
 
 
 class KernelScratch:
-    """The working memory of ``quadratic_terms`` on one grid.
+    """The working memory of ``quadratic_terms`` on one grid, each array
+    made on its first use, so that a run pays for it in its first step,
+    not in its set-up.
 
     ``spec`` is a scratch half spectrum of two field groups, the pass chain
     and the derivative in transform (6 fields), and later the products'
@@ -212,12 +215,20 @@ class KernelScratch:
     per-axis derivative tables (``grid.derivative_tables``).
     """
 
-    __slots__ = ("spec", "phys", "k", "__weakref__")
-
     def __init__(self, grid: TorusGrid):
-        self.spec = np.empty((2 * _GROUP,) + grid.spec_shape, np.complex128)
-        self.phys = np.empty((sum(_row_blocks(grid.d)),) + grid.shape)
-        self.k = derivative_tables(grid)
+        self.grid = grid
+
+    @functools.cached_property
+    def spec(self) -> np.ndarray:
+        return np.empty((2 * _GROUP,) + self.grid.spec_shape, np.complex128)
+
+    @functools.cached_property
+    def phys(self) -> np.ndarray:
+        return np.empty((sum(_row_blocks(self.grid.d)),) + self.grid.shape)
+
+    @functools.cached_property
+    def k(self) -> tuple[np.ndarray, ...]:
+        return derivative_tables(self.grid)
 
 
 #: the scratch that something holds for each grid; equal grids share it

@@ -712,9 +712,9 @@ class Simulation:
 
     A nonlinear run holds its grid's kernel scratch
     (``operators.kernel_scratch``: 27 sample rows and 6 half-spectrum
-    fields in 3-d, 17 and 6 in 2-d) for as long as it lives, shared with
-    every live run on an equal grid; the kernel finds it by grid, and it
-    is freed with the last of those runs.
+    fields in 3-d, 17 and 6 in 2-d, made in the first step) for as long
+    as it lives, shared with every live run on an equal grid; the kernel
+    finds it by grid, and it is freed with the last of those runs.
     """
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):

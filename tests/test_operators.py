@@ -639,6 +639,7 @@ class TestKernelBuffers:
         for d, n in [(2, 8), (2, 16), (3, 8), (2, 8)]:
             cfg = replace(small_data_config(0, t_end=0.2, n=n), d=d, s=None)
             sim = Simulation(cfg)
+            assert "phys" not in vars(sim._kernel_scratch)  # made in the first step
             sim.advance()
             refs.append(weakref.ref(sim._kernel_scratch))
             assert [ref() is not None for ref in refs] == [False] * (len(refs) - 1) + [True]
