@@ -13,6 +13,15 @@ The grid also carries the masks everybody needs, on the half spectrum: the
 set of usable modes (the unpaired Nyquist lines ``|m_i| = n/2`` are
 excluded), and the sharp 2/3-rule mask used to dealias quadratic products.
 
+Every wavenumber table is built from the integer wavenumbers of each axis
+(``axis_modes``).  The half-spectrum tables (``k_int``, ``k``, ``k2``,
+``kmag``, the masks, ``multiplicity`` and ``shells``) are formed on first
+read, by the fields, the snapshots and the half-spectrum ledger row.  A run
+reads only the tables of the 2/3-rule band (``band_k``, ``band_k2``,
+``band_kmag``, ``band_multiplicity`` and its one shell table
+``band_shells``), built straight on the band from its own wavenumbers, each
+with the bits of the band of its half-spectrum table.
+
 Both masks are bands: the modes with ``|m_i| <= M`` on every axis, M =
 ``dealias_radius`` (``n // 3``) for the 2/3 rule and ``mode_radius``
 (``n/2 - 1``) for the usable modes.  A band is also stored compactly, shape
@@ -96,41 +105,122 @@ class TorusGrid:
         #: shape of a stored coefficient array: the half spectrum m_last >= 0
         self.spec_shape = self.shape[:-1] + (self.n // 2 + 1,)
 
-        m = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)
-        mesh = np.meshgrid(*([m] * (d - 1) + [np.arange(n // 2 + 1)]), indexing="ij")
-        #: integer wavevectors on the half spectrum, shape (d,) + spec_shape
-        self.k_int = np.stack(mesh)
-        #: physical wavevectors k = k_scale * k_int
-        self.k = self.k_scale * self.k_int
-        self.k2 = np.sum(self.k * self.k, axis=0)
-        self.kmag = np.sqrt(self.k2)
-
         nyq = n // 2
         #: radius of the band of usable modes (drops the |m_i| = n/2 lines)
         self.mode_radius = nyq - 1
         #: radius of the 2/3-rule band that quadratic products keep
         self.dealias_radius = n // 3
-        #: modes with a resolvable -k partner (drops the |m_i| = n/2 lines)
-        self.mode_mask = np.all(np.abs(self.k_int) != nyq, axis=0)
-        #: sharp 2/3-rule mask for quadratic products
-        self.dealias_mask = (
-            np.all(np.abs(self.k_int) <= n // 3, axis=0) & self.mode_mask
-        )
-        #: Parseval weight of each stored mode: 2 where it also stands for -k
-        self.multiplicity = np.where((self.k_int[-1] > 0) & (self.k_int[-1] < nyq),
-                                     2.0, 1.0)
+
+    def axis_modes(self, radius: int | None = None) -> list[np.ndarray]:
+        """The integer wavenumber at each index of each axis, as int64: of
+        the half spectrum (``radius`` None: FFT order on the leading axes,
+        ``0..n//2`` on the last) or of the compact band of ``radius``
+        (rows ``0..M`` then ``-M..-1`` on the leading axes, ``0..M`` on the
+        last).  Every wavenumber table is built from these."""
+        n, d = self.n, self.d
+        if radius is None:
+            lead = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)
+            last = np.arange(n // 2 + 1, dtype=np.int64)
+        else:
+            lead = np.concatenate((np.arange(radius + 1), np.arange(-radius, 0))).astype(np.int64)
+            last = np.arange(radius + 1, dtype=np.int64)
+        return [lead] * (d - 1) + [last]
+
+    def _multiplicity(self, radius: int | None) -> np.ndarray:
+        """The Parseval weight of each mode of the layout of ``axis_modes``:
+        2 where the stored mode also stands for -k, 1 on the m_last = 0
+        plane and on the Nyquist column."""
+        modes = self.axis_modes(radius)
+        last = modes[-1]
+        weight = np.where((last > 0) & (last < self.n // 2), 2.0, 1.0)
+        shape = tuple(len(m) for m in modes)
+        return np.broadcast_to(weight, shape).astype(np.float64, order="C")
+
+    # ---- half-spectrum tables, formed on first read ------------------------
+
+    @functools.cached_property
+    def k_int(self) -> np.ndarray:
+        """Integer wavevectors on the half spectrum, shape (d,) + spec_shape."""
+        return np.stack(np.meshgrid(*self.axis_modes(), indexing="ij"))
+
+    @functools.cached_property
+    def k(self) -> np.ndarray:
+        """Physical wavevectors k = k_scale * k_int on the half spectrum."""
+        return self.k_scale * self.k_int
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2 on the half spectrum."""
+        return np.sum(self.k * self.k, axis=0)
+
+    @functools.cached_property
+    def kmag(self) -> np.ndarray:
+        """|k| on the half spectrum."""
+        return np.sqrt(self.k2)
+
+    @functools.cached_property
+    def mode_mask(self) -> np.ndarray:
+        """Modes with a resolvable -k partner (drops the |m_i| = n/2 lines)."""
+        return np.all(np.abs(self.k_int) != self.n // 2, axis=0)
+
+    @functools.cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """Sharp 2/3-rule mask for quadratic products."""
+        return np.all(np.abs(self.k_int) <= self.dealias_radius, axis=0) & self.mode_mask
+
+    @functools.cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Parseval weight of each stored mode: 2 where it also stands for -k."""
+        return self._multiplicity(None)
 
     @functools.cached_property
     def shells(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct |k|^2 on the half grid, ascending, and the index of each
         mode's shell, shaped ``spec_shape``: ``shells[0][shells[1]] == k2``.
 
-        Radial tables (the propagator, the dyadic partition) are evaluated
-        once per shell and gathered through the index.
+        Radial tables on the half spectrum (the partition's ``phi_shell``)
+        are evaluated once per shell and gathered through the index.
         """
         k2, inverse = np.unique(self.k2, return_inverse=True)
         # the shape of the inverse differs across numpy 2.0.x releases
         return k2, inverse.reshape(self.spec_shape)
+
+    # ---- 2/3-band tables, the ones a run reads ----------------------------
+
+    @functools.cached_property
+    def band_k(self) -> np.ndarray:
+        """``k`` on the 2/3-rule band, shape ``(d,) + band_shape(
+        dealias_radius)``, built from the band's own wavenumbers: the bits
+        of ``to_band(k, dealias_radius)``."""
+        modes = self.axis_modes(self.dealias_radius)
+        return self.k_scale * np.stack(np.meshgrid(*modes, indexing="ij"))
+
+    @functools.cached_property
+    def band_k2(self) -> np.ndarray:
+        """``k2`` on the 2/3-rule band, by the same sum as ``k2``."""
+        return np.sum(self.band_k * self.band_k, axis=0)
+
+    @functools.cached_property
+    def band_kmag(self) -> np.ndarray:
+        """``kmag`` on the 2/3-rule band."""
+        return np.sqrt(self.band_k2)
+
+    @functools.cached_property
+    def band_multiplicity(self) -> np.ndarray:
+        """``multiplicity`` on the 2/3-rule band."""
+        return self._multiplicity(self.dealias_radius)
+
+    @functools.cached_property
+    def band_shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct |k|^2 on the 2/3-rule band, ascending, and the index of
+        each band mode's shell, shaped ``band_shape(dealias_radius)``.
+
+        The one shell table of a run: the dyadic partition's band tables
+        and the propagator's coefficients (``solver.block_coefficients``)
+        are evaluated once per band shell and gathered through the index.
+        """
+        k2, inverse = np.unique(self.band_k2, return_inverse=True)
+        return k2, inverse.reshape(self.band_shape(self.dealias_radius))
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
         """The m_last = 0 plane of a half-spectrum or band array, reindexed
@@ -290,12 +380,13 @@ class TorusGrid:
         """Largest resolved per-axis wavenumber, in units of k_scale."""
         return self.n / 2.0
 
+    def matches(self, d: int, n: int, period: float) -> bool:
+        """Whether this is the grid of ``d``, ``n`` and ``period`` (to 1e-15)."""
+        return (self.d == d and self.n == n
+                and math.isclose(self.period, period, rel_tol=0.0, abs_tol=1e-15))
+
     def same_as(self, other: "TorusGrid") -> bool:
-        return other is self or (
-            self.d == other.d
-            and self.n == other.n
-            and math.isclose(self.period, other.period, rel_tol=0.0, abs_tol=1e-15)
-        )
+        return other is self or self.matches(other.d, other.n, other.period)
 
     def require_same(self, other: "TorusGrid") -> None:
         if not self.same_as(other):
@@ -343,16 +434,15 @@ def band_leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """The tables of ``leray_tables`` on the 2/3-rule band (``grid.to_band``
     at ``dealias_radius``), for the most recent grid.
 
-    Gathered straight from ``grid.k`` and ``grid.k2``, to the bits of the
-    band of ``leray_tables`` (k = 0, the one mode with ``|k|^2 = 0``, lies
-    in the band), so a run holds no half-spectrum table.  The one band
-    copy: the solver projects its tendencies and each new state with it,
-    and the ledger's band row takes its divergence residual with it.
-    Read-only, since every caller shares them.
+    Built from the grid's band tables ``band_k`` and ``band_k2``, to the
+    bits of the band of ``leray_tables`` (k = 0, the one mode with
+    ``|k|^2 = 0``, lies in the band), so a run forms no half-spectrum
+    table.  The one band copy: the solver projects its tendencies and each
+    new state with it, and the ledger's band row takes its divergence
+    residual with it.  Read-only, since every caller shares them.
     """
-    radius = grid.dealias_radius
-    k2 = grid.to_band(grid.k2, radius)
-    tables = (grid.to_band(grid.k, radius).astype(np.complex128),
+    k2 = grid.band_k2
+    tables = (grid.band_k.astype(np.complex128),
               np.where(k2 == 0.0, 1.0, k2).astype(np.complex128))
     for table in tables:
         table.flags.writeable = False
@@ -361,7 +451,8 @@ def band_leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def derivative_tables(grid: TorusGrid) -> tuple[np.ndarray, ...]:
     """``grid.k[j]`` as complex128 for each axis ``j``, each the smallest
-    table that broadcasts against ``grid.spec_shape`` in long inner loops.
+    table that broadcasts against ``grid.spec_shape`` in long inner loops,
+    built from the axis's wavenumbers (``grid.axis_modes``).
 
     ``k_j`` varies along axis ``j`` only.  On a leading axis before the
     last two (axis 0 in 3-d) its table is ``(n, 1, 1)``: the other axes
@@ -374,11 +465,16 @@ def derivative_tables(grid: TorusGrid) -> tuple[np.ndarray, ...]:
     few KB each in 3-d (34 KB at n = 64) and 133 KB at d=2, n=128.
     """
     d = grid.d
+    modes = grid.axis_modes()
+    last_two = grid.spec_shape[-2:]
     tables = []
     for j in range(d):
+        k_j = grid.k_scale * modes[j]
         if j < d - 2:
-            index = tuple(slice(None) if a == j else slice(0, 1) for a in range(d))
+            table = k_j.reshape((1,) * j + (-1,) + (1,) * (d - 1 - j))
+        elif j == d - 2:
+            table = np.broadcast_to(k_j[:, None], last_two)
         else:
-            index = (0,) * (d - 2)
-        tables.append(grid.k[j][index].astype(np.complex128))
+            table = np.broadcast_to(k_j, last_two)
+        tables.append(table.astype(np.complex128, order="C"))
     return tuple(tables)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .fields import ScalarField, SpectralField, VectorField
 from .grid import TorusGrid
-from .operators import advect, l2_norm, mode_sq, mode_sq_coeffs
+from .operators import advect, l2_norm, mode_sq
 
 CHI_SUPPORT = (0.75, 4.0 / 3.0)
 PHI_SUPPORT = (0.75, 8.0 / 3.0)
@@ -85,13 +85,16 @@ class DyadicPartition:
     ``q_min`` is the lowest block with any support on resolved modes and
     ``q_max = ceil(log2(8/3 * k_nyquist))``; blocks beyond the corner modes
     are stored but identically zero.  ``phi`` is radial, so it is evaluated
-    and kept once per distinct |k|^2 (``grid.shells``), shape
-    ``(nq, n_shells)``, and gathered to the modes on demand
-    (``phi_mults``, ``phi_weights``), with the same values to the bit as an
-    evaluation at every mode.  The one per-mode table kept is the squared
-    multiplier times the Parseval weight, which ``block_l2_norms``
-    contracts with; ``layout_tables`` gathers it and ``|k|^2`` to the
-    2/3-rule band on first use.
+    once per distinct |k|^2 of a layout and gathered to its modes, with the
+    same values to the bit as an evaluation at every mode.  The one
+    per-mode table built with the partition is on the 2/3-rule band, where
+    every state of a run lies: the squared multiplier times the Parseval
+    weight, which ``block_l2_norms`` contracts band magnitudes with,
+    evaluated on the grid's band shells (``grid.band_shells``, which the
+    propagator's coefficients share).  The half-spectrum tables, ``phi``
+    per shell of the half grid (``phi_shell``, shape ``(nq, n_shells)``)
+    and its Parseval-weighted square (``_phi_sq``), are formed on first
+    read; ``phi_mults`` and ``phi_weights`` gather from them.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -100,30 +103,39 @@ class DyadicPartition:
         self.q_min = math.ceil(math.log2(3.0 / 8.0 * kmin))
         self.q_max = math.ceil(math.log2(8.0 / 3.0 * grid.k_scale * grid.k_nyquist))
         self.q_values = np.arange(self.q_min, self.q_max + 1)
-        k2, inverse = grid.shells
-        scaled = np.sqrt(k2) / (2.0 ** self.q_values[:, None])
-        #: phi at every shell and block, shape (nq, n_shells)
-        self.phi_shell = phi_profile(scaled)
-        # squared multipliers with the Parseval weight of each stored mode
-        self._phi_sq = np.take(self.phi_shell**2, inverse, axis=1) * grid.multiplicity
+        k2, inverse = grid.band_shells
+        # the squared multipliers with the Parseval weight of each band mode
+        self._band_phi_sq = (np.take(self._phi_at(k2) ** 2, inverse, axis=1)
+                             * grid.band_multiplicity)
         self._chi_cache: dict[int, np.ndarray] = {}
 
+    def _phi_at(self, k2: np.ndarray) -> np.ndarray:
+        """phi of every block at the squared wavenumbers ``k2``, shape
+        ``(nq,) + k2.shape``."""
+        return phi_profile(np.sqrt(k2) / (2.0 ** self.q_values[:, None]))
+
     @functools.cached_property
-    def _band_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def phi_shell(self) -> np.ndarray:
+        """phi at every shell of the half grid and block, shape
+        ``(nq, n_shells)``."""
+        return self._phi_at(self.grid.shells[0])
+
+    @functools.cached_property
+    def _phi_sq(self) -> np.ndarray:
+        """The squared multipliers with the Parseval weight of each stored
+        mode, on the half spectrum."""
         grid = self.grid
-        radius = grid.dealias_radius
-        return grid.to_band(self._phi_sq, radius), grid.to_band(grid.k2, radius)
+        return np.take(self.phi_shell**2, grid.shells[1], axis=1) * grid.multiplicity
 
     def layout_tables(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """``(phi^2 * multiplicity, |k|^2)`` on the layout of per-mode
         arrays of trailing ``shape``: the half spectrum (``spec_shape``) or
-        the 2/3-rule band (``band_shape(dealias_radius)``), whose tables are
-        gathered from the half-spectrum ones once per partition."""
+        the 2/3-rule band (``band_shape(dealias_radius)``)."""
         grid = self.grid
         if shape == grid.spec_shape:
             return self._phi_sq, grid.k2
         if shape == grid.band_shape(grid.dealias_radius):
-            return self._band_tables
+            return self._band_phi_sq, grid.band_k2
         raise ValueError(f"per-mode arrays of shape {shape} are neither the half "
                          f"spectrum {grid.spec_shape} nor the 2/3-rule band")
 
@@ -221,25 +233,6 @@ def block_l2_norms(f: SpectralField | np.ndarray,
     vals = sq.reshape(-1, phi_sq.shape[1]) @ phi_sq.T
     norms = np.sqrt(vals * grid.volume)
     return norms if sq.ndim > grid.d else norms[0]
-
-
-def band_block_l2_norms(c: np.ndarray, weights: np.ndarray, partition: DyadicPartition,
-                        gradient_weight: bool = False) -> np.ndarray:
-    """``block_l2_norms`` of the field whose coefficient rows on the
-    2/3-rule band are ``c``, with the component ``weights``, to the bits of
-    the norms of its half-spectrum field.
-
-    The per-mode magnitudes (``mode_sq_coeffs``) are written into zeros of
-    the half-spectrum layout and summed there, in its order:
-    ``block_l2_norms`` of band magnitudes sums in the band's order, which
-    agrees only to rounding.  A call holds one real half-spectrum array.
-    """
-    grid = partition.grid
-    sq = mode_sq_coeffs(c, weights)
-    full = np.zeros(grid.spec_shape)
-    for spec, band in grid.band_slabs(grid.dealias_radius):
-        full[spec] = sq[band]
-    return block_l2_norms(full, partition, gradient_weight)
 
 
 def hybrid_weights(q_values: np.ndarray, s: float, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -39,8 +39,9 @@ runs a twin pair of trajectories and fits the exponential envelope of
 their squared Hs distance against the measured Gronwall weight.  It draws
 its initial band and its perturbation direction once, on the 2/3-rule band
 (the direction cut at the config's Friedrichs radius like the initial
-data), starts both twin pairs from them, and samples the distance and the
-weight from the runs' bands, with the bits of the half-spectrum norms.
+data), starts both twin pairs from them on one grid, and samples the
+distance and the weight from the runs' bands, in the band's summation
+order: the half-spectrum norms to rounding.
 """
 
 from __future__ import annotations
@@ -55,13 +56,7 @@ import numpy as np
 
 from .fields import SymTensorField, VectorField, divergence_residual_coeffs
 from .grid import TorusGrid, band_leray_tables, leray_tables
-from .littlewood_paley import (
-    band_block_l2_norms,
-    besov_from_blocks,
-    block_l2_norms,
-    build_partition,
-    hybrid_weights,
-)
+from .littlewood_paley import besov_from_blocks, block_l2_norms, build_partition, hybrid_weights
 from .operators import mode_sq_coeffs
 from .solver import (
     ConfigError,
@@ -360,26 +355,31 @@ def check_global_bound(ledger: EnergyLedger) -> dict:
 def _distance_sq(x1: np.ndarray, x2: np.ndarray, partition, s: float,
                  params: FluidParams) -> float:
     """omega Re ||u1 - u2||_Hs^2 + We ||tau1 - tau2||_Hs^2 of two stacked
-    bands, to the bits of ``hs_norm`` of the half-spectrum differences."""
+    bands: ``hs_norm`` of the half-spectrum differences, summed in the
+    band's order (equal to rounding)."""
     d, q = partition.grid.d, partition.q_values
     w_u, w_tau = VectorField.weights_for(d), SymTensorField.weights_for(d)
     diff = x1 - x2
-    hs_u = besov_from_blocks(band_block_l2_norms(diff[:d], w_u, partition), q, s, 2.0)
-    hs_tau = besov_from_blocks(band_block_l2_norms(diff[d:], w_tau, partition), q, s, 2.0)
+    hs_u = besov_from_blocks(block_l2_norms(mode_sq_coeffs(diff[:d], w_u), partition), q, s, 2.0)
+    hs_tau = besov_from_blocks(block_l2_norms(mode_sq_coeffs(diff[d:], w_tau), partition),
+                               q, s, 2.0)
     return params.omega * params.re * hs_u**2 + params.we * hs_tau**2
 
 
 def _gronwall_weight(x1: np.ndarray, x2: np.ndarray, partition,
                      params: FluidParams) -> float:
     """Measured weight ||grad u1||_B + omega Re ||u2||_B^2 + We ||tau2||_B^2
-    of two stacked bands, with B the l1 Besov space at regularity d/2, to
-    the bits of ``besov_norm`` and ``block_l2_norms`` of the fields."""
+    of two stacked bands, with B the l1 Besov space at regularity d/2:
+    ``besov_norm`` and ``block_l2_norms`` of the fields, summed in the
+    band's order (equal to rounding)."""
     d, q = partition.grid.d, partition.q_values
     w_u, w_tau = VectorField.weights_for(d), SymTensorField.weights_for(d)
     w = 2.0 ** (q * d / 2.0)
-    gu1 = float(np.sum(w * band_block_l2_norms(x1[:d], w_u, partition, gradient_weight=True)))
-    bu2 = besov_from_blocks(band_block_l2_norms(x2[:d], w_u, partition), q, d / 2.0)
-    btau2 = besov_from_blocks(band_block_l2_norms(x2[d:], w_tau, partition), q, d / 2.0)
+    gu1 = float(np.sum(w * block_l2_norms(mode_sq_coeffs(x1[:d], w_u), partition,
+                                          gradient_weight=True)))
+    bu2 = besov_from_blocks(block_l2_norms(mode_sq_coeffs(x2[:d], w_u), partition), q, d / 2.0)
+    btau2 = besov_from_blocks(block_l2_norms(mode_sq_coeffs(x2[d:], w_tau), partition),
+                              q, d / 2.0)
     return gu1 + params.omega * params.re * bu2**2 + params.we * btau2**2
 
 
@@ -440,8 +440,11 @@ def stability_experiment(config, delta: float) -> dict:
     ball) from the config seed plus 7919, so rescaling delta rescales the
     initial distance exactly quadratically.  The initial band and the
     direction are drawn once, on the 2/3-rule band, and both twin pairs
-    start from them; the runs are sampled from their bands, so no half
-    spectrum is formed.
+    start from them, every run on the initial state's grid; the runs are
+    sampled from their bands with the partition's band tables, so no half
+    spectrum and no half-spectrum table is formed.  The samples are the
+    half-spectrum norms of the fields (``hs_norm``, ``besov_norm``) to
+    the rounding of the band's summation order.
     A sample whose distance or weight is not finite (a diverging pair
     overflows their squares) raises ``DivergenceError`` for ``distance``.
     """

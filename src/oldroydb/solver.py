@@ -34,10 +34,12 @@ read-only band, and ``simulate`` takes each ledger row from it
 (``EnergyLedger.update_band``).  ``rhs_nonlinear`` is the same tendency
 for half-spectrum fields, whose band it gathers first.  The half-spectrum
 fields ``u`` and ``tau`` of a state, zero outside the band, are formed
-only when read.  Set-up is on the band as well: ``random_band`` draws the
-initial data straight onto it, one component at a time, to the bits of the
-band of the half-spectrum recipe, and ``Simulation(config)`` starts from
-the state of that band (``make_initial_state``).
+only when read.  Set-up is on the band as well: every table a run reads
+is built on the band (``grid.band_k``, ``grid.band_shells``, ...),
+``random_band`` draws the initial data straight onto it, one component at
+a time, the band of the half-spectrum recipe to the rounding of its norm,
+and ``Simulation(config)`` starts from the state of that band
+(``make_initial_state``).
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ import numpy as np
 
 from .fields import SymTensorField, VectorField
 from .grid import GridError, TorusGrid, band_leray_tables, period_scales
-from .littlewood_paley import band_block_l2_norms, build_partition, hybrid_from_blocks
-from .operators import kernel_scratch, leray_coeffs, quadratic_terms
+from .littlewood_paley import block_l2_norms, build_partition, hybrid_from_blocks
+from .operators import kernel_scratch, leray_coeffs, mode_sq_coeffs, quadratic_terms
 
 
 class ConfigError(ValueError):
@@ -369,12 +371,15 @@ def _real_generators(k2: np.ndarray, params: FluidParams) -> np.ndarray:
     return gen
 
 
-def block_coefficients(k2: np.ndarray, params: FluidParams, dt: float) -> np.ndarray:
+def block_coefficients(shells: tuple[np.ndarray, np.ndarray], params: FluidParams,
+                       dt: float) -> np.ndarray:
     """Per-mode coefficients (e_uu, e_uz, g_u, g_z, decay) of the linear step
-    at the squared wavenumbers ``k2`` (any layout, e.g. the 2/3-rule band of
-    ``grid.k2``).
+    on a layout given by its shell table ``shells = (k2, index)``: the
+    distinct |k|^2, ascending, and the shell of each mode, as
+    ``np.unique(..., return_inverse=True)`` gives them (``grid.band_shells``
+    on the 2/3-rule band, ``grid.shells`` on the half spectrum).
 
-    Shape ``(5,) + k2.shape``, complex, zero where ``k2 == 0`` (see
+    Shape ``(5,) + index.shape``, complex, zero where |k|^2 is 0 (see
     ``LinearPropagator``).  A third row w' = u - b w carries the Duhamel
     integral of the drive, so one 3x3 exponential per distinct |k|^2 gives
     every coefficient (double root and a == b included); each matrix comes
@@ -388,26 +393,25 @@ def block_coefficients(k2: np.ndarray, params: FluidParams, dt: float) -> np.nda
     imaginary.  Raises ``ConfigError`` if ``dt`` is so large that the
     generator or the coefficients are not finite.
     """
-    shells, inverse = np.unique(k2, return_inverse=True)
+    k2, inverse = shells
     # the k = 0 shell stays zero: its generator has an eigenvalue 0, and a
     # rounding error there would grow through every squaring
-    zero = int(shells[0] == 0.0)
-    shells = shells[zero:]
+    zero = int(k2[0] == 0.0)
+    k2 = k2[zero:]
     with np.errstate(over="ignore"):
-        gen = _real_generators(shells, params) * float(dt)
+        gen = _real_generators(k2, params) * float(dt)
     if not np.all(np.isfinite(gen)):
         raise ConfigError(f"dt = {dt} overflows the linear generator")
     with np.errstate(over="ignore", invalid="ignore"):
         ex = _expm_batch(gen)
     # exp(G)[r, c] = ex[r, c] D_r / D_c, and the drive is i omega |k|/We
-    drive = params.omega * np.sqrt(shells) / params.we
-    table = np.zeros((5, zero + shells.size), dtype=np.complex128)
+    drive = params.omega * np.sqrt(k2) / params.we
+    table = np.zeros((5, zero + k2.size), dtype=np.complex128)
     table.real[[0, 3, 4], zero:] = (ex[:, 0, 0], drive * ex[:, 2, 1], ex[:, 2, 2])
     table.imag[[1, 2], zero:] = (-ex[:, 0, 1], drive * ex[:, 2, 0])
     if not np.all(np.isfinite(table)):
         raise ConfigError(f"dt = {dt} gives non-finite linear-step coefficients")
-    # the shape of the inverse differs across numpy 2.0.x releases
-    return np.take(table, inverse.reshape(k2.shape), axis=1)
+    return np.take(table, inverse, axis=1)
 
 
 #: rows of the propagator's coefficient table, in the order of
@@ -423,9 +427,10 @@ class LinearPropagator:
     a = (1-omega)|k|^2/Re and b = 1/We, and tau relaxes at rate b under the
     drive (i omega/We) sym(k (x) u).  The tables are held on the band,
     ``(5,) + grid.band_shape(grid.dealias_radius)`` and ``(d,) + ...``, and
-    built from the band's own |k|^2 shells: every state ``Simulation``
-    steps lies there.  The five coefficients of ``block_coefficients`` and
-    the unit wavevector ``khat`` are stored as complex128, so no product in
+    built from the grid's band tables and its band shells
+    (``grid.band_shells``): every state ``Simulation`` steps lies there.
+    The five coefficients of ``block_coefficients`` and the unit
+    wavevector ``khat`` are stored as complex128, so no product in
     ``apply`` makes numpy cast a real table to complex chunk by chunk.  The
     exactly imaginary e_uz and g_u are stored as ``1j * x`` of their
     imaginary parts x: the sign of that product's zero real part (-0 where
@@ -434,14 +439,11 @@ class LinearPropagator:
 
     def __init__(self, grid: TorusGrid, params: FluidParams, dt: float):
         self.grid = grid
-        radius = grid.dealias_radius
-        k2 = grid.to_band(grid.k2, radius)
-        coeffs = block_coefficients(k2, params, dt)
+        coeffs = block_coefficients(grid.band_shells, params, dt)
         np.multiply(1j, coeffs[1:3].imag, out=coeffs[1:3])
         self._coeffs = coeffs
-        self._khat = np.zeros((grid.d,) + k2.shape, np.complex128)
-        np.divide(grid.to_band(grid.k, radius), np.sqrt(k2), out=self._khat.real,
-                  where=k2 > 0.0)
+        self._khat = np.zeros(grid.band_k.shape, np.complex128)
+        np.divide(grid.band_k, grid.band_kmag, out=self._khat.real, where=grid.band_k2 > 0.0)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance a stacked array on the 2/3-rule band, ``(d + nt,) +
@@ -516,15 +518,15 @@ def build_propagator(grid: TorusGrid, params: FluidParams, dt: float) -> LinearP
 def _rhs_tables(grid: TorusGrid, friedrichs_n: float | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The band Leray tables (``band_leray_tables``) and the Friedrichs
-    multiplier (None without a cutoff), complex and gathered to the
-    2/3-rule band, for the most recent grid and cutoff: the tendencies and
-    each new state are projected with them.  A cast of the real multiplier
-    gives the same zero imaginary part, so the products keep their bits.
-    Read-only, since every step shares them."""
+    multiplier (None without a cutoff), complex, on the 2/3-rule band, for
+    the most recent grid and cutoff: the tendencies and each new state are
+    projected with them.  The multiplier is ``friedrichs_mask`` on the band
+    (from ``grid.band_kmag``); a cast of the real mask gives the same zero
+    imaginary part, so the products keep their bits.  Read-only, since
+    every step shares them."""
     cutoff = None
     if friedrichs_n is not None:
-        cutoff = grid.to_band(friedrichs_mask(grid, friedrichs_n).astype(np.complex128),
-                              grid.dealias_radius)
+        cutoff = (grid.band_kmag / grid.k_scale <= friedrichs_n).astype(np.complex128)
         cutoff.flags.writeable = False
     return band_leray_tables(grid) + (cutoff,)
 
@@ -648,11 +650,14 @@ def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
     ``grid.forward_band`` into their row, with the bits of ``rfftn``
     there.  The mean is pinned, the mask of ``band`` applied (it lies in
     the 2/3-rule band, as the dealiased products need), u projected
-    (``band_leray_tables``) and both cut; the hybrid norms sum the band's
-    magnitudes in the half-spectrum order (``band_block_l2_norms``).  So
-    the band has the bits of the band of that recipe on the half spectrum,
-    whose modes outside it are zero.  A call holds the band, one physical
-    component and one half-spectrum component.
+    (``band_leray_tables``) and both cut, with the grid's band tables.  The
+    hybrid norms of the scaling contract the band's magnitudes
+    (``mode_sq_coeffs``) with the partition's band tables
+    (``block_l2_norms``), in the band's summation order, the one order of
+    every norm a run takes.  So the band is the band of that recipe on the
+    half spectrum, whose modes outside it are zero, to the rounding of the
+    norms' sums: a few eps of its largest coefficient.  A call holds the
+    band, one physical component and one half-spectrum component.
     """
     rng = np.random.default_rng(seed)
     d, radius = grid.d, grid.dealias_radius
@@ -666,7 +671,7 @@ def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
     # the 0/1 masks multiply as complex tables, row by row (a broadcasting
     # product copies the rows); the cast of a real one gives the same zero
     # imaginary part, so the products have the bits of ``apply_multiplier``
-    mag = grid.to_band(grid.kmag, radius) / grid.k_scale
+    mag = grid.band_kmag / grid.k_scale
     keep = ((mag >= band[0]) & (mag <= band[1])).astype(np.complex128)
     for row in x:
         row *= keep
@@ -676,7 +681,8 @@ def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
         for row in x:
             row *= keep
     part = build_partition(grid)
-    norm = sum(hybrid_from_blocks(band_block_l2_norms(rows, w, part), part.q_values, s, d)[0]
+    norm = sum(hybrid_from_blocks(block_l2_norms(mode_sq_coeffs(rows, w), part),
+                                  part.q_values, s, d)[0]
                for rows, w in ((x[:d], VectorField.weights_for(d)),
                                (x[d:], SymTensorField.weights_for(d))))
     x *= size / norm if norm > 0 else 0.0
@@ -709,6 +715,8 @@ class Simulation:
     The first state is the given ``state``, which must lie on the config's
     grid (else ``GridError``), or ``make_initial_state`` of the config.  It
     is held as it is: no field is formed and its band is never written.
+    The run steps on the state's own grid, so runs started from states of
+    one grid (a twin pair) share it and the tables it forms.
 
     A nonlinear run holds its grid's kernel scratch
     (``operators.kernel_scratch``: 27 sample rows and 6 half-spectrum
@@ -719,9 +727,11 @@ class Simulation:
 
     def __init__(self, config: SolverConfig, state: SolverState | None = None):
         self.config = config
-        self.grid = grid = TorusGrid(config.d, config.n, config.period)
-        self.state = make_initial_state(config, grid) if state is None else state
-        grid.require_same(self.state.grid)
+        self.state = make_initial_state(config) if state is None else state
+        self.grid = grid = self.state.grid
+        if not grid.matches(config.d, config.n, config.period):
+            raise GridError(f"grid mismatch: ({config.d},{config.n},{float(config.period)}) "
+                            f"vs ({grid.d},{grid.n},{grid.period})")
         self._t0, self._step0 = self.state.t, self.state.step_index
         self.propagator = build_propagator(grid, config.params, config.dt)
         self._prev_rhs: np.ndarray | None = None
@@ -748,10 +758,14 @@ class Simulation:
 
         The new band starts as the AB2 increment of the tendencies ``n``
         (``rhs_band`` of the state's band, which the kernel reads as it
-        is), to which the state's band is added: the midpoint.  It
-        then takes the linear step in place (``apply(mid, out=mid)``), the
-        finiteness check and the Leray projection; the tendencies are
-        propagated in place too and kept as ``_prev_rhs``.  A linear step
+        is), to which the state's band is added: the midpoint.  After the
+        first step the increment is formed over the previous tendencies,
+        row by row through one component scratch, so the new band takes
+        their array and a step allocates no band of its own beyond the
+        kernel's result.  It then takes the linear step in place
+        (``apply(mid, out=mid)``), the finiteness check and the Leray
+        projection; the tendencies are propagated in place too and kept as
+        ``_prev_rhs``.  A linear step
         propagates the state's band into a fresh array.  No earlier band is
         written, since a returned state may be kept.  The step runs with
         numpy's overflow and invalid-value warnings off: a diverging step
@@ -773,11 +787,14 @@ class Simulation:
                 if prev is None:
                     x = n * dt
                 else:
-                    # element by element the bits of dt * (1.5 n - 0.5 prev)
-                    x = n * 1.5
+                    # element by element the bits of dt * (1.5 n - 0.5 prev),
+                    # formed over prev, whose band it takes: the step
+                    # allocates no band for its midpoint
                     prev *= 0.5
-                    x -= prev
-                    del prev
+                    comp = np.empty_like(n[0])
+                    for n_row, prev_row in zip(n, prev):
+                        np.subtract(np.multiply(n_row, 1.5, out=comp), prev_row, out=prev_row)
+                    x, prev = prev, None
                     x *= dt
                 x += st.band
                 self._prev_rhs = prop.apply(n, out=n)

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from oldroydb.grid import GridError, TorusGrid, band_leray_tables, leray_tables
+from oldroydb import solver
+from oldroydb.grid import (
+    GridError,
+    TorusGrid,
+    band_leray_tables,
+    derivative_tables,
+    leray_tables,
+)
+from oldroydb.littlewood_paley import DyadicPartition
+from oldroydb.solver import FluidParams, LinearPropagator, block_coefficients, friedrichs_mask
 from spectral_checks import coords
+
+PARAMS = FluidParams(re=2.0, we=0.5, omega=0.3, alpha=0.5)
 
 
 @pytest.mark.parametrize("d,n", [(1, 32), (4, 32), (2, 31), (2, 4), (2, 0)])
@@ -54,6 +65,69 @@ def test_band_leray_tables_are_the_band_of_the_half_spectrum_tables(d, n, period
         want = grid.to_band(full, grid.dealias_radius)
         assert table.dtype == want.dtype and not table.flags.writeable
         np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
+
+
+def _band_and_half_tables(grid):
+    """Every per-mode table a run reads, by name, with the half-spectrum
+    table whose band it is."""
+    part = DyadicPartition(grid)
+    prop = LinearPropagator(grid, PARAMS, 0.05)
+    full_coeffs = block_coefficients(grid.shells, PARAMS, 0.05)
+    np.multiply(1j, full_coeffs[1:3].imag, out=full_coeffs[1:3])
+    full_khat = np.zeros(grid.k.shape, np.complex128)
+    np.divide(grid.k, grid.kmag, out=full_khat.real, where=grid.k2 > 0.0)
+    values, index = grid.band_shells
+    cutoff = friedrichs_mask(grid, 2.5).astype(np.complex128)
+    return {
+        "band_k": (grid.band_k, grid.k),
+        "band_k2": (grid.band_k2, grid.k2),
+        "band_kmag": (grid.band_kmag, grid.kmag),
+        "band_multiplicity": (grid.band_multiplicity, grid.multiplicity),
+        "band_shells": (values[index], grid.k2),
+        "partition": (part.layout_tables(index.shape)[0], part._phi_sq),
+        "propagator coefficients": (prop._coeffs, full_coeffs),
+        "propagator khat": (prop._khat, full_khat),
+        "band Leray k": (band_leray_tables(grid)[0], leray_tables(grid)[0]),
+        "band Leray k2": (band_leray_tables(grid)[1], leray_tables(grid)[1]),
+        "Friedrichs cutoff": (solver._rhs_tables(grid, 2.5)[2], cutoff),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("period", [2 * np.pi, 3.0])
+def test_band_tables_are_the_band_of_the_half_spectrum_tables(d, n, period):
+    # each table a run reads is built on the 2/3 band, from the band's own
+    # wavenumbers and shells, with the bits of the band of its
+    # half-spectrum table
+    grid = TorusGrid(d, n, period)
+    band_leray_tables.cache_clear()
+    solver._rhs_tables.cache_clear()
+    radius = grid.dealias_radius
+    for name, (band, full) in _band_and_half_tables(grid).items():
+        want = grid.to_band(full, radius)
+        assert band.shape == want.shape and band.dtype == want.dtype, name
+        assert band.flags.c_contiguous, name
+        np.testing.assert_array_equal(band.view(np.uint8), want.view(np.uint8), err_msg=name)
+    # one shell table per grid, in ascending order, with every shell used
+    values, index = grid.band_shells
+    assert grid.band_shells is grid.band_shells
+    assert np.all(np.diff(values) > 0.0) and len(np.unique(index)) == len(values)
+    # the kernel's derivative tables are the half-spectrum k_j on the
+    # broadcast shape
+    for j, table in enumerate(derivative_tables(grid)):
+        got = np.broadcast_to(table, grid.spec_shape).copy()
+        assert table.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint8),
+                                      grid.k[j].astype(np.complex128).view(np.uint8))
+
+
+def test_half_spectrum_tables_are_formed_on_first_read():
+    grid = TorusGrid(3, 16)
+    half = ("k_int", "k", "k2", "kmag", "mode_mask", "dealias_mask", "multiplicity", "shells")
+    assert not set(half) & set(vars(grid))
+    assert grid.k2 is grid.k2 and grid.multiplicity.shape == grid.spec_shape
+    assert {"k_int", "k", "k2", "multiplicity"} <= set(vars(grid))
 
 
 def test_dealias_mask_is_two_thirds_rule(grid2):

@@ -99,11 +99,22 @@ class TestPartition:
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_one_per_mode_table(self, d, n):
+        # the one per-mode table a partition is built with lies on the 2/3
+        # band; its half-spectrum tables are formed on first read
         grid = TorusGrid(d, n)
         part = DyadicPartition(grid)
-        per_mode = [name for name, value in vars(part).items()
-                    if isinstance(value, np.ndarray) and value.shape[-d:] == grid.spec_shape]
-        assert per_mode == ["_phi_sq"]
+        band = grid.band_shape(grid.dealias_radius)
+
+        def per_mode():
+            return {name: value.shape for name, value in vars(part).items()
+                    if isinstance(value, np.ndarray)
+                    and value.shape[-d:] in (grid.spec_shape, band)}
+
+        assert per_mode() == {"_band_phi_sq": (part.nq,) + band}
+        assert "phi_shell" not in vars(part)
+        assert part.layout_tables(grid.spec_shape)[0] is part._phi_sq
+        assert per_mode() == {"_band_phi_sq": (part.nq,) + band,
+                              "_phi_sq": (part.nq,) + grid.spec_shape}
         assert part.phi_shell.shape == (part.nq, len(grid.shells[0]))
 
     def test_q_range(self):

@@ -443,6 +443,12 @@ class TestGlobalBound:
         assert np.max(e) <= kappa2 * e[0] * (1.0 + 1e-8)
 
 
+#: largest relative move of a twin sample from the field formulas, in eps:
+#: the band norms sum in the band's order (1.2 measured here, up to 2 ulp;
+#: 1.5 at d=3, n=16)
+TWIN_ROUNDING = 2.0
+
+
 def _distance_sq_of_fields(u1, u2, tau1, tau2, s, params):
     """The twin distance from half-spectrum fields: the oracle of the band
     form that ``stability_experiment`` samples."""
@@ -496,8 +502,10 @@ class TestStability:
                              [(2, 16, None, False), (2, 16, None, True), (3, 8, 2.5, True)])
     def test_twin_samples_are_the_field_formulas_bitwise(self, monkeypatch, d, n,
                                                          friedrichs_n, nonlinear):
-        # the pair is sampled from its bands, forming no half spectrum, with
-        # the bits of the field formulas on the fields of both runs
+        # the pair is sampled from its bands, forming no half spectrum: the
+        # field formulas on the fields of both runs, to the rounding of the
+        # band's summation order (bitwise while the band norms summed in
+        # the half-spectrum order)
         cfg = SolverConfig(d=d, n=n, dt=0.05, t_end=0.2, params=PARAMS, s=-0.25,
                            friedrichs_n=friedrichs_n, output_stride=2, nonlinear=nonlinear,
                            init=InitSpec(amplitude=1e-2, band=(1.0, 4.0), seed=3))
@@ -534,8 +542,10 @@ class TestStability:
                 dist.append(_distance_sq_of_fields(st1.u, st2.u, st1.tau, st2.tau,
                                                    -0.25, PARAMS))
                 weight.append(_gronwall_weight_of_fields(st1.u, st2.u, st2.tau, PARAMS))
-        assert rep["distance_sq"] == dist and dist[0] > 0.0
-        assert rep["gronwall_weight"] == weight
+        rtol = TWIN_ROUNDING * np.finfo(np.float64).eps
+        np.testing.assert_allclose(rep["distance_sq"], dist, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(rep["gronwall_weight"], weight, rtol=rtol, atol=0.0)
+        assert dist[0] > 0.0
 
     def test_perturbed_run_starts_in_the_friedrichs_ball(self, monkeypatch):
         # the direction is cut like the initial data, so with a cutoff both

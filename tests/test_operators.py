@@ -506,6 +506,13 @@ class TestKernelBuffers:
     """``quadratic_terms`` forms its products in the sample rows of a
     scratch that lives while a run holds it."""
 
+    @pytest.fixture(autouse=True)
+    def own_registry(self, monkeypatch):
+        # each test sees only the scratches its own runs make: a run that
+        # an earlier test left alive (a failed test's traceback holds its
+        # frames) keeps its scratch in the process-wide registry
+        monkeypatch.setattr(operators, "_held_scratch", weakref.WeakValueDictionary())
+
     @staticmethod
     def _state(grid, seed):
         """The stacked 2/3 band of a random divergence-free u and a tau."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oldroydb import solver
+from oldroydb import monitor, solver
 from oldroydb.fields import (
     SymTensorField,
     VectorField,
@@ -17,7 +17,7 @@ from oldroydb.fields import (
     random_vector,
 )
 from oldroydb.grid import GridError, TorusGrid, leray_tables
-from oldroydb.littlewood_paley import hybrid_norm
+from oldroydb.littlewood_paley import build_partition, hybrid_norm
 from oldroydb.operators import advect, g_alpha, inner_product, l2_norm, leray_project
 from oldroydb.solver import (
     ConfigError,
@@ -215,6 +215,14 @@ def _band_k(grid):
     return grid.to_band(grid.k, radius), grid.to_band(grid.k2, radius)
 
 
+def _shells(k2):
+    """The shell table of the squared wavenumbers ``k2`` that
+    ``block_coefficients`` takes: the distinct values and each mode's
+    index."""
+    values, index = np.unique(k2, return_inverse=True)
+    return values, index.reshape(k2.shape)
+
+
 def _random_spectrum(grid, rng):
     """Complex Gaussian coefficients at every mode of the half spectrum,
     stacked: divergence-free u and arbitrary tau (not Hermitian; the
@@ -252,7 +260,7 @@ def _complex_form_apply(grid, params, dt, x):
     """``LinearPropagator.apply`` with the five coefficients kept complex."""
     u, tau = x[:grid.d], x[grid.d:]
     k, k2 = _band_k(grid)
-    e_uu, e_uz, g_u, g_z, decay = block_coefficients(k2, params, dt)
+    e_uu, e_uz, g_u, g_z, decay = block_coefficients(_shells(k2), params, dt)
     khat = np.divide(k, np.sqrt(k2), out=np.zeros_like(k), where=k2 > 0.0)
     pairs = SymTensorField.pairs(grid.d)
     tk = np.zeros_like(u)
@@ -347,7 +355,7 @@ class TestPropagator:
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_stored_parts_drop_only_zeros(self, d, n):
-        coeffs = block_coefficients(_band_k(TorusGrid(d, n))[1], SKEWED, 0.05)
+        coeffs = block_coefficients(_shells(_band_k(TorusGrid(d, n))[1]), SKEWED, 0.05)
         # e_uu, g_z, decay real; e_uz, g_u imaginary
         assert np.all(coeffs[[0, 3, 4]].imag == 0.0)
         assert np.all(coeffs[[1, 2]].real == 0.0)
@@ -472,7 +480,7 @@ class TestPropagator:
         grid = TorusGrid(d, n)
         prop = LinearPropagator(grid, SKEWED, 0.05)
         full = copy.copy(prop)
-        full._coeffs = block_coefficients(grid.k2, SKEWED, 0.05)
+        full._coeffs = block_coefficients(grid.shells, SKEWED, 0.05)
         np.multiply(1j, full._coeffs[1:3].imag, out=full._coeffs[1:3])
         full._khat = np.zeros(grid.k.shape, complex)
         np.divide(grid.k, grid.kmag, out=full._khat.real, where=grid.k2 > 0.0)
@@ -614,12 +622,12 @@ class TestHugeDt:
     def test_non_finite_coefficients_are_a_config_error(self, monkeypatch):
         monkeypatch.setattr(solver, "_expm_batch", lambda a: np.full_like(a, np.inf))
         with pytest.raises(ConfigError, match="dt"):
-            block_coefficients(TorusGrid(2, 16).k2, PARAMS, 0.05)
+            block_coefficients(TorusGrid(2, 16).shells, PARAMS, 0.05)
 
     @pytest.mark.parametrize("dt", [1e3, 1e150])
     def test_large_dt_decays_to_finite_zeros(self, dt):
         # every coefficient underflows: exp(-b dt) and exp(-a dt) are 0
-        coeffs = block_coefficients(TorusGrid(2, 16).k2, PARAMS, dt)
+        coeffs = block_coefficients(TorusGrid(2, 16).shells, PARAMS, dt)
         assert np.all(coeffs == 0.0)
         result = simulate(self._config(dt))
         assert np.all(result.final.u.coeffs == 0.0)
@@ -1123,13 +1131,35 @@ class TestGivenState:
 
 
 class TestSimulate:
-    def test_nonlinear_run_builds_no_half_spectrum_tables(self):
-        # the run's Leray tables and the kernel's derivative tables are
-        # built from the grid itself, not from the half-spectrum tables
-        leray_tables.cache_clear()
-        cfg = replace(small_data_config(0, t_end=0.2, n=16), d=3, s=0.0)
-        simulate(cfg)
-        assert leray_tables.cache_info().currsize == 0
+    def test_nonlinear_run_builds_no_half_spectrum_tables(self, monkeypatch):
+        # a run reads only tables of the 2/3 band, built on it or from the
+        # axes' wavenumbers: the grid's, the partition's, the propagator's,
+        # the Leray tables, the Friedrichs cutoff and the kernel's
+        # derivative tables.  No half-spectrum table is formed, and a twin
+        # experiment steps both pairs on the one grid of its initial state
+        grids = []
+        init = TorusGrid.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            grids.append(self)
+
+        monkeypatch.setattr(TorusGrid, "__init__", recording)
+        half = {"k_int", "k", "k2", "kmag", "mode_mask", "dealias_mask", "multiplicity",
+                "shells"}
+        for d, nonlinear, friedrichs_n in [(2, True, None), (2, False, 4.0), (3, True, 2.5),
+                                           (3, False, None)]:
+            cfg = replace(small_data_config(0, t_end=0.2, n=16), d=d, s=None,
+                          nonlinear=nonlinear, friedrichs_n=friedrichs_n)
+            for run in (simulate, lambda cfg: monitor.stability_experiment(cfg, 1e-3)):
+                leray_tables.cache_clear()
+                build_partition.cache_clear()
+                grids.clear()
+                run(cfg)
+                assert len(grids) == 1
+                assert not half & set(vars(grids[0]))
+                assert not {"phi_shell", "_phi_sq"} & set(vars(build_partition(grids[0])))
+                assert leray_tables.cache_info().currsize == 0
 
     def test_zero_horizon_single_row(self):
         cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=0.0, params=PARAMS,
@@ -1184,7 +1214,7 @@ class TestSimulate:
         assert np.max(np.abs(x)) == 0.0
 
     def test_initial_amplitude_prescription(self):
-        from oldroydb.littlewood_paley import hybrid_norm
+        from oldroydb.littlewood_paley import build_partition, hybrid_norm
 
         cfg = SolverConfig(d=2, n=32, dt=0.1, t_end=1.0, params=PARAMS, s=-0.25,
                            init=InitSpec(amplitude=0.07, band=(1.0, 6.0), seed=8))
@@ -1208,16 +1238,27 @@ def _field_recipe(grid, seed, band, s, size, friedrichs_n=None):
     return u * scale, tau * scale
 
 
+#: largest move of a band draw from the band of the half-spectrum recipe,
+#: in units of eps times its largest coefficient: the scaling's hybrid norm
+#: sums in the band's order (2.13 measured, over the cases below and
+#: d=2, n=128 and d=3, n=32)
+DRAW_ROUNDING = 3.0
+
+
 class TestBandDraw:
-    """The initial data is drawn on the 2/3 band, to the bits of the band
-    of the half-spectrum recipe (``_field_recipe``)."""
+    """The initial data is drawn on the 2/3 band: the band of the
+    half-spectrum recipe (``_field_recipe``), to the rounding of the
+    scaling's norm."""
 
     @pytest.mark.parametrize("d,n", [(2, 16), (2, 32), (2, 64), (3, 8), (3, 16)])
     @pytest.mark.parametrize("friedrichs_n", [None, 2.5])
     def test_band_draw_is_the_field_recipe_bytewise(self, d, n, friedrichs_n):
+        # bytewise while the norm summed in the half-spectrum order; now to
+        # DRAW_ROUNDING, the zero pattern still exact
         grid = TorusGrid(d, n)
         radius = grid.dealias_radius
         s = default_s(d)
+        eps = np.finfo(np.float64).eps
         # an empty band, and at n = 16 a band past the 2/3 radius
         bands = [(1.0, 8.0), (2.0, 3.0), (20.0, 30.0)] + ([(0.0, 16.0)] if n == 16 else [])
         for seed in (0, 5, 11):
@@ -1226,7 +1267,10 @@ class TestBandDraw:
                 want = np.concatenate((grid.to_band(u.coeffs, radius),
                                        grid.to_band(tau.coeffs, radius)))
                 got = random_band(grid, seed, band, s, 0.3, friedrichs_n)
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert np.max(np.abs(got - want)) <= DRAW_ROUNDING * eps * np.max(np.abs(want))
+                # one scale factor apart: every zero part is where the recipe's is
+                np.testing.assert_array_equal(got.view(np.float64) == 0.0,
+                                              want.view(np.float64) == 0.0)
                 # the recipe's modes outside the band are zero
                 assert np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) \
                     == np.count_nonzero(want)
