@@ -277,7 +277,7 @@ def restrict_spectrum(field: SpectralField, coarse: TorusGrid) -> SpectralField:
 
 def _band_mask(grid: TorusGrid, band: tuple[float, float]) -> np.ndarray:
     lo, hi = band
-    mag = grid.kmag / grid.k_scale
+    mag = grid.half.kmag / grid.k_scale
     return (mag >= lo) & (mag <= hi) & grid.dealias_mask
 
 
@@ -298,7 +298,7 @@ def random_field(
     field = cls.from_physical(grid, phys)
     mask = _band_mask(grid, band).astype(np.float64)
     if decay > 0.0:
-        mask = mask * (1.0 + grid.kmag / grid.k_scale) ** (-decay)
+        mask = mask * (1.0 + grid.half.kmag / grid.k_scale) ** (-decay)
     return field.apply_multiplier(mask)
 
 

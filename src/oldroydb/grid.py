@@ -14,13 +14,13 @@ set of usable modes (the unpaired Nyquist lines ``|m_i| = n/2`` are
 excluded), and the sharp 2/3-rule mask used to dealias quadratic products.
 
 Every wavenumber table is built from the integer wavenumbers of each axis
-(``axis_modes``).  The half-spectrum tables (``k_int``, ``k``, ``k2``,
-``kmag``, the masks, ``multiplicity`` and ``shells``) are formed on first
-read, by the fields, the snapshots and the half-spectrum ledger row.  A run
-reads only the tables of the 2/3-rule band (``band_k``, ``band_k2``,
-``band_kmag``, ``band_multiplicity`` and its one shell table
-``band_shells``), built straight on the band from its own wavenumbers, each
-with the bits of the band of its half-spectrum table.
+(``axis_modes``), by one class for every layout, ``LayoutTables`` (``k_int``,
+``k``, ``k2``, ``kmag``, ``multiplicity`` and ``shells``, each formed on
+first read).  The grid holds one per layout: ``half``, read by the fields,
+the snapshots and the half-spectrum ledger row, and ``band``, the 2/3-rule
+band, the only one a run reads, whose tables have the bits of the band of
+the half spectrum's.  ``layout_of`` finds the layout of a per-mode array
+by its shape.  The masks are formed on first read too.
 
 Both masks are bands: the modes with ``|m_i| <= M`` on every axis, M =
 ``dealias_radius`` (``n // 3``) for the 2/3 rule and ``mode_radius``
@@ -81,6 +81,66 @@ def _rows(axis: int, start: int, stop: int) -> tuple:
     return (slice(None),) * axis + (slice(start, stop),)
 
 
+class LayoutTables:
+    """The per-mode wavenumber tables of one layout of a grid's
+    coefficients: the half spectrum (``radius`` None) or the compact band
+    of ``radius``, built from the layout's integer wavenumbers
+    (``grid.axis_modes(radius)``) and each formed on first read.
+
+    ``TorusGrid`` holds one per layout, ``grid.half`` and ``grid.band``
+    (``dealias_radius``).  The band's tables have the bits of the band
+    (``to_band``) of the half spectrum's: both run one recipe on the same
+    wavenumbers.  No reference to the grid is kept, so a grid and its
+    tables are freed together without the cycle collector.
+    """
+
+    def __init__(self, grid: TorusGrid, radius: int | None):
+        self.radius = radius
+        self.modes = grid.axis_modes(radius)
+        self.shape = tuple(len(m) for m in self.modes)
+        self._k_scale, self._nyquist = grid.k_scale, grid.n // 2
+
+    @functools.cached_property
+    def k_int(self) -> np.ndarray:
+        """Integer wavevectors, shape ``(d,) + shape``."""
+        return np.stack(np.meshgrid(*self.modes, indexing="ij"))
+
+    @functools.cached_property
+    def k(self) -> np.ndarray:
+        """Physical wavevectors k = k_scale * k_int."""
+        return self._k_scale * self.k_int
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2."""
+        return np.sum(self.k * self.k, axis=0)
+
+    @functools.cached_property
+    def kmag(self) -> np.ndarray:
+        """|k|."""
+        return np.sqrt(self.k2)
+
+    @functools.cached_property
+    def multiplicity(self) -> np.ndarray:
+        """The Parseval weight of each mode: 2 where the stored mode also
+        stands for -k, 1 on the m_last = 0 plane and on the Nyquist column."""
+        last = self.modes[-1]
+        weight = np.where((last > 0) & (last < self._nyquist), 2.0, 1.0)
+        return np.broadcast_to(weight, self.shape).astype(np.float64, order="C")
+
+    @functools.cached_property
+    def shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct |k|^2, ascending, and the index of each mode's shell,
+        shaped ``shape``: ``shells[0][shells[1]] == k2``.
+
+        Radial tables (the partition's, the propagator's coefficients) are
+        evaluated once per shell and gathered through the index.
+        """
+        k2, inverse = np.unique(self.k2, return_inverse=True)
+        # the shape of the inverse differs across numpy 2.0.x releases
+        return k2, inverse.reshape(self.shape)
+
+
 class TorusGrid:
     """Uniform periodic grid of ``n**d`` points carrying spectral index maps.
 
@@ -126,101 +186,36 @@ class TorusGrid:
             last = np.arange(radius + 1, dtype=np.int64)
         return [lead] * (d - 1) + [last]
 
-    def _multiplicity(self, radius: int | None) -> np.ndarray:
-        """The Parseval weight of each mode of the layout of ``axis_modes``:
-        2 where the stored mode also stands for -k, 1 on the m_last = 0
-        plane and on the Nyquist column."""
-        modes = self.axis_modes(radius)
-        last = modes[-1]
-        weight = np.where((last > 0) & (last < self.n // 2), 2.0, 1.0)
-        shape = tuple(len(m) for m in modes)
-        return np.broadcast_to(weight, shape).astype(np.float64, order="C")
-
-    # ---- half-spectrum tables, formed on first read ------------------------
+    @functools.cached_property
+    def half(self) -> LayoutTables:
+        """The tables of the half spectrum, formed on first read."""
+        return LayoutTables(self, None)
 
     @functools.cached_property
-    def k_int(self) -> np.ndarray:
-        """Integer wavevectors on the half spectrum, shape (d,) + spec_shape."""
-        return np.stack(np.meshgrid(*self.axis_modes(), indexing="ij"))
+    def band(self) -> LayoutTables:
+        """The tables of the 2/3-rule band, the ones a run reads."""
+        return LayoutTables(self, self.dealias_radius)
 
-    @functools.cached_property
-    def k(self) -> np.ndarray:
-        """Physical wavevectors k = k_scale * k_int on the half spectrum."""
-        return self.k_scale * self.k_int
-
-    @functools.cached_property
-    def k2(self) -> np.ndarray:
-        """|k|^2 on the half spectrum."""
-        return np.sum(self.k * self.k, axis=0)
-
-    @functools.cached_property
-    def kmag(self) -> np.ndarray:
-        """|k| on the half spectrum."""
-        return np.sqrt(self.k2)
+    def layout_of(self, shape: tuple[int, ...]) -> LayoutTables:
+        """The tables of the layout of per-mode arrays of trailing
+        ``shape``: the half spectrum (``spec_shape``) or the 2/3-rule band
+        (``band_shape(dealias_radius)``); ``ValueError`` for any other."""
+        if shape == self.spec_shape:
+            return self.half
+        if shape == self.band_shape(self.dealias_radius):
+            return self.band
+        raise ValueError(f"per-mode arrays of shape {shape} are neither the half "
+                         f"spectrum {self.spec_shape} nor the 2/3-rule band")
 
     @functools.cached_property
     def mode_mask(self) -> np.ndarray:
         """Modes with a resolvable -k partner (drops the |m_i| = n/2 lines)."""
-        return np.all(np.abs(self.k_int) != self.n // 2, axis=0)
+        return np.all(np.abs(self.half.k_int) != self.n // 2, axis=0)
 
     @functools.cached_property
     def dealias_mask(self) -> np.ndarray:
         """Sharp 2/3-rule mask for quadratic products."""
-        return np.all(np.abs(self.k_int) <= self.dealias_radius, axis=0) & self.mode_mask
-
-    @functools.cached_property
-    def multiplicity(self) -> np.ndarray:
-        """Parseval weight of each stored mode: 2 where it also stands for -k."""
-        return self._multiplicity(None)
-
-    @functools.cached_property
-    def shells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct |k|^2 on the half grid, ascending, and the index of each
-        mode's shell, shaped ``spec_shape``: ``shells[0][shells[1]] == k2``.
-
-        Radial tables on the half spectrum (the partition's ``phi_shell``)
-        are evaluated once per shell and gathered through the index.
-        """
-        k2, inverse = np.unique(self.k2, return_inverse=True)
-        # the shape of the inverse differs across numpy 2.0.x releases
-        return k2, inverse.reshape(self.spec_shape)
-
-    # ---- 2/3-band tables, the ones a run reads ----------------------------
-
-    @functools.cached_property
-    def band_k(self) -> np.ndarray:
-        """``k`` on the 2/3-rule band, shape ``(d,) + band_shape(
-        dealias_radius)``, built from the band's own wavenumbers: the bits
-        of ``to_band(k, dealias_radius)``."""
-        modes = self.axis_modes(self.dealias_radius)
-        return self.k_scale * np.stack(np.meshgrid(*modes, indexing="ij"))
-
-    @functools.cached_property
-    def band_k2(self) -> np.ndarray:
-        """``k2`` on the 2/3-rule band, by the same sum as ``k2``."""
-        return np.sum(self.band_k * self.band_k, axis=0)
-
-    @functools.cached_property
-    def band_kmag(self) -> np.ndarray:
-        """``kmag`` on the 2/3-rule band."""
-        return np.sqrt(self.band_k2)
-
-    @functools.cached_property
-    def band_multiplicity(self) -> np.ndarray:
-        """``multiplicity`` on the 2/3-rule band."""
-        return self._multiplicity(self.dealias_radius)
-
-    @functools.cached_property
-    def band_shells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct |k|^2 on the 2/3-rule band, ascending, and the index of
-        each band mode's shell, shaped ``band_shape(dealias_radius)``.
-
-        The one shell table of a run: the dyadic partition's band tables
-        and the propagator's coefficients (``solver.block_coefficients``)
-        are evaluated once per band shell and gathered through the index.
-        """
-        k2, inverse = np.unique(self.band_k2, return_inverse=True)
-        return k2, inverse.reshape(self.band_shape(self.dealias_radius))
+        return np.all(np.abs(self.half.k_int) <= self.dealias_radius, axis=0) & self.mode_mask
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
         """The m_last = 0 plane of a half-spectrum or band array, reindexed
@@ -399,58 +394,51 @@ class TorusGrid:
         return isinstance(other, TorusGrid) and self.same_as(other)
 
     def __hash__(self):
-        return hash((self.d, self.n, self.period))
+        # equal grids may differ in their periods' last bits
+        return hash((self.d, self.n))
 
     def __repr__(self):
         return f"TorusGrid(d={self.d}, n={self.n}, period={self.period:g})"
 
 
 @functools.lru_cache(maxsize=1)
-def leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """``grid.k`` and ``where(grid.k2 == 0, 1, grid.k2)`` as complex128, for
-    the most recent grid.
+def _leray_sets(grid: TorusGrid) -> dict:
+    """The Leray tables of the most recent grid, by layout radius."""
+    return {}
 
-    The multipliers of the Leray projection and of the divergence residual
-    of half-spectrum fields (``leray_project``,
-    ``VectorField.divergence_residual``, ``EnergyLedger.update``).  No run
-    reaches them: its band tables (``band_leray_tables``) and its kernel's
-    derivative tables (``derivative_tables``) are built from the grid
-    itself.  Held complex, the products and the quotient with complex
-    coefficients run without numpy casting a real table chunk by chunk, to
-    the same bits: a cast gives the same zero imaginary part.  Kept for one
-    grid only, in this cache rather than on the grid, so the many equal
-    grids of a twin run or a sweep share one set; read-only, since every
-    caller shares them.
+
+def leray_tables(grid: TorusGrid, radius: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``k`` and ``where(k2 == 0, 1, k2)`` as complex128 on the layout of
+    ``radius``: the half spectrum (None) or the 2/3-rule band
+    (``dealias_radius``; ``ValueError`` for any other).
+
+    The multipliers of the Leray projection and of the divergence residual:
+    on the half spectrum of fields (``leray_project``,
+    ``VectorField.divergence_residual``, ``EnergyLedger.update``), on the
+    band of a run's states and tendencies (the solver's projections, the
+    band ledger row).  No run forms the half-spectrum set.  Held complex,
+    the products and the quotient with complex coefficients run without
+    numpy casting a real table chunk by chunk, to the same bits: a cast
+    gives the same zero imaginary part.  One set per layout is kept, for
+    the most recent grid only, in this cache rather than on the grid, so
+    the many equal grids of a twin run or a sweep share one set;
+    read-only, since every caller shares them.
     """
-    tables = (grid.k.astype(np.complex128),
-              np.where(grid.k2 == 0.0, 1.0, grid.k2).astype(np.complex128))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-@functools.lru_cache(maxsize=1)
-def band_leray_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of ``leray_tables`` on the 2/3-rule band (``grid.to_band``
-    at ``dealias_radius``), for the most recent grid.
-
-    Built from the grid's band tables ``band_k`` and ``band_k2``, to the
-    bits of the band of ``leray_tables`` (k = 0, the one mode with
-    ``|k|^2 = 0``, lies in the band), so a run forms no half-spectrum
-    table.  The one band copy: the solver projects its tendencies and each
-    new state with it, and the ledger's band row takes its divergence
-    residual with it.  Read-only, since every caller shares them.
-    """
-    k2 = grid.band_k2
-    tables = (grid.band_k.astype(np.complex128),
-              np.where(k2 == 0.0, 1.0, k2).astype(np.complex128))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    sets = _leray_sets(grid)
+    if radius not in sets:
+        shape = grid.spec_shape if radius is None else grid.band_shape(radius)
+        layout = grid.layout_of(shape)
+        tables = (layout.k.astype(np.complex128),
+                  np.where(layout.k2 == 0.0, 1.0, layout.k2).astype(np.complex128))
+        for table in tables:
+            table.flags.writeable = False
+        sets[radius] = tables
+    return sets[radius]
 
 
 def derivative_tables(grid: TorusGrid) -> tuple[np.ndarray, ...]:
-    """``grid.k[j]`` as complex128 for each axis ``j``, each the smallest
+    """``grid.half.k[j]`` as complex128 for each axis ``j``, each the smallest
     table that broadcasts against ``grid.spec_shape`` in long inner loops,
     built from the axis's wavenumbers (``grid.axis_modes``).
 
@@ -459,7 +447,7 @@ def derivative_tables(grid: TorusGrid) -> tuple[np.ndarray, ...]:
     coalesce into one loop.  On the last two axes it is a table over those
     two, ``(n, n//2 + 1)``: a 1-D table over the last axis alone leaves
     loops of ``n//2 + 1`` and runs slower.  A product with a complex
-    coefficient has the bits of the product with ``grid.k[j]``, which
+    coefficient has the bits of the product with ``grid.half.k[j]``, which
     numpy casts to the same complex values.  Not cached: the kernel
     scratch that uses them holds them (``operators.kernel_scratch``), a
     few KB each in 3-d (34 KB at n = 64) and 133 KB at d=2, n=128.

@@ -20,6 +20,11 @@ commutator (``commutator_block_norms``).  The Chemin-Lerner time norms live
 in ``monitor`` (``EnergyLedger`` and ``functionals_from_history``), with the
 block weights of ``hybrid_weights``.
 
+The multipliers are radial: the partition evaluates them once per shell of
+a layout (``grid.LayoutTables.shells``) and gathers them to its modes, and
+one recipe builds its per-mode table on either layout, the half spectrum
+or the 2/3-rule band (``phi_sq(grid.half)``, ``phi_sq(grid.band)``).
+
 Every function takes its partition from the field's grid
 (``build_partition(f.grid)``, cached per grid).  Two accept one besides:
 ``block_l2_norms``, whose squared-magnitude input carries no grid, and
@@ -36,7 +41,7 @@ import warnings
 import numpy as np
 
 from .fields import ScalarField, SpectralField, VectorField
-from .grid import TorusGrid
+from .grid import LayoutTables, TorusGrid
 from .operators import advect, l2_norm, mode_sq
 
 CHI_SUPPORT = (0.75, 4.0 / 3.0)
@@ -84,17 +89,17 @@ class DyadicPartition:
 
     ``q_min`` is the lowest block with any support on resolved modes and
     ``q_max = ceil(log2(8/3 * k_nyquist))``; blocks beyond the corner modes
-    are stored but identically zero.  ``phi`` is radial, so it is evaluated
-    once per distinct |k|^2 of a layout and gathered to its modes, with the
-    same values to the bit as an evaluation at every mode.  The one
-    per-mode table built with the partition is on the 2/3-rule band, where
-    every state of a run lies: the squared multiplier times the Parseval
-    weight, which ``block_l2_norms`` contracts band magnitudes with,
-    evaluated on the grid's band shells (``grid.band_shells``, which the
-    propagator's coefficients share).  The half-spectrum tables, ``phi``
-    per shell of the half grid (``phi_shell``, shape ``(nq, n_shells)``)
-    and its Parseval-weighted square (``_phi_sq``), are formed on first
-    read; ``phi_mults`` and ``phi_weights`` gather from them.
+    are stored but identically zero.  ``phi`` and ``chi`` are radial, so
+    they are evaluated once per distinct |k|^2 of a layout (its ``shells``)
+    and gathered to its modes, with the same values to the bit as an
+    evaluation at every mode.  One recipe builds the per-mode table of a
+    layout (``phi_sq``): the squared multipliers times the Parseval weight,
+    which ``block_l2_norms`` contracts magnitudes with, formed once per
+    layout on first use.  A run uses the 2/3-rule band's alone
+    (``grid.band``, whose shells the propagator's coefficients share).  The
+    half-spectrum table ``phi`` per shell of the half grid (``phi_shell``,
+    shape ``(nq, n_shells)``) is formed on first read; ``phi_weights``
+    gathers from it.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -103,11 +108,7 @@ class DyadicPartition:
         self.q_min = math.ceil(math.log2(3.0 / 8.0 * kmin))
         self.q_max = math.ceil(math.log2(8.0 / 3.0 * grid.k_scale * grid.k_nyquist))
         self.q_values = np.arange(self.q_min, self.q_max + 1)
-        k2, inverse = grid.band_shells
-        # the squared multipliers with the Parseval weight of each band mode
-        self._band_phi_sq = (np.take(self._phi_at(k2) ** 2, inverse, axis=1)
-                             * grid.band_multiplicity)
-        self._chi_cache: dict[int, np.ndarray] = {}
+        self._phi_sq: dict[int | None, np.ndarray] = {}
 
     def _phi_at(self, k2: np.ndarray) -> np.ndarray:
         """phi of every block at the squared wavenumbers ``k2``, shape
@@ -118,26 +119,17 @@ class DyadicPartition:
     def phi_shell(self) -> np.ndarray:
         """phi at every shell of the half grid and block, shape
         ``(nq, n_shells)``."""
-        return self._phi_at(self.grid.shells[0])
+        return self._phi_at(self.grid.half.shells[0])
 
-    @functools.cached_property
-    def _phi_sq(self) -> np.ndarray:
-        """The squared multipliers with the Parseval weight of each stored
-        mode, on the half spectrum."""
-        grid = self.grid
-        return np.take(self.phi_shell**2, grid.shells[1], axis=1) * grid.multiplicity
-
-    def layout_tables(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """``(phi^2 * multiplicity, |k|^2)`` on the layout of per-mode
-        arrays of trailing ``shape``: the half spectrum (``spec_shape``) or
-        the 2/3-rule band (``band_shape(dealias_radius)``)."""
-        grid = self.grid
-        if shape == grid.spec_shape:
-            return self._phi_sq, grid.k2
-        if shape == grid.band_shape(grid.dealias_radius):
-            return self._band_phi_sq, grid.band_k2
-        raise ValueError(f"per-mode arrays of shape {shape} are neither the half "
-                         f"spectrum {grid.spec_shape} nor the 2/3-rule band")
+    def phi_sq(self, layout: LayoutTables) -> np.ndarray:
+        """The squared multipliers times the Parseval weight of each mode
+        of ``layout``, one of this grid's (``grid.half``, ``grid.band``),
+        shape ``(nq,) + layout.shape``; formed once per layout."""
+        if layout.radius not in self._phi_sq:
+            k2, index = layout.shells
+            self._phi_sq[layout.radius] = (np.take(self._phi_at(k2) ** 2, index, axis=1)
+                                           * layout.multiplicity)
+        return self._phi_sq[layout.radius]
 
     @property
     def nq(self) -> int:
@@ -149,35 +141,27 @@ class DyadicPartition:
     def contains(self, q: int) -> bool:
         return self.q_min <= q <= self.q_max
 
-    @property
-    def phi_mults(self) -> np.ndarray:
-        """phi multipliers stacked over q, shape ``(nq,) + grid.spec_shape``,
-        gathered from the shell table on each access."""
-        return np.take(self.phi_shell, self.grid.shells[1], axis=1)
-
     def phi_weights(self, q: int) -> np.ndarray:
         """phi multiplier of block q at every stored mode (a fresh array)."""
-        return np.take(self.phi_shell[self.q_index(q)], self.grid.shells[1])
+        return np.take(self.phi_shell[self.q_index(q)], self.grid.half.shells[1])
 
     def chi_weights(self, q: int) -> np.ndarray:
-        if q not in self._chi_cache:
-            self._chi_cache[q] = chi_profile(self.grid.kmag / 2.0**q)
-        return self._chi_cache[q]
+        """chi(|k| / 2^q) at every stored mode (a fresh array)."""
+        k2, index = self.grid.half.shells
+        return np.take(chi_profile(np.sqrt(k2) / 2.0**q), index)
 
     def identity_residuals(self) -> tuple[float, float]:
         """Max deviation of the two partition identities on resolved moduli.
 
         Returns (residual of chi + sum_{q>=0} phi, residual of sum_q phi on
-        nonzero modes).
+        nonzero modes), taken over the shells of the half grid.
         """
-        grid = self.grid
-        nonneg = self.q_values >= 0
-        phi = self.phi_mults
-        total_high = chi_profile(grid.kmag) + np.sum(phi[nonneg], axis=0)
+        kmag = np.sqrt(self.grid.half.shells[0])
+        phi = self.phi_shell
+        total_high = chi_profile(kmag) + np.sum(phi[self.q_values >= 0], axis=0)
         res_chi = float(np.max(np.abs(total_high - 1.0)))
         total_all = np.sum(phi, axis=0)
-        nz = grid.kmag > 0.0
-        res_full = float(np.max(np.abs(total_all[nz] - 1.0)))
+        res_full = float(np.max(np.abs(total_all[kmag > 0.0] - 1.0)))
         return res_chi, res_full
 
 
@@ -213,9 +197,10 @@ def block_l2_norms(f: SpectralField | np.ndarray,
     measures several series of one field so forms its magnitudes once.
     The magnitudes may also lie on the 2/3-rule band, shape
     ``band_shape(dealias_radius)``, for a field that vanishes outside it:
-    the partition's tables on that layout (``layout_tables``) give the
-    same norms up to the summation order.  A field given with a partition
-    of another grid is a ``GridError``.
+    the partition's table on that layout (``phi_sq(grid.layout_of(shape))``)
+    gives the same norms up to the summation order; magnitudes on neither
+    layout are a ``ValueError``.  A field given with a partition of
+    another grid is a ``GridError``.
     """
     if isinstance(f, SpectralField):
         part = partition or build_partition(f.grid)
@@ -226,9 +211,10 @@ def block_l2_norms(f: SpectralField | np.ndarray,
     else:
         part, sq = partition, np.asarray(f)
     grid = part.grid
-    phi_sq, k2 = part.layout_tables(sq.shape[sq.ndim - grid.d:])
+    layout = grid.layout_of(sq.shape[sq.ndim - grid.d:])
+    phi_sq = part.phi_sq(layout)
     if gradient_weight:
-        sq = sq * k2
+        sq = sq * layout.k2
     phi_sq = phi_sq.reshape(part.nq, -1)
     vals = sq.reshape(-1, phi_sq.shape[1]) @ phi_sq.T
     norms = np.sqrt(vals * grid.volume)

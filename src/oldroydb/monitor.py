@@ -17,12 +17,13 @@ non-decreasing in time by construction.  The block weights, 2^{2qs} and
 An ``EnergyLedger`` row keeps each block's running sup and trapezoid sums,
 so a row costs the same at any row count; it forms each field's per-mode
 squared magnitudes once, for the block norms of u, grad u and tau.  One
-implementation serves two layouts: ``update`` takes the fields on the half
-spectrum, ``update_band`` the stacked 2/3-rule band that ``Simulation``
-holds, which ``simulate`` appends its rows from (28% of the half spectrum
-at d=3, n=32; 44% at d=2, n=128).  The two give the same ``t`` and
-``div_residual`` bits and agree elsewhere to the rounding of the block
-sums.  A row allocates one real ``(3,) + layout`` array of magnitudes (1.5
+implementation serves two layouts, each through its tables (``grid.half``,
+``grid.band``: ``grid.LayoutTables``): ``update`` takes the fields on the
+half spectrum, ``update_band`` the stacked 2/3-rule band that
+``Simulation`` holds, which ``simulate`` appends its rows from (28% of the
+half spectrum at d=3, n=32; 44% at d=2, n=128).  The two give the same
+``t`` and ``div_residual`` bits and agree elsewhere to the rounding of the
+block sums.  A row allocates one real ``(3,) + layout`` array of magnitudes (1.5
 complex components of its layout) and ``mode_sq_coeffs``' scratch, and
 drops them before the divergence residual, so its peak (about 2.5 complex
 components at d=2, 3 at d=3) stays below one stacked state.  A row reports
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SymTensorField, VectorField, divergence_residual_coeffs
-from .grid import TorusGrid, band_leray_tables, leray_tables
+from .grid import LayoutTables, TorusGrid, leray_tables
 from .littlewood_paley import besov_from_blocks, block_l2_norms, build_partition, hybrid_weights
 from .operators import mode_sq_coeffs
 from .solver import (
@@ -183,8 +184,9 @@ class EnergyLedger:
     ``functionals_from_history`` recomputes any row from the histories.
     ``update(t, u, tau)`` takes the row of two half-spectrum fields,
     ``update_band(t, x)`` that of a stacked 2/3-rule band; both run one
-    implementation with the tables of their layout (the partition's
-    ``layout_tables``, ``leray_tables`` or ``band_leray_tables``).
+    implementation, ``_append``, with the tables of their layout
+    (``grid.half`` or ``grid.band``, the partition's ``phi_sq`` of it and
+    ``leray_tables`` at its radius).
     A row writes ``|u|^2``, ``|k|^2 |u|^2`` and ``|tau|^2`` per mode
     straight into one ``(3,)`` + layout array (``mode_sq_coeffs(c, w,
     out=)``) and holds no other layout-sized temporary beyond its scratch;
@@ -214,22 +216,21 @@ class EnergyLedger:
     def update(self, t: float, u, tau) -> dict:
         """Append the row of the fields ``u`` and ``tau`` at time ``t``, on
         the half spectrum."""
-        grid = self.grid
-        return self._append(t, u.coeffs, tau.coeffs, grid.k2, leray_tables(grid)[0])
+        return self._append(t, u.coeffs, tau.coeffs, self.grid.half)
 
     def update_band(self, t: float, x: np.ndarray) -> dict:
         """Append the row at time ``t`` of a state held as a stacked array
         on the 2/3-rule band, ``(d + nt,) + grid.band_shape(
         grid.dealias_radius)``, as ``Simulation`` holds it: the row of
-        ``update`` on the fields ``x`` stands for, without forming them."""
+        ``update`` on the fields ``x`` stands for, without forming them.
+        An array on neither layout is a ``ValueError``."""
         d = self.grid.d
-        _, k2 = self.partition.layout_tables(x.shape[1:])
-        return self._append(t, x[:d], x[d:], k2, band_leray_tables(self.grid)[0])
+        return self._append(t, x[:d], x[d:], self.grid.layout_of(x.shape[1:]))
 
-    def _append(self, t: float, uc: np.ndarray, tauc: np.ndarray, k2: np.ndarray,
-                k: np.ndarray) -> dict:
-        """The row of the coefficient rows ``uc`` and ``tauc``, with ``|k|^2``
-        and the complex Leray ``k`` on their layout."""
+    def _append(self, t: float, uc: np.ndarray, tauc: np.ndarray,
+                layout: LayoutTables) -> dict:
+        """The row of the coefficient rows ``uc`` and ``tauc`` on
+        ``layout``, with its ``|k|^2`` and Leray ``k``."""
         t = float(t)
         if not math.isfinite(t):
             raise ValueError(f"non-finite ledger time {t}")
@@ -241,7 +242,7 @@ class EnergyLedger:
             # one magnitude pass per field: |grad u|^2 per mode is |k|^2 |u|^2
             sq = np.empty((3,) + uc.shape[1:])
             mode_sq_coeffs(uc, w_u, out=sq[0])
-            np.multiply(sq[0], k2, out=sq[1])
+            np.multiply(sq[0], layout.k2, out=sq[1])
             mode_sq_coeffs(tauc, w_tau, out=sq[2])
             b_u, b_gu, b_tau = block_l2_norms(sq, self.partition)
             del sq
@@ -258,7 +259,8 @@ class EnergyLedger:
                 table[L1_TAU] += h * (b_tau + prev_tau) / 2.0
             row = {"t": t}
             row.update(_functionals_from_table(table, *self._weights, self.params))
-            row["div_residual"] = divergence_residual_coeffs(uc, k)
+            row["div_residual"] = divergence_residual_coeffs(
+                uc, leray_tables(self.grid, layout.radius)[0])
         if not all(map(math.isfinite, row.values())):
             raise DivergenceError(None, t, "E")
         self._table = table

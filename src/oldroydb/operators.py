@@ -99,14 +99,15 @@ def leray_coeffs(c: np.ndarray, k: np.ndarray, k2: np.ndarray,
 
 def gradient(f: ScalarField) -> VectorField:
     grid = f.grid
-    return VectorField(grid, 1j * grid.k * f.coeffs[0])
+    return VectorField(grid, 1j * grid.half.k * f.coeffs[0])
 
 
 def deformation(u: VectorField) -> SymTensorField:
     """Symmetric velocity gradient, D_ij = (d_j u_i + d_i u_j) / 2."""
     grid = u.grid
+    k = grid.half.k
     comps = [
-        0.5j * (grid.k[j] * u.coeffs[i] + grid.k[i] * u.coeffs[j])
+        0.5j * (k[j] * u.coeffs[i] + k[i] * u.coeffs[j])
         for i, j in SymTensorField.pairs(grid.d)
     ]
     return SymTensorField(grid, np.stack(comps))
@@ -115,8 +116,9 @@ def deformation(u: VectorField) -> SymTensorField:
 def vorticity(u: VectorField) -> SkewTensorField:
     """Antisymmetric velocity gradient, W_ij = (d_j u_i - d_i u_j) / 2."""
     grid = u.grid
+    k = grid.half.k
     comps = [
-        0.5j * (grid.k[j] * u.coeffs[i] - grid.k[i] * u.coeffs[j])
+        0.5j * (k[j] * u.coeffs[i] - k[i] * u.coeffs[j])
         for i, j in SkewTensorField.pairs(grid.d)
     ]
     return SkewTensorField(grid, np.stack(comps))
@@ -125,12 +127,12 @@ def vorticity(u: VectorField) -> SkewTensorField:
 def div_tensor(tau: SymTensorField) -> VectorField:
     """(div tau)_i = sum_j d_j tau_ij, exact in Fourier form."""
     grid = tau.grid
-    d = grid.d
+    d, k = grid.d, grid.half.k
     out = np.zeros((d,) + grid.spec_shape, dtype=np.complex128)
     for c, (i, j) in enumerate(SymTensorField.pairs(d)):
-        out[i] += 1j * grid.k[j] * tau.coeffs[c]
+        out[i] += 1j * k[j] * tau.coeffs[c]
         if i != j:
-            out[j] += 1j * grid.k[i] * tau.coeffs[c]
+            out[j] += 1j * k[i] * tau.coeffs[c]
     return VectorField(grid, out)
 
 
@@ -156,7 +158,7 @@ def advect(u: VectorField, f: SpectralField, u_phys: np.ndarray | None = None) -
     if u_phys is None:
         u_phys = u.to_physical()
     # d_j f_c for every component c and direction j, shape (ncomp, d, n, ..., n)
-    grad_f = grid.to_physical(1j * grid.k * f.coeffs[:, None])
+    grad_f = grid.to_physical(1j * grid.half.k * f.coeffs[:, None])
     transport = sum(u_phys[j] * grad_f[:, j] for j in range(grid.d))
     return type(f)(grid, grid.to_spectral(transport, grid.dealias_radius))
 
@@ -395,7 +397,7 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     grid.require_same(g.grid)
     per_mode = np.tensordot(f.component_weights(), (f.coeffs * np.conj(g.coeffs)).real,
                             axes=(0, 0))
-    return float(np.vdot(grid.multiplicity, per_mode)) * grid.volume
+    return float(np.vdot(grid.half.multiplicity, per_mode)) * grid.volume
 
 
 def mode_sq(f: SpectralField, out: np.ndarray | None = None) -> np.ndarray:
@@ -444,13 +446,13 @@ def _weighted_sq_sum(f: SpectralField, mode_weight: np.ndarray) -> float:
 
 
 def l2_norm(f: SpectralField) -> float:
-    return float(np.sqrt(_weighted_sq_sum(f, f.grid.multiplicity) * f.grid.volume))
+    return float(np.sqrt(_weighted_sq_sum(f, f.grid.half.multiplicity) * f.grid.volume))
 
 
 def grad_l2_norm(f: SpectralField) -> float:
     """Frobenius L2 norm of the full gradient of f."""
-    grid = f.grid
-    return float(np.sqrt(_weighted_sq_sum(f, grid.multiplicity * grid.k2) * grid.volume))
+    half = f.grid.half
+    return float(np.sqrt(_weighted_sq_sum(f, half.multiplicity * half.k2) * f.grid.volume))
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
@@ -465,12 +467,13 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _parseval_ik(grid: TorusGrid) -> np.ndarray:
-    """``-1j * grid.k`` times the Parseval weight of each stored mode, for
+    """``-1j * grid.half.k`` times the Parseval weight of each stored mode, for
     the most recent grid.  Pure imaginary, so a product with it swaps the
     real and imaginary parts: ``Re(conj(a) * (-1j k m b))`` is ``Im(conj(a)
     * k m b)``, the real dot of the float64 views of ``a`` and the product.
     Read-only, since every caller shares it."""
-    k = -1j * (grid.k * grid.multiplicity)
+    half = grid.half
+    k = -1j * (half.k * half.multiplicity)
     k.flags.writeable = False
     return k
 
@@ -522,10 +525,10 @@ def _cancellation_sums(u: VectorField, tau: SymTensorField) -> tuple[float, floa
 def cancellation_residual(u: VectorField, tau: SymTensorField) -> float:
     """|(div tau | u) + (D(u) | tau)| scaled by ||tau|| ||grad u|| (0 if degenerate)."""
     div_tau_u, def_u_tau = _cancellation_sums(u, tau)
-    grid = u.grid
-    scale = grid.volume * float(np.sqrt(
-        _weighted_sq_sum(tau, grid.multiplicity)
-        * _weighted_sq_sum(u, grid.multiplicity * grid.k2)))
+    half = u.grid.half
+    scale = u.grid.volume * float(np.sqrt(
+        _weighted_sq_sum(tau, half.multiplicity)
+        * _weighted_sq_sum(u, half.multiplicity * half.k2)))
     if scale == 0.0:
         return 0.0
     return abs(div_tau_u + def_u_tau) / scale

@@ -35,7 +35,8 @@ read-only band, and ``simulate`` takes each ledger row from it
 for half-spectrum fields, whose band it gathers first.  The half-spectrum
 fields ``u`` and ``tau`` of a state, zero outside the band, are formed
 only when read.  Set-up is on the band as well: every table a run reads
-is built on the band (``grid.band_k``, ``grid.band_shells``, ...),
+is built on the band (the grid's ``band`` tables and ``leray_tables`` at
+``dealias_radius``),
 ``random_band`` draws the initial data straight onto it, one component at
 a time, the band of the half-spectrum recipe to the rounding of its norm,
 and ``Simulation(config)`` starts from the state of that band
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SymTensorField, VectorField
-from .grid import GridError, TorusGrid, band_leray_tables, period_scales
+from .grid import GridError, TorusGrid, leray_tables, period_scales
 from .littlewood_paley import block_l2_norms, build_partition, hybrid_from_blocks
 from .operators import kernel_scratch, leray_coeffs, mode_sq_coeffs, quadratic_terms
 
@@ -294,7 +295,7 @@ def friedrichs_mask(grid: TorusGrid, radius: float) -> np.ndarray:
     """Indicator of |k| <= radius (radius in units of the fundamental mode)."""
     if radius < 0:
         raise ConfigError("cutoff radius must be nonnegative")
-    return (grid.kmag / grid.k_scale <= radius).astype(np.float64)
+    return (grid.half.kmag / grid.k_scale <= radius).astype(np.float64)
 
 
 def friedrichs_truncate(f, radius: float):
@@ -376,8 +377,8 @@ def block_coefficients(shells: tuple[np.ndarray, np.ndarray], params: FluidParam
     """Per-mode coefficients (e_uu, e_uz, g_u, g_z, decay) of the linear step
     on a layout given by its shell table ``shells = (k2, index)``: the
     distinct |k|^2, ascending, and the shell of each mode, as
-    ``np.unique(..., return_inverse=True)`` gives them (``grid.band_shells``
-    on the 2/3-rule band, ``grid.shells`` on the half spectrum).
+    ``np.unique(..., return_inverse=True)`` gives them (``grid.band.shells``
+    on the 2/3-rule band, ``grid.half.shells`` on the half spectrum).
 
     Shape ``(5,) + index.shape``, complex, zero where |k|^2 is 0 (see
     ``LinearPropagator``).  A third row w' = u - b w carries the Duhamel
@@ -428,7 +429,7 @@ class LinearPropagator:
     drive (i omega/We) sym(k (x) u).  The tables are held on the band,
     ``(5,) + grid.band_shape(grid.dealias_radius)`` and ``(d,) + ...``, and
     built from the grid's band tables and its band shells
-    (``grid.band_shells``): every state ``Simulation`` steps lies there.
+    (``grid.band``): every state ``Simulation`` steps lies there.
     The five coefficients of ``block_coefficients`` and the unit
     wavevector ``khat`` are stored as complex128, so no product in
     ``apply`` makes numpy cast a real table to complex chunk by chunk.  The
@@ -439,11 +440,12 @@ class LinearPropagator:
 
     def __init__(self, grid: TorusGrid, params: FluidParams, dt: float):
         self.grid = grid
-        coeffs = block_coefficients(grid.band_shells, params, dt)
+        band = grid.band
+        coeffs = block_coefficients(band.shells, params, dt)
         np.multiply(1j, coeffs[1:3].imag, out=coeffs[1:3])
         self._coeffs = coeffs
-        self._khat = np.zeros(grid.band_k.shape, np.complex128)
-        np.divide(grid.band_k, grid.band_kmag, out=self._khat.real, where=grid.band_k2 > 0.0)
+        self._khat = np.zeros(band.k.shape, np.complex128)
+        np.divide(band.k, band.kmag, out=self._khat.real, where=band.k2 > 0.0)
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Advance a stacked array on the 2/3-rule band, ``(d + nt,) +
@@ -514,23 +516,6 @@ def build_propagator(grid: TorusGrid, params: FluidParams, dt: float) -> LinearP
 # ---- right-hand side -----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _rhs_tables(grid: TorusGrid, friedrichs_n: float | None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The band Leray tables (``band_leray_tables``) and the Friedrichs
-    multiplier (None without a cutoff), complex, on the 2/3-rule band, for
-    the most recent grid and cutoff: the tendencies and each new state are
-    projected with them.  The multiplier is ``friedrichs_mask`` on the band
-    (from ``grid.band_kmag``); a cast of the real mask gives the same zero
-    imaginary part, so the products keep their bits.  Read-only, since
-    every step shares them."""
-    cutoff = None
-    if friedrichs_n is not None:
-        cutoff = (grid.band_kmag / grid.k_scale <= friedrichs_n).astype(np.complex128)
-        cutoff.flags.writeable = False
-    return band_leray_tables(grid) + (cutoff,)
-
-
 def _band_stack_shape(grid: TorusGrid) -> tuple[int, ...]:
     """Shape of a stacked 2/3-rule band of ``(u, tau)``: ``(d + nt,) +
     grid.band_shape(grid.dealias_radius)``."""
@@ -544,17 +529,20 @@ def rhs_band(grid: TorusGrid, x: np.ndarray, params: FluidParams,
     layout: ``(d + nt,) + grid.band_shape(grid.dealias_radius)``.
 
     The tendencies vanish outside the band, so they are formed
-    (``quadratic_terms`` reads ``x`` itself), projected and cut there
-    only; ``grid.from_band`` writes them into a half spectrum."""
+    (``quadratic_terms`` reads ``x`` itself), projected (``leray_tables``
+    on the band) and cut there only; ``grid.from_band`` writes them into a
+    half spectrum.  The cutoff is ``friedrichs_mask`` on the band, formed
+    per call from ``grid.band.kmag``; a cast of the real mask gives the
+    same zero imaginary part, so the products keep their bits."""
     d = grid.d
-    k, k2, cutoff = _rhs_tables(grid, friedrichs_n)
     n = quadratic_terms(grid, x, params.alpha)
-    leray_coeffs(n[:d], k, k2, out=n[:d])
+    leray_coeffs(n[:d], *leray_tables(grid, grid.dealias_radius), out=n[:d])
     # ``np.negative`` would give some zeros of the state the other sign
     # than ``n * -1.0`` does
     n *= -1.0
     n[(slice(None),) + (0,) * d] = 0.0
-    if cutoff is not None:
+    if friedrichs_n is not None:
+        cutoff = (grid.band.kmag / grid.k_scale <= friedrichs_n).astype(np.complex128)
         for row in n:  # row by row: a broadcasting product copies the rows
             row *= cutoff
     return n
@@ -650,9 +638,9 @@ def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
     ``grid.forward_band`` into their row, with the bits of ``rfftn``
     there.  The mean is pinned, the mask of ``band`` applied (it lies in
     the 2/3-rule band, as the dealiased products need), u projected
-    (``band_leray_tables``) and both cut, with the grid's band tables.  The
-    hybrid norms of the scaling contract the band's magnitudes
-    (``mode_sq_coeffs``) with the partition's band tables
+    (``leray_tables`` on the band) and both cut, with the grid's band
+    tables (``grid.band``).  The hybrid norms of the scaling contract the
+    band's magnitudes (``mode_sq_coeffs``) with the partition's band table
     (``block_l2_norms``), in the band's summation order, the one order of
     every norm a run takes.  So the band is the band of that recipe on the
     half spectrum, whose modes outside it are zero, to the rounding of the
@@ -671,11 +659,11 @@ def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
     # the 0/1 masks multiply as complex tables, row by row (a broadcasting
     # product copies the rows); the cast of a real one gives the same zero
     # imaginary part, so the products have the bits of ``apply_multiplier``
-    mag = grid.band_kmag / grid.k_scale
+    mag = grid.band.kmag / grid.k_scale
     keep = ((mag >= band[0]) & (mag <= band[1])).astype(np.complex128)
     for row in x:
         row *= keep
-    leray_coeffs(x[:d], *band_leray_tables(grid), out=x[:d])
+    leray_coeffs(x[:d], *leray_tables(grid, radius), out=x[:d])
     if friedrichs_n is not None:
         keep = (mag <= friedrichs_n).astype(np.complex128)
         for row in x:
@@ -803,8 +791,7 @@ class Simulation:
             else:
                 x = prop.apply(st.band)
             self._require_finite(x, ("u", "tau"))
-            k, k2, _ = _rhs_tables(grid, self.config.friedrichs_n)
-            leray_coeffs(x[:d], k, k2, out=x[:d])
+            leray_coeffs(x[:d], *leray_tables(grid, grid.dealias_radius), out=x[:d])
         step = st.step_index + 1
         self.state = SolverState(self._time(step), grid, x, step)
         return self.state

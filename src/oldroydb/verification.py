@@ -374,7 +374,7 @@ def linear_solver_suite(seed: int) -> dict:
         sim.advance()
 
     pairs = SymTensorField.pairs(grid.d)
-    active = np.nonzero(grid.mode_mask & (grid.k2 > 0.0))
+    active = np.nonzero(grid.mode_mask & (grid.half.k2 > 0.0))
     got = np.concatenate([sim.state.u.coeffs, sim.state.tau.coeffs])
     expected = np.zeros_like(got)
     for mode in zip(*active):
@@ -382,7 +382,7 @@ def linear_solver_suite(seed: int) -> dict:
         tau0 = np.zeros((grid.d, grid.d), dtype=np.complex128)
         for c, (i, j) in enumerate(pairs):
             tau0[i, j] = tau0[j, i] = state0.tau.coeffs[(c,) + mode]
-        u_t, tau_t = linear_mode_oracle(grid.k[at], params, state0.u.coeffs[at], tau0, 1.0)
+        u_t, tau_t = linear_mode_oracle(grid.half.k[at], params, state0.u.coeffs[at], tau0, 1.0)
         expected[at] = np.concatenate([u_t, [tau_t[i, j] for i, j in pairs]])
     scale = float(np.max(np.abs(expected)))
     exactness = float(np.max(np.abs(got - expected))) / scale

@@ -46,7 +46,7 @@ def test_half_spectrum_roundtrip(d, n, cls):
 def test_from_physical_pins_mean_and_nyquist(grid2, rng):
     f = ScalarField.from_physical(grid2, rng.standard_normal(grid2.shape) + 3.0)
     assert f.coeffs[0, 0, 0] == 0.0
-    nyq = np.any(np.abs(grid2.k_int) == grid2.n // 2, axis=0)
+    nyq = np.any(np.abs(grid2.half.k_int) == grid2.n // 2, axis=0)
     assert np.all(f.coeffs[0][nyq] == 0.0)
     assert hermitian_residual(f) == 0.0
 
@@ -99,7 +99,7 @@ def test_kind_mismatch_arithmetic(grid2, rng):
 
 def test_band_limits_respected(grid2, rng):
     f = random_scalar(grid2, rng, band=(2.0, 5.0))
-    mag = grid2.kmag
+    mag = grid2.half.kmag
     outside = (mag < 2.0) | (mag > 5.0)
     assert np.all(np.abs(f.coeffs[0][outside]) == 0.0)
     assert np.max(np.abs(f.coeffs)) > 0.0

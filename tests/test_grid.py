@@ -1,17 +1,25 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
 
-from oldroydb import solver
 from oldroydb.grid import (
     GridError,
     TorusGrid,
-    band_leray_tables,
+    _leray_sets,
     derivative_tables,
     leray_tables,
 )
-from oldroydb.littlewood_paley import DyadicPartition
-from oldroydb.solver import FluidParams, LinearPropagator, block_coefficients, friedrichs_mask
+from oldroydb.littlewood_paley import DyadicPartition, build_partition
+from oldroydb.solver import (
+    FluidParams,
+    LinearPropagator,
+    block_coefficients,
+    friedrichs_mask,
+    random_band,
+    rhs_band,
+)
 from spectral_checks import coords
 
 PARAMS = FluidParams(re=2.0, we=0.5, omega=0.3, alpha=0.5)
@@ -26,23 +34,23 @@ def test_rejects_bad_dimensions(d, n):
 @pytest.mark.parametrize("d,n,period", [(2, 32, 2.0 * np.pi), (3, 16, 1.0)])
 def test_shells_index_every_mode(d, n, period):
     grid = TorusGrid(d, n, period)
-    k2, inverse = grid.shells
+    k2, inverse = grid.half.shells
     assert inverse.shape == grid.spec_shape
     assert np.all(np.diff(k2) > 0.0)
-    np.testing.assert_array_equal(k2[inverse], grid.k2)
-    assert grid.shells is grid.shells
+    np.testing.assert_array_equal(k2[inverse], grid.half.k2)
+    assert grid.half.shells is grid.half.shells
 
 
 def test_wavevectors_are_integers_times_scale(grid2):
     assert grid2.k_scale == pytest.approx(1.0)
-    np.testing.assert_array_equal(grid2.k, grid2.k_int.astype(float))
-    assert grid2.k_int[0].max() == grid2.n // 2 - 1
-    assert grid2.k_int[0].min() == -grid2.n // 2
+    np.testing.assert_array_equal(grid2.half.k, grid2.half.k_int.astype(float))
+    assert grid2.half.k_int[0].max() == grid2.n // 2 - 1
+    assert grid2.half.k_int[0].min() == -grid2.n // 2
 
 
 def test_reflection_realizes_negation(grid2):
     # reflect maps the k_last = 0 plane, where both k and -k are stored
-    k = grid2.k_int
+    k = grid2.half.k_int
     refl = np.stack([grid2.reflect(k[i]) for i in range(grid2.d)])
     mask = grid2.mode_mask[..., 0]
     np.testing.assert_array_equal(refl[:, mask], -k[..., 0][:, mask])
@@ -50,47 +58,49 @@ def test_reflection_realizes_negation(grid2):
 
 def test_mode_mask_drops_nyquist_lines(grid2):
     nyq = grid2.n // 2
-    on_nyquist = np.any(np.abs(grid2.k_int) == nyq, axis=0)
+    on_nyquist = np.any(np.abs(grid2.half.k_int) == nyq, axis=0)
     assert not np.any(grid2.mode_mask & on_nyquist)
     assert np.all(grid2.mode_mask | on_nyquist)
 
 
 @pytest.mark.parametrize("d,n,period", [(2, 32, 2 * np.pi), (3, 16, 2 * np.pi), (3, 8, 3.7)])
 def test_band_leray_tables_are_the_band_of_the_half_spectrum_tables(d, n, period):
-    # built from the grid itself, with the bits of the band of leray_tables
+    # built from the grid's band tables, with the bits of the band of the
+    # half-spectrum set
     grid = TorusGrid(d, n, period)
-    band_leray_tables.cache_clear()
-    got = band_leray_tables(grid)
+    _leray_sets.cache_clear()
+    got = leray_tables(grid, grid.dealias_radius)
     for table, full in zip(got, leray_tables(grid)):
         want = grid.to_band(full, grid.dealias_radius)
         assert table.dtype == want.dtype and not table.flags.writeable
         np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
+    # a layout the grid does not hold has no tables
+    with pytest.raises(ValueError, match="neither"):
+        leray_tables(grid, grid.mode_radius)
 
 
 def _band_and_half_tables(grid):
     """Every per-mode table a run reads, by name, with the half-spectrum
     table whose band it is."""
+    half, band = grid.half, grid.band
     part = DyadicPartition(grid)
     prop = LinearPropagator(grid, PARAMS, 0.05)
-    full_coeffs = block_coefficients(grid.shells, PARAMS, 0.05)
+    full_coeffs = block_coefficients(half.shells, PARAMS, 0.05)
     np.multiply(1j, full_coeffs[1:3].imag, out=full_coeffs[1:3])
-    full_khat = np.zeros(grid.k.shape, np.complex128)
-    np.divide(grid.k, grid.kmag, out=full_khat.real, where=grid.k2 > 0.0)
-    values, index = grid.band_shells
-    cutoff = friedrichs_mask(grid, 2.5).astype(np.complex128)
-    return {
-        "band_k": (grid.band_k, grid.k),
-        "band_k2": (grid.band_k2, grid.k2),
-        "band_kmag": (grid.band_kmag, grid.kmag),
-        "band_multiplicity": (grid.band_multiplicity, grid.multiplicity),
-        "band_shells": (values[index], grid.k2),
-        "partition": (part.layout_tables(index.shape)[0], part._phi_sq),
+    full_khat = np.zeros(half.k.shape, np.complex128)
+    np.divide(half.k, half.kmag, out=full_khat.real, where=half.k2 > 0.0)
+    values, index = band.shells
+    tables = {name: (getattr(band, name), getattr(half, name))
+              for name in ("k_int", "k", "k2", "kmag", "multiplicity")}
+    tables.update({
+        "shells": (values[index], half.k2),
+        "partition": (part.phi_sq(band), part.phi_sq(half)),
         "propagator coefficients": (prop._coeffs, full_coeffs),
         "propagator khat": (prop._khat, full_khat),
-        "band Leray k": (band_leray_tables(grid)[0], leray_tables(grid)[0]),
-        "band Leray k2": (band_leray_tables(grid)[1], leray_tables(grid)[1]),
-        "Friedrichs cutoff": (solver._rhs_tables(grid, 2.5)[2], cutoff),
-    }
+        "band Leray k": (leray_tables(grid, grid.dealias_radius)[0], leray_tables(grid)[0]),
+        "band Leray k2": (leray_tables(grid, grid.dealias_radius)[1], leray_tables(grid)[1]),
+    })
+    return tables
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -101,38 +111,85 @@ def test_band_tables_are_the_band_of_the_half_spectrum_tables(d, n, period):
     # wavenumbers and shells, with the bits of the band of its
     # half-spectrum table
     grid = TorusGrid(d, n, period)
-    band_leray_tables.cache_clear()
-    solver._rhs_tables.cache_clear()
+    _leray_sets.cache_clear()
     radius = grid.dealias_radius
     for name, (band, full) in _band_and_half_tables(grid).items():
         want = grid.to_band(full, radius)
         assert band.shape == want.shape and band.dtype == want.dtype, name
         assert band.flags.c_contiguous, name
         np.testing.assert_array_equal(band.view(np.uint8), want.view(np.uint8), err_msg=name)
-    # one shell table per grid, in ascending order, with every shell used
-    values, index = grid.band_shells
-    assert grid.band_shells is grid.band_shells
-    assert np.all(np.diff(values) > 0.0) and len(np.unique(index)) == len(values)
+    # one shell table per layout, in ascending order, with every shell used
+    for layout in (grid.half, grid.band):
+        values, index = layout.shells
+        assert layout.shells is layout.shells
+        assert np.all(np.diff(values) > 0.0) and len(np.unique(index)) == len(values)
     # the kernel's derivative tables are the half-spectrum k_j on the
     # broadcast shape
     for j, table in enumerate(derivative_tables(grid)):
         got = np.broadcast_to(table, grid.spec_shape).copy()
         assert table.flags.c_contiguous
         np.testing.assert_array_equal(got.view(np.uint8),
-                                      grid.k[j].astype(np.complex128).view(np.uint8))
+                                      grid.half.k[j].astype(np.complex128).view(np.uint8))
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("period", [2 * np.pi, 3.0])
+def test_band_cutoff_is_the_band_of_friedrichs_mask(d, n, period):
+    # rhs_band cuts its tendencies with the band of friedrichs_mask, to the bit
+    grid = TorusGrid(d, n, period)
+    x = random_band(grid, 3, (1.0, n / 3), 0.0, 0.1)
+    full = rhs_band(grid, x, PARAMS)
+    want = full.copy()
+    mask = grid.to_band(friedrichs_mask(grid, 2.5), grid.dealias_radius).astype(np.complex128)
+    for row in want:
+        row *= mask
+    assert 0 < np.count_nonzero(want) < np.count_nonzero(full)
+    got = rhs_band(grid, x, PARAMS, 2.5)
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_half_spectrum_tables_are_formed_on_first_read():
     grid = TorusGrid(3, 16)
-    half = ("k_int", "k", "k2", "kmag", "mode_mask", "dealias_mask", "multiplicity", "shells")
-    assert not set(half) & set(vars(grid))
-    assert grid.k2 is grid.k2 and grid.multiplicity.shape == grid.spec_shape
-    assert {"k_int", "k", "k2", "multiplicity"} <= set(vars(grid))
+    assert not {"half", "band", "mode_mask", "dealias_mask"} & set(vars(grid))
+    half = grid.half
+    assert grid.half is half and "band" not in vars(grid)
+    assert not {"k_int", "k", "k2", "kmag", "multiplicity", "shells"} & set(vars(half))
+    assert half.k2 is half.k2 and half.multiplicity.shape == grid.spec_shape
+    assert {"k_int", "k", "k2", "multiplicity"} <= set(vars(half))
+
+
+def test_layout_of_finds_each_layout():
+    grid = TorusGrid(2, 16)
+    assert grid.layout_of(grid.spec_shape) is grid.half
+    band = grid.layout_of(grid.band_shape(grid.dealias_radius))
+    assert band is grid.band and band.shape == grid.band_shape(grid.dealias_radius)
+    assert (grid.half.radius, band.radius) == (None, grid.dealias_radius)
+    for shape in (grid.shape, grid.band_shape(grid.mode_radius), grid.spec_shape[1:]):
+        with pytest.raises(ValueError, match="neither"):
+            grid.layout_of(shape)
+    # the tables hold no grid, so a dropped grid is freed at once, with
+    # its tables, without the cycle collector
+    k2 = weakref.ref(grid.band.k2)
+    ref = weakref.ref(grid)
+    del grid, band
+    assert ref() is None and k2() is None
+
+
+def test_equal_grids_hash_equal():
+    # equality allows the periods' last bits to differ; the hash must too,
+    # or a cache keyed by grid builds a second copy for an equal grid
+    grid = TorusGrid(2, 16, 2 * np.pi)
+    other = TorusGrid(2, 16, np.nextafter(2 * np.pi, 7))
+    assert grid == other and grid.period != other.period
+    assert hash(grid) == hash(other)
+    build_partition.cache_clear()
+    assert build_partition(other) is build_partition(grid)
+    assert build_partition.cache_info().currsize == 1
 
 
 def test_dealias_mask_is_two_thirds_rule(grid2):
     lim = grid2.n // 3
-    inside = np.all(np.abs(grid2.k_int) <= lim, axis=0)
+    inside = np.all(np.abs(grid2.half.k_int) <= lim, axis=0)
     np.testing.assert_array_equal(grid2.dealias_mask, inside & grid2.mode_mask)
 
 
@@ -227,7 +284,7 @@ class TestForwardBand:
             assert not np.any(full[:, ~mask])
 
     def test_band_reflection_realizes_negation(self, grid3):
-        band = grid3.to_band(grid3.k_int, grid3.dealias_radius)
+        band = grid3.to_band(grid3.half.k_int, grid3.dealias_radius)
         refl = np.stack([grid3.reflect(band[i]) for i in range(grid3.d)])
         np.testing.assert_array_equal(refl, -band[..., 0])
 
@@ -248,5 +305,5 @@ def test_extreme_but_representable_periods(recwarn):
     for d, period in ((2, 1e150), (3, 1e-90)):
         grid = TorusGrid(d, 8, period)
         assert 0.0 < grid.volume < np.inf and 0.0 < grid.cell_volume < np.inf
-        assert np.all(np.isfinite(grid.k2)) and np.all(grid.k2.ravel()[1:] > 0.0)
+        assert np.all(np.isfinite(grid.half.k2)) and np.all(grid.half.k2.ravel()[1:] > 0.0)
     assert not recwarn.list

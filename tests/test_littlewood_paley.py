@@ -89,33 +89,38 @@ class TestPartition:
     def test_shell_tabulation_matches_per_mode_evaluation(self, d, n):
         grid = TorusGrid(d, n)
         part = DyadicPartition(grid)
-        for i, q in enumerate(part.q_values):
-            np.testing.assert_array_equal(part.phi_mults[i],
-                                          phi_profile(grid.kmag / 2.0**q))
+        for q in part.q_values:
+            np.testing.assert_array_equal(part.phi_weights(q),
+                                          phi_profile(grid.half.kmag / 2.0**q))
+        for q in list(part.q_values - 1) + [12]:
+            np.testing.assert_array_equal(part.chi_weights(q).view(np.uint64),
+                                          chi_profile(grid.half.kmag / 2.0**q).view(np.uint64))
         # block_l2_norms reshapes the squares once per call: a strided
         # gather would make that a copy
-        assert part.phi_mults.flags.c_contiguous
-        assert part._phi_sq.flags.c_contiguous
+        for layout in (grid.half, grid.band):
+            assert part.phi_sq(layout).flags.c_contiguous
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
     def test_one_per_mode_table(self, d, n):
-        # the one per-mode table a partition is built with lies on the 2/3
-        # band; its half-spectrum tables are formed on first read
+        # a partition forms one per-mode table per layout, on first use, and
+        # none on the half spectrum unless asked
         grid = TorusGrid(d, n)
         part = DyadicPartition(grid)
-        band = grid.band_shape(grid.dealias_radius)
 
         def per_mode():
-            return {name: value.shape for name, value in vars(part).items()
+            return [value.shape for value in list(vars(part).values()) + list(part._phi_sq.values())
                     if isinstance(value, np.ndarray)
-                    and value.shape[-d:] in (grid.spec_shape, band)}
+                    and value.shape[-d:] in (grid.spec_shape, grid.band.shape)]
 
-        assert per_mode() == {"_band_phi_sq": (part.nq,) + band}
-        assert "phi_shell" not in vars(part)
-        assert part.layout_tables(grid.spec_shape)[0] is part._phi_sq
-        assert per_mode() == {"_band_phi_sq": (part.nq,) + band,
-                              "_phi_sq": (part.nq,) + grid.spec_shape}
-        assert part.phi_shell.shape == (part.nq, len(grid.shells[0]))
+        assert per_mode() == []
+        band = part.phi_sq(grid.band)
+        assert part.phi_sq(grid.band) is band
+        assert per_mode() == [(part.nq,) + grid.band.shape]
+        assert "half" not in vars(grid) and "phi_shell" not in vars(part)
+        half = part.phi_sq(grid.half)
+        assert part.phi_sq(grid.half) is half
+        assert per_mode() == [(part.nq,) + grid.band.shape, (part.nq,) + grid.spec_shape]
+        assert part.phi_shell.shape == (part.nq, len(grid.half.shells[0]))
 
     def test_q_range(self):
         part = build_partition(TorusGrid(2, 128))
@@ -164,7 +169,7 @@ class TestBlocks:
         tau = random_sym_tensor(grid3, rng)
         part = build_partition(grid3)
         u_sq = mode_sq(u)
-        got = block_l2_norms(np.stack((u_sq, u_sq * grid3.k2, mode_sq(tau))), part)
+        got = block_l2_norms(np.stack((u_sq, u_sq * grid3.half.k2, mode_sq(tau))), part)
         want = [block_l2_norms(u, part), block_l2_norms(u, part, gradient_weight=True),
                 block_l2_norms(tau, part)]
         np.testing.assert_allclose(got, want, rtol=1e-14)
@@ -265,7 +270,7 @@ class TestBesovNorms:
         for _ in range(100):
             f = random_scalar(grid2, rng, band=(1.0, grid2.n // 2 - 1))
             direct = math.sqrt(float(np.sum(
-                grid2.kmag ** (2 * s) * np.abs(f.coeffs[0]) ** 2)) * grid2.volume)
+                grid2.half.kmag ** (2 * s) * np.abs(f.coeffs[0]) ** 2)) * grid2.volume)
             ratios.append(hs_norm(f, s) / direct)
         # block weights 2^{qs} against |k|^s: two-sided bounds from the annulus
         assert 0.25 <= min(ratios) and max(ratios) <= 4.0

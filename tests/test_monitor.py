@@ -249,6 +249,23 @@ class TestLedger:
                                    block_l2_norms(on_half[0], part, gradient_weight=True),
                                    rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_arrays_on_neither_layout_are_refused(self, d, n):
+        # a per-mode array on neither the half spectrum nor the 2/3 band has
+        # no partition or Leray tables: a ValueError, and no row is appended
+        grid, nt = TorusGrid(d, n), d * (d + 1) // 2
+        ledger = EnergyLedger(grid, PARAMS, s=-0.25, dt=0.1)
+        ledger.update_band(0.0, np.zeros((d + nt,) + grid.band.shape, complex))
+        rows = len(ledger.rows)
+        for shape in (grid.shape, grid.band_shape(grid.mode_radius), grid.spec_shape[1:]):
+            with pytest.raises(ValueError, match="neither"):
+                block_l2_norms(np.ones(shape), ledger.partition)
+            with pytest.raises(ValueError, match="neither"):
+                block_l2_norms(np.ones((3,) + shape), ledger.partition, gradient_weight=True)
+            with pytest.raises(ValueError, match="neither"):
+                ledger.update_band(0.1, np.ones((d + nt,) + shape, complex))
+            assert len(ledger.rows) == len(ledger.times) == len(ledger.u_blocks) == rows
+
     def test_warm_band_row_peak_at_its_design_size(self):
         # a band row holds its (3,) + band magnitudes (1.5 band components)
         # and mode_sq_coeffs' scratch (1, and 0.5 more for the second run

@@ -15,7 +15,7 @@ from oldroydb.fields import (
     random_vector,
 )
 from oldroydb import monitor, operators
-from oldroydb.grid import TorusGrid, derivative_tables, leray_tables
+from oldroydb.grid import TorusGrid, _leray_sets, derivative_tables, leray_tables
 from oldroydb.operators import (
     _cancellation_sums,
     _samples_and_gradients,
@@ -81,12 +81,12 @@ class TestLerayProjection:
 
 
 def _leray_float_tables(v):
-    """``leray_project`` on the real tables ``grid.k`` and ``grid.k2``, which
+    """``leray_project`` on the real tables ``grid.half.k`` and ``grid.half.k2``, which
     numpy casts to complex in every product and in the quotient."""
     grid = v.grid
-    k2 = np.where(grid.k2 == 0.0, 1.0, grid.k2)
-    kdotv = np.sum(grid.k * v.coeffs, axis=0)
-    out = v.coeffs - grid.k * (kdotv / k2)
+    k2 = np.where(grid.half.k2 == 0.0, 1.0, grid.half.k2)
+    kdotv = np.sum(grid.half.k * v.coeffs, axis=0)
+    out = v.coeffs - grid.half.k * (kdotv / k2)
     out[(slice(None),) + (0,) * grid.d] = 0.0
     return out
 
@@ -95,7 +95,7 @@ def _divergence_residual_float_tables(v):
     scale = float(np.max(np.abs(v.coeffs)))
     if scale == 0.0:
         return 0.0
-    div = np.sum(v.grid.k * v.coeffs, axis=0)
+    div = np.sum(v.grid.half.k * v.coeffs, axis=0)
     return float(np.max(np.abs(div)) / scale)
 
 
@@ -104,7 +104,7 @@ def _cancellation_sums_float_tables(u, tau):
     ``Im(conj(a) b)`` summed as the dot of ``a``'s float64 view with
     ``(Im b, -Re b)``: the pairs that the pure-imaginary table forms."""
     grid = u.grid
-    k, uc, tc = grid.k * grid.multiplicity, u.coeffs, tau.coeffs
+    k, uc, tc = grid.half.k * grid.half.multiplicity, u.coeffs, tau.coeffs
 
     def im_dot(a, b):
         swapped = np.stack((b.imag, -b.real), axis=-1).ravel()
@@ -221,18 +221,30 @@ class TestComplexTables:
         assert not np.shares_memory(first.coeffs, v.coeffs)
 
     def test_tables_held_for_one_grid_and_not_on_it(self):
+        # one set per layout, for the most recent grid only, shared by
+        # equal grids and held off the grid
         grids = [TorusGrid(2, 16), TorusGrid(3, 8)]
+        held = []
         for grid in grids:
             v = random_vector(grid, np.random.default_rng(0))
             leray_project(v)
-            assert leray_tables.cache_info().currsize == 1
-            hits = leray_tables.cache_info().hits
+            band = leray_tables(grid, grid.dealias_radius)
+            assert _leray_sets.cache_info().currsize == 1
+            assert set(_leray_sets(grid)) == {None, grid.dealias_radius}
+            hits = _leray_sets.cache_info().hits
             v.divergence_residual()
-            assert leray_tables.cache_info().hits == hits + 1
-            assert leray_tables(TorusGrid(grid.d, grid.n)) is leray_tables(grid)
+            assert _leray_sets.cache_info().hits == hits + 1
+            equal = TorusGrid(grid.d, grid.n)
+            assert leray_tables(equal) is leray_tables(grid)
+            assert leray_tables(equal, grid.dealias_radius) is band
+            held.append([weakref.ref(table) for table in leray_tables(grid) + band])
+            del band
+        # the earlier grid's sets went with it out of the cache
+        assert [ref() is None for refs in held for ref in refs] == [True] * 4 + [False] * 4
         for grid in grids:
-            assert not [name for name, value in vars(grid).items()
-                        if isinstance(value, np.ndarray) and np.iscomplexobj(value)]
+            for holder in (grid, grid.half, grid.band):
+                assert not [name for name, value in vars(holder).items()
+                            if isinstance(value, np.ndarray) and np.iscomplexobj(value)]
 
 
 class TestDeformationVorticity:
@@ -688,9 +700,9 @@ class TestSharedPasses:
         np.testing.assert_array_equal(c, kept)
         # the samples and d_0 take the passes of to_physical in its order
         np.testing.assert_array_equal(values, grid.to_physical(full))
-        np.testing.assert_array_equal(grads[0], grid.to_physical(1j * grid.k[0] * full))
+        np.testing.assert_array_equal(grads[0], grid.to_physical(1j * grid.half.k[0] * full))
         for j in range(1, d):
-            want = grid.to_physical(1j * grid.k[j] * full)
+            want = grid.to_physical(1j * grid.half.k[j] * full)
             err = np.max(np.abs(grads[j] - want))
             assert err <= 1e-14 * np.max(np.abs(want))
 
@@ -709,7 +721,7 @@ class TestSharedPasses:
             for f in range(len(full)):
                 np.multiply(table, full[f], out=got[f])
             got *= 1j
-            want = grid.k[j] * full * 1j
+            want = grid.half.k[j] * full * 1j
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("d,n,passes", [(2, 16, 10), (3, 8, 45)])

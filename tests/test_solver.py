@@ -16,7 +16,7 @@ from oldroydb.fields import (
     random_sym_tensor,
     random_vector,
 )
-from oldroydb.grid import GridError, TorusGrid, leray_tables
+from oldroydb.grid import GridError, TorusGrid, _leray_sets
 from oldroydb.littlewood_paley import build_partition, hybrid_norm
 from oldroydb.operators import advect, g_alpha, inner_product, l2_norm, leray_project
 from oldroydb.solver import (
@@ -212,7 +212,7 @@ def _band_k(grid):
     """The wavevectors and |k|^2 on the 2/3-rule band, the propagator's
     layout."""
     radius = grid.dealias_radius
-    return grid.to_band(grid.k, radius), grid.to_band(grid.k2, radius)
+    return grid.to_band(grid.half.k, radius), grid.to_band(grid.half.k2, radius)
 
 
 def _shells(k2):
@@ -480,10 +480,10 @@ class TestPropagator:
         grid = TorusGrid(d, n)
         prop = LinearPropagator(grid, SKEWED, 0.05)
         full = copy.copy(prop)
-        full._coeffs = block_coefficients(grid.shells, SKEWED, 0.05)
+        full._coeffs = block_coefficients(grid.half.shells, SKEWED, 0.05)
         np.multiply(1j, full._coeffs[1:3].imag, out=full._coeffs[1:3])
-        full._khat = np.zeros(grid.k.shape, complex)
-        np.divide(grid.k, grid.kmag, out=full._khat.real, where=grid.k2 > 0.0)
+        full._khat = np.zeros(grid.half.k.shape, complex)
+        np.divide(grid.half.k, grid.half.kmag, out=full._khat.real, where=grid.half.k2 > 0.0)
         radius = grid.dealias_radius
         for mine, theirs in ((prop._coeffs, full._coeffs), (prop._khat, full._khat)):
             np.testing.assert_array_equal(mine.view(np.uint64),
@@ -526,7 +526,7 @@ class TestPropagator:
 def _shell_generators(grid, params, dt):
     """The real generators of ``block_coefficients`` times dt, one per
     nonzero |k|^2 shell of ``grid``."""
-    return _real_generators(grid.shells[0][1:], params) * dt
+    return _real_generators(grid.half.shells[0][1:], params) * dt
 
 
 def _random_stack(count, lo, hi, seed):
@@ -622,12 +622,12 @@ class TestHugeDt:
     def test_non_finite_coefficients_are_a_config_error(self, monkeypatch):
         monkeypatch.setattr(solver, "_expm_batch", lambda a: np.full_like(a, np.inf))
         with pytest.raises(ConfigError, match="dt"):
-            block_coefficients(TorusGrid(2, 16).shells, PARAMS, 0.05)
+            block_coefficients(TorusGrid(2, 16).half.shells, PARAMS, 0.05)
 
     @pytest.mark.parametrize("dt", [1e3, 1e150])
     def test_large_dt_decays_to_finite_zeros(self, dt):
         # every coefficient underflows: exp(-b dt) and exp(-a dt) are 0
-        coeffs = block_coefficients(TorusGrid(2, 16).shells, PARAMS, dt)
+        coeffs = block_coefficients(TorusGrid(2, 16).half.shells, PARAMS, dt)
         assert np.all(coeffs == 0.0)
         result = simulate(self._config(dt))
         assert np.all(result.final.u.coeffs == 0.0)
@@ -667,7 +667,7 @@ class TestRhs:
         u = leray_project(random_vector(grid2, rng, band=(1.0, 8.0)))
         tau = random_sym_tensor(grid2, rng, band=(1.0, 8.0))
         n = _embedded(grid2, rhs_nonlinear(u, tau, PARAMS, friedrichs_n=3.0))
-        outside = grid2.kmag / grid2.k_scale > 3.0
+        outside = grid2.half.kmag / grid2.k_scale > 3.0
         assert np.max(np.abs(n[:, outside])) == 0.0
 
     @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
@@ -1145,21 +1145,22 @@ class TestSimulate:
             grids.append(self)
 
         monkeypatch.setattr(TorusGrid, "__init__", recording)
-        half = {"k_int", "k", "k2", "kmag", "mode_mask", "dealias_mask", "multiplicity",
-                "shells"}
+        half = {"half", "mode_mask", "dealias_mask"}
         for d, nonlinear, friedrichs_n in [(2, True, None), (2, False, 4.0), (3, True, 2.5),
                                            (3, False, None)]:
             cfg = replace(small_data_config(0, t_end=0.2, n=16), d=d, s=None,
                           nonlinear=nonlinear, friedrichs_n=friedrichs_n)
             for run in (simulate, lambda cfg: monitor.stability_experiment(cfg, 1e-3)):
-                leray_tables.cache_clear()
+                _leray_sets.cache_clear()
                 build_partition.cache_clear()
                 grids.clear()
                 run(cfg)
                 assert len(grids) == 1
-                assert not half & set(vars(grids[0]))
-                assert not {"phi_shell", "_phi_sq"} & set(vars(build_partition(grids[0])))
-                assert leray_tables.cache_info().currsize == 0
+                grid = grids[0]
+                assert not half & set(vars(grid))
+                part = build_partition(grid)
+                assert "phi_shell" not in vars(part) and None not in part._phi_sq
+                assert list(_leray_sets(grid)) == [grid.dealias_radius]
 
     def test_zero_horizon_single_row(self):
         cfg = SolverConfig(d=2, n=16, dt=0.1, t_end=0.0, params=PARAMS,
@@ -1206,7 +1207,7 @@ class TestSimulate:
         state = make_initial_state(cfg)
         x = random_band(TorusGrid(2, 32), 8, (1.0, 6.0), -0.25, 0.07, 5.0)
         np.testing.assert_array_equal(x.view(np.uint64), state.band.view(np.uint64))
-        outside = TorusGrid(2, 32).kmag > 5.0
+        outside = TorusGrid(2, 32).half.kmag > 5.0
         assert np.max(np.abs(state.u.coeffs[:, outside])) == 0.0
 
     def test_random_band_in_an_empty_band_is_zero(self):
