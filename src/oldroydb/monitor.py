@@ -37,10 +37,13 @@ The kappa constants are the parameter-dependent prefactors entering the
 closed energy inequality; ``check_global_bound`` compares max_t E(t)
 against the small-data threshold 2 kappa2 E(0).  ``stability_experiment``
 runs a twin pair of trajectories and fits the exponential envelope of
-their squared Hs distance against the measured Gronwall weight.  It draws
-its initial band and its perturbation direction once, on the 2/3-rule band
-(the direction cut at the config's Friedrichs radius like the initial
-data), starts both twin pairs from them on one grid, and samples the
+their squared Hs distance against the measured Gronwall weight.  Its
+initial band and perturbation direction are drawn once per recipe, on the
+2/3-rule band (the direction cut at the config's Friedrichs radius like
+the initial data), and held for the next experiment on that recipe
+(``_twin_data``, the most recent recipe only), so a delta-0 twin followed
+by a delta twin draws once; both twin pairs start from them on one grid,
+step through one kernel scratch held for the call, and sample the
 distance and the weight from the runs' bands, in the band's summation
 order: the half-spectrum norms to rounding.
 """
@@ -48,6 +51,7 @@ order: the half-spectrum norms to rounding.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -58,12 +62,14 @@ import numpy as np
 from .fields import SymTensorField, VectorField, divergence_residual_coeffs
 from .grid import LayoutTables, TorusGrid, leray_tables
 from .littlewood_paley import besov_from_blocks, block_l2_norms, build_partition, hybrid_weights
-from .operators import mode_sq_coeffs
+from .operators import kernel_scratch, mode_sq_coeffs
 from .solver import (
     ConfigError,
     DivergenceError,
     FluidParams,
+    InitSpec,
     Simulation,
+    SolverConfig,
     SolverState,
     make_initial_state,
     random_band,
@@ -432,6 +438,26 @@ def _run_pair(config, base: SolverState, direction: np.ndarray, delta: float, s:
     return np.asarray(times), np.asarray(dist), np.asarray(weight), identical
 
 
+@functools.lru_cache(maxsize=1)
+def _twin_data(d: int, n: int, period: float, init: InitSpec, s: float,
+               friedrichs_n: float | None) -> tuple[SolverState, np.ndarray]:
+    """The base state and the perturbation direction of a twin experiment
+    on the recipe ``(d, n, period, init, s, friedrichs_n)``, the only
+    inputs of the draws, so configs that differ in ``dt``, ``t_end``,
+    ``params`` or the output stride share them.
+
+    Drawn as ``simulate`` draws: ``make_initial_state`` on one new grid,
+    then ``random_band`` of the seed plus 7919 at unit size on that grid.
+    Both are read-only (the state's band is; the direction is made so),
+    and the most recent recipe's pair is held with its grid: two bands.
+    """
+    base = make_initial_state(SolverConfig(d=d, n=n, period=period, friedrichs_n=friedrichs_n,
+                                           s=s, init=init))
+    direction = random_band(base.grid, init.seed + 7919, init.band, s, 1.0, friedrichs_n)
+    direction.flags.writeable = False
+    return base, direction
+
+
 def stability_experiment(config, delta: float) -> dict:
     """Twin-run stability report at perturbation sizes delta and delta/10.
 
@@ -441,21 +467,25 @@ def stability_experiment(config, delta: float) -> dict:
     like the initial data, so a perturbed run starts in the Friedrichs
     ball) from the config seed plus 7919, so rescaling delta rescales the
     initial distance exactly quadratically.  The initial band and the
-    direction are drawn once, on the 2/3-rule band, and both twin pairs
-    start from them, every run on the initial state's grid; the runs are
-    sampled from their bands with the partition's band tables, so no half
-    spectrum and no half-spectrum table is formed.  The samples are the
-    half-spectrum norms of the fields (``hs_norm``, ``besov_norm``) to
-    the rounding of the band's summation order.
+    direction are drawn on the 2/3-rule band once per recipe (``_twin_data``:
+    a later call on the same recipe draws nothing), and both twin pairs
+    start from them, every run on the initial state's grid; a nonlinear
+    config holds one kernel scratch for the whole call, so the delta/10
+    pair steps through the delta pair's arrays, and frees it on return.
+    The runs are sampled from their bands with the partition's band
+    tables, so no half spectrum and no half-spectrum table is formed.
+    The samples are the half-spectrum norms of the fields (``hs_norm``,
+    ``besov_norm``) to the rounding of the band's summation order.
     A sample whose distance or weight is not finite (a diverging pair
     overflows their squares) raises ``DivergenceError`` for ``distance``.
     """
     if not 0.0 <= delta < np.inf:
         raise ConfigError(f"delta must be nonnegative and finite, got {delta}")
     s = config.s_value
-    base = make_initial_state(config)
-    direction = random_band(base.grid, config.init.seed + 7919, config.init.band, s, 1.0,
-                            config.friedrichs_n)
+    base, direction = _twin_data(config.d, config.n, config.period, config.init, s,
+                                 config.friedrichs_n)
+    # held to the return, so both pairs' runs find one scratch
+    held = kernel_scratch(base.grid) if config.nonlinear else None  # noqa: F841
 
     report = {"delta": delta, "s": s, "config": config.to_dict()}
     times, dist, weight, identical = _run_pair(config, base, direction, delta, s)

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SymTensorField, VectorField
-from .grid import GridError, TorusGrid, leray_tables, period_scales
+from .grid import GridError, LayoutTables, TorusGrid, leray_tables, period_scales
 from .littlewood_paley import block_l2_norms, build_partition, hybrid_from_blocks
 from .operators import kernel_scratch, leray_coeffs, mode_sq_coeffs, quadratic_terms
 
@@ -291,11 +291,15 @@ _SCHEMA = SolverConfig().to_dict()
 # ---- Friedrichs cutoff -------------------------------------------------------
 
 
-def friedrichs_mask(grid: TorusGrid, radius: float) -> np.ndarray:
-    """Indicator of |k| <= radius (radius in units of the fundamental mode)."""
+def friedrichs_mask(grid: TorusGrid, radius: float,
+                    layout: LayoutTables | None = None) -> np.ndarray:
+    """Indicator of |k| <= radius (radius in units of the fundamental mode)
+    on ``layout``, the grid's half spectrum (``grid.half``) if not given;
+    ``rhs_band`` and ``random_band`` cut on ``grid.band``."""
     if radius < 0:
         raise ConfigError("cutoff radius must be nonnegative")
-    return (grid.half.kmag / grid.k_scale <= radius).astype(np.float64)
+    layout = grid.half if layout is None else layout
+    return (layout.kmag / grid.k_scale <= radius).astype(np.float64)
 
 
 def friedrichs_truncate(f, radius: float):
@@ -532,8 +536,8 @@ def rhs_band(grid: TorusGrid, x: np.ndarray, params: FluidParams,
     (``quadratic_terms`` reads ``x`` itself), projected (``leray_tables``
     on the band) and cut there only; ``grid.from_band`` writes them into a
     half spectrum.  The cutoff is ``friedrichs_mask`` on the band, formed
-    per call from ``grid.band.kmag``; a cast of the real mask gives the
-    same zero imaginary part, so the products keep their bits."""
+    per call; a cast of the real mask gives the same zero imaginary part,
+    so the products keep their bits."""
     d = grid.d
     n = quadratic_terms(grid, x, params.alpha)
     leray_coeffs(n[:d], *leray_tables(grid, grid.dealias_radius), out=n[:d])
@@ -542,7 +546,7 @@ def rhs_band(grid: TorusGrid, x: np.ndarray, params: FluidParams,
     n *= -1.0
     n[(slice(None),) + (0,) * d] = 0.0
     if friedrichs_n is not None:
-        cutoff = (grid.band.kmag / grid.k_scale <= friedrichs_n).astype(np.complex128)
+        cutoff = friedrichs_mask(grid, friedrichs_n, grid.band).astype(np.complex128)
         for row in n:  # row by row: a broadcasting product copies the rows
             row *= cutoff
     return n
@@ -665,7 +669,7 @@ def random_band(grid: TorusGrid, seed: int, band: tuple[float, float], s: float,
         row *= keep
     leray_coeffs(x[:d], *leray_tables(grid, radius), out=x[:d])
     if friedrichs_n is not None:
-        keep = (mag <= friedrichs_n).astype(np.complex128)
+        keep = friedrichs_mask(grid, friedrichs_n, grid.band).astype(np.complex128)
         for row in x:
             row *= keep
     part = build_partition(grid)

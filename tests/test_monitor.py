@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -584,3 +585,92 @@ class TestStability:
         for band in first:
             assert np.any(band != 0.0) and not np.any(band[:, outside])
         assert not np.array_equal(first[0], first[1])
+
+
+def _recipe(cfg):
+    """The arguments of ``monitor._twin_data`` for ``cfg``."""
+    return cfg.d, cfg.n, cfg.period, cfg.init, cfg.s_value, cfg.friedrichs_n
+
+
+class TestTwinData:
+    """The twin experiment draws its base band and direction once per
+    recipe and holds only the most recent recipe's pair."""
+
+    def _config(self, seed=0, n=16, nonlinear=True):
+        return SolverConfig(d=2, n=n, dt=0.05, t_end=0.2, params=PARAMS, s=-0.25,
+                            friedrichs_n=2.5, nonlinear=nonlinear,
+                            init=InitSpec(amplitude=1e-2, band=(1.0, 4.0), seed=seed))
+
+    def _count_draws(self, monkeypatch):
+        # a draw's forward transforms; a linear step makes none
+        calls = []
+        forward_band = TorusGrid.forward_band
+        monkeypatch.setattr(TorusGrid, "forward_band",
+                            lambda self, *a, **k: calls.append(1) or forward_band(self, *a, **k))
+        return calls
+
+    def test_second_call_on_a_recipe_draws_nothing(self, monkeypatch):
+        cfg = self._config(nonlinear=False)
+        monitor._twin_data.cache_clear()
+        calls = self._count_draws(monkeypatch)
+        stability_experiment(cfg, 0.0)
+        assert len(calls) == 2 * 5  # two draws of d + nt = 5 rows
+        calls.clear()
+        stability_experiment(cfg, 1e-3)
+        assert calls == []
+
+    def test_reused_data_give_the_reports_of_fresh_draws_bitwise(self):
+        # repr round-trips every float, so equal reprs are equal bits: the
+        # series, both fits, the relative change and bitwise_identical
+        cfg = self._config()
+        monitor._twin_data.cache_clear()
+        reused = [stability_experiment(cfg, delta) for delta in (0.0, 1e-3)]
+        fresh = []
+        for delta in (0.0, 1e-3):
+            monitor._twin_data.cache_clear()
+            fresh.append(stability_experiment(cfg, delta))
+        assert monitor._twin_data.cache_info().currsize == 1
+        for got, want in zip(reused, fresh):
+            assert repr(got) == repr(want)
+        assert reused[0]["bitwise_identical"] and reused[1]["fit_tenth"]["C_hat"] is not None
+
+    def test_held_data_are_read_only_and_form_no_fields(self):
+        cfg = self._config()
+        stability_experiment(cfg, 1e-3)
+        hits = monitor._twin_data.cache_info().hits
+        base, direction = monitor._twin_data(*_recipe(cfg))
+        assert monitor._twin_data.cache_info().hits == hits + 1
+        assert "_fields" not in vars(base)
+        for held in (base.band, direction):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[0] = 1.0
+        # the direction is the draw of the seed plus 7919, at unit size
+        want = random_band(base.grid, 7919, (1.0, 4.0), -0.25, 1.0, 2.5)
+        np.testing.assert_array_equal(direction.view(np.uint64), want.view(np.uint64))
+
+    def test_a_new_recipe_evicts_the_held_data(self):
+        cfg = self._config()
+        stability_experiment(cfg, 1e-3)
+        base, _ = monitor._twin_data(*_recipe(cfg))
+        old = weakref.ref(base)
+        del base
+        for other in (self._config(seed=1), self._config(n=32)):
+            stability_experiment(other, 1e-3)
+            assert old() is None
+            base, _ = monitor._twin_data(*_recipe(other))
+            old = weakref.ref(base)
+            del base
+        assert monitor._twin_data.cache_info().currsize == 1
+
+    def test_a_config_that_differs_off_the_recipe_reuses_the_data(self, monkeypatch):
+        cfg = self._config(nonlinear=False)
+        stability_experiment(cfg, 1e-3)
+        base, _ = monitor._twin_data(*_recipe(cfg))
+        held = weakref.ref(base)
+        del base
+        calls = self._count_draws(monkeypatch)
+        for other in (replace(cfg, t_end=0.3), replace(cfg, dt=0.1, output_stride=2),
+                      replace(cfg, params=replace(PARAMS, we=2.0))):
+            stability_experiment(other, 1e-3)
+        assert calls == [] and held() is monitor._twin_data(*_recipe(cfg))[0]

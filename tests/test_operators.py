@@ -614,16 +614,17 @@ class TestKernelBuffers:
         assert peak < bound
 
     def test_twin_pair_shares_one_scratch(self, monkeypatch):
-        # both runs of each lockstep pair step through one scratch, and
-        # each pair's scratch is gone before the next pair steps
+        # every run of both lockstep pairs steps through the one scratch
+        # the experiment holds for the call, gone once it returns
         cfg = small_data_config(0, t_end=0.2, n=16)
-        sims, refs, alive = [], [], []
+        sims, refs, alive, shared = [], [], [], []
         advance = Simulation.advance
 
         def recording(sim):
             sims.append(id(sim))
             refs.append(weakref.ref(sim._kernel_scratch))
             alive.append(len({id(ref()) for ref in refs if ref() is not None}))
+            shared.append(sim._kernel_scratch is refs[0]())
             return advance(sim)
 
         monkeypatch.setattr(Simulation, "advance", recording)
@@ -633,7 +634,7 @@ class TestKernelBuffers:
         assert len(sims) == 2 * per_pair  # the pairs at delta and delta / 10
         for start in (0, per_pair):
             assert len(set(sims[start:start + per_pair])) == 2
-        assert alive == [1] * len(alive)
+        assert alive == [1] * len(alive) and all(shared)
         assert all(ref() is None for ref in refs)
 
     def test_nothing_held_once_a_run_returns(self, monkeypatch):

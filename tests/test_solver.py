@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -1153,6 +1154,7 @@ class TestSimulate:
             for run in (simulate, lambda cfg: monitor.stability_experiment(cfg, 1e-3)):
                 _leray_sets.cache_clear()
                 build_partition.cache_clear()
+                monitor._twin_data.cache_clear()
                 grids.clear()
                 run(cfg)
                 assert len(grids) == 1
@@ -1275,6 +1277,19 @@ class TestBandDraw:
                 # the recipe's modes outside the band are zero
                 assert np.count_nonzero(u.coeffs) + np.count_nonzero(tau.coeffs) \
                     == np.count_nonzero(want)
+
+    @pytest.mark.parametrize("d,n,period,seed,band,s,friedrichs_n,digest", [
+        (2, 16, 2 * np.pi, 3, (1.0, 5.0), -0.25, 2.5, "79356cf02f33bab1"),
+        (2, 32, 3.0, 8, (1.0, 6.0), -0.25, 5.0, "2c75a1fe3d7a28fa"),
+        (3, 16, 2 * np.pi, 4, (1.0, 8.0), 0.0, 2.5, "f52c22d0a7d7f9ef"),
+    ])
+    def test_cut_draw_keeps_its_bytes(self, d, n, period, seed, band, s, friedrichs_n,
+                                      digest):
+        # the band cutoff through friedrichs_mask(grid, r, grid.band) has
+        # the bytes of the inline predicate it replaced: sha256 of the
+        # draws as that predicate made them (numpy 2.4, x86_64)
+        x = random_band(TorusGrid(d, n, period), seed, band, s, 0.5, friedrichs_n)
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
     def test_initial_state_is_the_read_only_band_draw(self):
         cfg = SolverConfig(d=3, n=16, dt=0.05, t_end=1.0, params=PARAMS, friedrichs_n=2.5,
